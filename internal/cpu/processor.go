@@ -200,6 +200,16 @@ func (p *Processor) Start() {
 	p.k.AtActor(0, p)
 }
 
+// Stop tears down the processes of unfinished contexts, unwinding each
+// application body so its goroutine exits. A run that ends early
+// (cancellation, watchdog, deadlock) must call it; after a completed run
+// it is a no-op.
+func (p *Processor) Stop() {
+	for _, c := range p.ctxs {
+		c.co.Stop()
+	}
+}
+
 // Done reports whether every context has finished.
 func (p *Processor) Done() bool { return len(p.ctxs) == 0 || p.finished == len(p.ctxs) }
 

@@ -208,6 +208,13 @@ func (m *Machine) RunContext(ctx context.Context, app App) (*Result, error) {
 			app.Worker(e, pid, total)
 		})
 	}
+	// Every exit path, a panic included, stops the processes still
+	// suspended mid-body, so an early-ended run leaks no goroutines.
+	defer func() {
+		for _, p := range m.procs {
+			p.Stop()
+		}
+	}()
 	for _, p := range m.procs {
 		p.Start()
 	}

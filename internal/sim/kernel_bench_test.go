@@ -91,3 +91,21 @@ func BenchmarkKernelResourceActor(b *testing.B) {
 		k.Step()
 	}
 }
+
+// BenchmarkKernelCoroutineSwitch measures one Resume/Yield round trip, the
+// handoff every operation an application process submits pays.
+func BenchmarkKernelCoroutineSwitch(b *testing.B) {
+	var co *Coroutine
+	co = NewCoroutine(func() {
+		for {
+			co.Yield()
+		}
+	})
+	defer co.Stop()
+	co.Resume()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		co.Resume()
+	}
+}

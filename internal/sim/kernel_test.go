@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -388,5 +390,81 @@ func TestCoroutineInterleavingDeterministic(t *testing.T) {
 				t.Fatalf("nondeterministic interleaving: %v vs %v", first, again)
 			}
 		}
+	}
+}
+
+func TestCoroutineStopUnwindsBody(t *testing.T) {
+	var deferred, after bool
+	var co *Coroutine
+	co = NewCoroutine(func() {
+		defer func() { deferred = true }()
+		co.Yield()
+		after = true
+	})
+	if !co.Resume() {
+		t.Fatal("coroutine finished before its first Yield")
+	}
+	co.Stop()
+	if !deferred {
+		t.Error("Stop did not run the body's deferred functions")
+	}
+	if after {
+		t.Error("body ran past its Yield after Stop")
+	}
+	if !co.Finished() {
+		t.Error("Finished() = false after Stop")
+	}
+	co.Stop() // idempotent
+}
+
+func TestCoroutineStopBeforeResume(t *testing.T) {
+	ran := false
+	co := NewCoroutine(func() { ran = true })
+	co.Stop()
+	if ran {
+		t.Error("Stop before the first Resume ran the body")
+	}
+	if !co.Finished() {
+		t.Error("Finished() = false after Stop")
+	}
+}
+
+func TestCoroutineResumeAfterEndPanics(t *testing.T) {
+	mustPanic := func(name string, co *Coroutine) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Resume %s did not panic", name)
+			}
+		}()
+		co.Resume()
+	}
+	stoppedCo := NewCoroutine(func() {})
+	stoppedCo.Stop()
+	mustPanic("after Stop", stoppedCo)
+
+	done := NewCoroutine(func() {})
+	if done.Resume() {
+		t.Fatal("empty body still alive after Resume")
+	}
+	mustPanic("after the body returned", done)
+}
+
+// panickingBody is a named function so the test can find it in the
+// process stack the re-raised panic carries.
+func panickingBody() { panic("boom") }
+
+func TestCoroutinePanicCarriesProcessStack(t *testing.T) {
+	co := NewCoroutine(panickingBody)
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		co.Resume()
+	}()
+	if !strings.Contains(msg, "boom") || !strings.Contains(msg, "sim.panickingBody") {
+		t.Errorf("panic text lacks the value or the process frame:\n%s", msg)
+	}
+	if !co.Finished() {
+		t.Error("Finished() = false after the body panicked")
 	}
 }
