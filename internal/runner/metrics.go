@@ -28,8 +28,7 @@ type Metrics struct {
 	WallTime  time.Duration
 
 	// Kernel-level counters summed over executed (non-cached) jobs.
-	SimEvents     uint64 // discrete events fired
-	AllocsAvoided uint64 // allocations the zero-allocation event paths saved
+	SimEvents uint64 // discrete events fired
 }
 
 // Done is the number of jobs that have finished one way or another.

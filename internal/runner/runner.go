@@ -415,14 +415,12 @@ func (r *Runner) finish(t *Task, res *machine.Result, err error, hit bool, start
 		if res != nil {
 			r.metrics.SimCycles += uint64(res.Elapsed)
 			r.metrics.SimEvents += res.Kernel.Fired
-			r.metrics.AllocsAvoided += res.Kernel.AllocsAvoided()
 		}
 	}
 	snap := r.metrics
 	r.mu.Unlock()
-	t.res, t.err, t.hit = res, err, hit
-	close(t.done)
-	r.opts.Hooks.Finish(t.Key, t.Job, err, hit)
+	// The progress line is written before waiters wake, so a caller that
+	// has its results also has every line about them.
 	total := snap.Done() + snap.Queued + snap.Running
 	switch {
 	case err != nil:
@@ -433,6 +431,9 @@ func (r *Runner) finish(t *Task, res *machine.Result, err error, hit bool, start
 		r.tracef("  done %s: %d cycles in %v (%d/%d jobs)",
 			t.Job, res.Elapsed, wall.Round(time.Millisecond), snap.Done(), total)
 	}
+	t.res, t.err, t.hit = res, err, hit
+	close(t.done)
+	r.opts.Hooks.Finish(t.Key, t.Job, err, hit)
 }
 
 // tracef writes one progress line, serialized across workers.

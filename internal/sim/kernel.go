@@ -8,14 +8,21 @@
 // were scheduled. This gives bit-identical results across runs, which the
 // reproduction relies on.
 //
-// The event queue is a value-typed 4-ary min-heap: events are stored
-// inline in the heap slice (no per-event heap allocation, no interface
-// boxing through container/heap), and the Actor scheduling path carries a
-// completion as an interface pointer rather than a closure, so the
-// simulator's hot paths schedule events without allocating at all.
+// The event queue is a calendar of 64 one-cycle slots covering the next 64
+// cycles. Each slot is a FIFO of the events due at its cycle, linked through
+// one node arena shared by all slots, and one word records which slots are
+// occupied, so scheduling and firing a near-future event is O(1). Events 64
+// or more cycles ahead wait in a value-typed 4-ary min-heap and move into
+// their slot as soon as the clock comes within 64 cycles of them. The Actor
+// scheduling path carries a completion as an interface pointer rather than
+// a closure, so the simulator's hot paths schedule events without
+// allocating at all.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is a point in simulated time, in processor clock cycles.
 type Time uint64
@@ -55,7 +62,7 @@ func (t Task) Run() {
 // Zero reports whether the Task carries no completion.
 func (t Task) Zero() bool { return t.actor == nil && t.fn == nil }
 
-// event is a scheduled callback, stored by value in the heap slice.
+// event is a scheduled callback in the overflow heap, stored by value.
 type event struct {
 	at   Time
 	seq  uint64 // tie-breaker: schedule order
@@ -67,22 +74,52 @@ func (e *event) before(o *event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
+// slots is the calendar's width in cycles: nearly every event the
+// simulator schedules is due fewer than 64 cycles ahead, and one uint64
+// then records which slots are occupied.
+const slots = 64
+
+// node is a calendar entry: a completion and the arena index of the next
+// node in its slot or in the free list; nilNode ends both lists. Its slot
+// gives its time and its place in the FIFO its sequence.
+type node struct {
+	task Task
+	next int32
+}
+
+const nilNode = -1
+
 // Kernel is the discrete-event simulation engine. The zero value is not
 // usable; construct with NewKernel.
 type Kernel struct {
-	now  Time
-	seq  uint64
-	heap []event // value-typed 4-ary min-heap ordered by (at, seq)
+	now Time
+	seq uint64
+
+	// The calendar holds every pending event due before now+slots, the
+	// event due at cycle t in slot t%slots. The window never spans more
+	// cycles than there are slots, so each slot holds one cycle's events.
+	occupied   uint64       // bit s is set while slot s is non-empty
+	head, tail [slots]int32 // each occupied slot's FIFO, as indexes into nodes
+	nodes      []node       // arena shared by all slots
+	free       int32        // free-list head in nodes
+
+	// far is the overflow tier: a value-typed 4-ary min-heap, ordered by
+	// (at, seq), of the events due at now+slots or later. An event enters
+	// far only while its cycle is outside the window and is moved into
+	// its slot the moment the clock brings that cycle inside, before any
+	// callback can schedule there directly. So every slot receives its
+	// events in sequence order, and its FIFO is (at, seq) order.
+	far []event
 
 	// Counters, surfaced through machine results and runner metrics.
 	events    uint64 // events fired
-	scheduled uint64 // events pushed; each avoided the old per-event heap box
+	scheduled uint64 // events pushed into the queue
 	actors    uint64 // events scheduled via the Actor path (no closure either)
 	advances  uint64 // clock advances without an event (sync fast-path completions)
 }
 
 // NewKernel returns an empty kernel at time zero.
-func NewKernel() *Kernel { return &Kernel{} }
+func NewKernel() *Kernel { return &Kernel{free: nilNode} }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
@@ -90,8 +127,9 @@ func (k *Kernel) Now() Time { return k.now }
 // Events returns the total number of events fired so far.
 func (k *Kernel) Events() uint64 { return k.events }
 
-// Pending returns the number of events still scheduled.
-func (k *Kernel) Pending() int { return len(k.heap) }
+// Pending returns the number of events still scheduled: every scheduled
+// event is pending until it fires.
+func (k *Kernel) Pending() int { return int(k.scheduled - k.events) }
 
 // Stats is a snapshot of the kernel's scheduling counters.
 type Stats struct {
@@ -101,17 +139,10 @@ type Stats struct {
 	Advances  uint64 // clock advances taken without firing an event
 }
 
-// KernelStats returns the scheduling counters. AllocsAvoided derives from
-// these: every scheduled event avoids the heap-boxed event record of the
-// pre-refactor kernel, and every Actor event additionally avoids a closure.
+// KernelStats returns the scheduling counters.
 func (k *Kernel) KernelStats() Stats {
 	return Stats{Fired: k.events, Scheduled: k.scheduled, Actor: k.actors, Advances: k.advances}
 }
-
-// AllocsAvoided estimates heap allocations the kernel's scheduling paths
-// avoided relative to the closure-per-event container/heap design: one
-// boxed event record per scheduled event plus one closure per Actor event.
-func (s Stats) AllocsAvoided() uint64 { return s.Scheduled + s.Actor }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) panics: it always indicates a modeling bug.
@@ -137,18 +168,26 @@ func (k *Kernel) AtTask(t Time, task Task) {
 	if task.actor != nil {
 		k.actors++
 	}
-	k.push(event{at: t, seq: k.seq, task: task})
+	if t-k.now < slots {
+		k.pushNear(t, task)
+	} else {
+		k.pushFar(event{at: t, seq: k.seq, task: task})
+	}
 }
 
 // AfterTask schedules a Task delay cycles from now.
 func (k *Kernel) AfterTask(delay Time, task Task) { k.AtTask(k.now+delay, task) }
 
 // NextAt returns the timestamp of the earliest pending event, if any.
+// Overflow events are all due after every calendar event.
 func (k *Kernel) NextAt() (Time, bool) {
-	if len(k.heap) == 0 {
-		return 0, false
+	if k.occupied != 0 {
+		return k.now + k.nearOffset(), true
 	}
-	return k.heap[0].at, true
+	if len(k.far) > 0 {
+		return k.far[0].at, true
+	}
+	return 0, false
 }
 
 // AdvanceTo moves the clock forward to t without firing an event. It is
@@ -160,11 +199,11 @@ func (k *Kernel) AdvanceTo(t Time) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: advancing clock to %d before now %d", t, k.now))
 	}
-	if len(k.heap) > 0 && k.heap[0].at < t {
-		panic(fmt.Sprintf("sim: advancing clock to %d past pending event at %d", t, k.heap[0].at))
+	if next, ok := k.NextAt(); ok && next < t {
+		panic(fmt.Sprintf("sim: advancing clock to %d past pending event at %d", t, next))
 	}
 	if t > k.now {
-		k.now = t
+		k.setNow(t)
 		k.advances++
 	}
 }
@@ -172,16 +211,25 @@ func (k *Kernel) AdvanceTo(t Time) {
 // Step fires the next event, advancing the clock to its timestamp.
 // It reports whether an event was fired.
 func (k *Kernel) Step() bool {
-	if len(k.heap) == 0 {
+	var at Time
+	var task Task
+	switch {
+	case k.occupied != 0:
+		at, task = k.popNear()
+	case len(k.far) > 0:
+		e := k.popFar()
+		at, task = e.at, e.task
+	default:
 		return false
 	}
-	e := k.pop()
-	k.now = e.at
+	if at != k.now {
+		k.setNow(at)
+	}
 	k.events++
-	if e.task.actor != nil {
-		e.task.actor.Act()
+	if task.actor != nil {
+		task.actor.Act()
 	} else {
-		e.task.fn()
+		task.fn()
 	}
 	return true
 }
@@ -200,21 +248,81 @@ func (k *Kernel) Run(stop func() bool) uint64 {
 // clock to the deadline if it is still behind (in particular, on an empty
 // queue the clock jumps straight to the deadline).
 func (k *Kernel) RunUntil(deadline Time) {
-	for len(k.heap) > 0 && k.heap[0].at <= deadline {
+	for next, ok := k.NextAt(); ok && next <= deadline; next, ok = k.NextAt() {
 		k.Step()
 	}
 	if k.now < deadline {
-		k.now = deadline
+		k.setNow(deadline)
 	}
 }
 
-// 4-ary min-heap over the value slice. A wider node roughly halves the
-// tree depth versus a binary heap, trading a few extra comparisons per
-// level for fewer cache-missing levels — a win at simulator queue depths.
+// nearOffset returns how many cycles after now the earliest calendar event
+// is due: rotating the occupancy word puts now's slot at bit 0. The
+// calendar must not be empty.
+func (k *Kernel) nearOffset() Time {
+	return Time(bits.TrailingZeros64(bits.RotateLeft64(k.occupied, -int(k.now%slots))))
+}
 
-func (k *Kernel) push(e event) {
-	//hookpure:alloc amortized: the event heap grows to the in-flight high-water mark, then stabilizes
-	h := append(k.heap, e)
+// pushNear appends task to the FIFO of the slot for cycle t, which must
+// be before now+slots.
+func (k *Kernel) pushNear(t Time, task Task) {
+	i := k.free
+	if i == nilNode {
+		i = int32(len(k.nodes))
+		//hookpure:alloc amortized: the arena grows to the in-flight high-water mark, then recycles through the free list
+		k.nodes = append(k.nodes, node{})
+	} else {
+		k.free = k.nodes[i].next
+	}
+	k.nodes[i].task = task
+	k.nodes[i].next = nilNode
+	s := t % slots
+	if k.occupied&(1<<s) == 0 {
+		k.occupied |= 1 << s
+		k.head[s] = i
+	} else {
+		k.nodes[k.tail[s]].next = i
+	}
+	k.tail[s] = i
+}
+
+// popNear removes the earliest calendar event, the head of the first
+// occupied slot at or after now's, returns its node to the free list and
+// returns the event's time and completion.
+func (k *Kernel) popNear() (Time, Task) {
+	at := k.now + k.nearOffset()
+	s := at % slots
+	i := k.head[s]
+	task := k.nodes[i].task
+	if next := k.nodes[i].next; next == nilNode {
+		k.occupied &^= 1 << s
+	} else {
+		k.head[s] = next
+	}
+	k.nodes[i] = node{next: k.free} // release the completion to the GC
+	k.free = i
+	return at, task
+}
+
+// setNow moves the clock forward to t and then the overflow events now
+// within the calendar's window into their slots, in (at, seq) order, before
+// any callback can schedule into those slots directly. Every clock move
+// goes through it.
+func (k *Kernel) setNow(t Time) {
+	k.now = t
+	for len(k.far) > 0 && k.far[0].at-k.now < slots {
+		e := k.popFar()
+		k.pushNear(e.at, e.task)
+	}
+}
+
+// 4-ary min-heap over the overflow slice. A wider node roughly halves the
+// tree depth versus a binary heap, trading a few extra comparisons per
+// level for fewer cache-missing levels.
+
+func (k *Kernel) pushFar(e event) {
+	//hookpure:alloc amortized: the overflow heap grows to the in-flight high-water mark, then stabilizes
+	h := append(k.far, e)
 	// Sift up: shift parents down until e's slot is found.
 	i := len(h) - 1
 	for i > 0 {
@@ -226,17 +334,17 @@ func (k *Kernel) push(e event) {
 		i = p
 	}
 	h[i] = e
-	k.heap = h
+	k.far = h
 }
 
-func (k *Kernel) pop() event {
-	h := k.heap
+func (k *Kernel) popFar() event {
+	h := k.far
 	min := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{} // release the callback reference to the GC
 	h = h[:n]
-	k.heap = h
+	k.far = h
 	if n > 0 {
 		// Sift down: move holes toward the leaves until last fits.
 		i := 0

@@ -4,7 +4,8 @@ import "testing"
 
 // The kernel microbenchmarks exercise the event queue in isolation so the
 // scheduling cost (ns/op and allocs/op) is visible without the rest of the
-// simulator. BENCH_kernel.json records their trajectory across PRs.
+// simulator. CI runs them with -benchmem and fails if any allocates; the
+// benchmark module in bench/ measures the kernel's share of whole runs.
 
 // BenchmarkKernelScheduleFire schedules and fires one event per iteration
 // with a prebuilt callback: the steady-state cost of one event through the
@@ -24,8 +25,10 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelHeapChurn keeps a deep queue (1024 pending events) and
-// measures push+pop through it, the worst case for heap reordering.
+// BenchmarkKernelHeapChurn keeps a deep queue (1024 pending events) with
+// delays up to 255 cycles, so most events wait in the overflow heap: it
+// measures push+pop through the overflow tier and the moves from it into
+// the calendar.
 func BenchmarkKernelHeapChurn(b *testing.B) {
 	k := NewKernel()
 	fn := func() {}
@@ -38,6 +41,24 @@ func BenchmarkKernelHeapChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.After(Time(i*13%255+1), fn)
+		k.Step()
+	}
+}
+
+// BenchmarkKernelNearChurn keeps 32 Actor events pending with delays of
+// 1–15 cycles, the shape of the simulator's own traffic, in which nearly
+// every event is due within 64 cycles: it runs entirely in the calendar.
+func BenchmarkKernelNearChurn(b *testing.B) {
+	k := NewKernel()
+	var a nopActor
+	const depth = 32
+	for i := 0; i < depth; i++ {
+		k.AfterActor(Time(i%15+1), a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.AfterActor(Time(i*7%15+1), a)
 		k.Step()
 	}
 }

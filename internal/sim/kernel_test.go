@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -150,9 +152,6 @@ func TestKernelActorScheduling(t *testing.T) {
 	if st.Fired != 3 || st.Scheduled != 3 || st.Actor != 3 {
 		t.Errorf("stats = %+v, want Fired=3 Scheduled=3 Actor=3", st)
 	}
-	if st.AllocsAvoided() != 6 {
-		t.Errorf("AllocsAvoided = %d, want 6", st.AllocsAvoided())
-	}
 }
 
 func TestKernelAdvanceTo(t *testing.T) {
@@ -198,31 +197,105 @@ func TestKernelStop(t *testing.T) {
 	}
 }
 
-// Property: for any random schedule, events fire in nondecreasing time
-// order and all events fire exactly once.
+// Property: whatever mix of calendar and overflow delays, nested
+// scheduling and clock moves drives the queue, every event fires exactly
+// once, at its own time, and the firing sequence is the scheduled events
+// sorted by (at, seq). Delays cover both tiers ([0, 200)), the calendar's
+// edge (63, 64, 65) and same-cycle callbacks (0); AdvanceTo, RunUntil and
+// NextAt are interleaved with Step, also from inside callbacks.
 func TestKernelOrderProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
+	type rec struct {
+		at  Time
+		seq int
+	}
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := NewKernel()
-		count := int(n)%64 + 1
-		fired := 0
-		var last Time
+		var scheduled, fired []rec
 		ok := true
-		for i := 0; i < count; i++ {
-			d := Time(rng.Intn(1000))
-			k.At(d, func() {
-				if k.Now() < last {
+		delay := func() Time {
+			switch rng.Intn(4) {
+			case 0:
+				return 0
+			case 1:
+				return Time(63 + rng.Intn(3))
+			default:
+				return Time(rng.Intn(200))
+			}
+		}
+		// advance moves the clock to a random cycle no later than the
+		// next pending event, the legal range for AdvanceTo.
+		advance := func() {
+			limit := k.Now() + 200
+			if next, pending := k.NextAt(); pending {
+				limit = next
+			}
+			k.AdvanceTo(k.Now() + Time(rng.Int63n(int64(limit-k.Now())+1)))
+		}
+		var schedule func()
+		schedule = func() {
+			r := rec{at: k.Now() + delay(), seq: len(scheduled)}
+			scheduled = append(scheduled, r)
+			k.At(r.at, func() {
+				if k.Now() != r.at {
 					ok = false
 				}
-				last = k.Now()
-				fired++
+				fired = append(fired, r)
+				if rng.Intn(4) == 0 {
+					advance()
+				}
+				for n := rng.Intn(3); n > 0 && len(scheduled) < 1000; n-- {
+					schedule()
+				}
 			})
 		}
-		k.Run(nil)
-		return ok && fired == count
+		for round := 0; round < 3; round++ {
+			for n := rng.Intn(64) + 1; n > 0; n-- {
+				schedule()
+			}
+			for k.Pending() > 0 {
+				switch rng.Intn(6) {
+				case 0:
+					advance()
+				case 1:
+					k.RunUntil(k.Now() + Time(rng.Intn(150)))
+				default:
+					k.Step()
+				}
+			}
+			advance()
+		}
+		want := append([]rec(nil), scheduled...)
+		sort.Slice(want, func(i, j int) bool {
+			return want[i].at < want[j].at || (want[i].at == want[j].at && want[i].seq < want[j].seq)
+		})
+		return ok && reflect.DeepEqual(fired, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// An event scheduled into the overflow tier must fire before an event
+// scheduled later for the same cycle, after the clock has come within the
+// calendar's window of that cycle, whichever way the clock got there.
+func TestKernelOverflowEventKeepsScheduleOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		move func(k *Kernel, schedB func())
+	}{
+		{"Step", func(k *Kernel, schedB func()) { k.At(1, schedB) }},
+		{"AdvanceTo", func(k *Kernel, schedB func()) { k.AdvanceTo(1); schedB() }},
+		{"RunUntil", func(k *Kernel, schedB func()) { k.RunUntil(1); schedB() }},
+	} {
+		k := NewKernel()
+		var order []string
+		k.At(slots, func() { order = append(order, "A") })
+		tc.move(k, func() { k.At(slots, func() { order = append(order, "B") }) })
+		k.Run(nil)
+		if strings.Join(order, "") != "AB" {
+			t.Errorf("%s: fired %v, want [A B]", tc.name, order)
+		}
 	}
 }
 
