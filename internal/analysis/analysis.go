@@ -18,13 +18,13 @@
 //
 // The framework mirrors the x/tools API surface (Analyzer, Pass,
 // Diagnostic) on purpose: the module is built hermetically with no
-// third-party dependencies, so the driver loads packages itself with
-// `go list -export` and the standard library's gc export-data importer
-// instead of go/packages. Should the real x/tools dependency ever become
-// available, the analyzers port over with trivial changes.
+// third-party dependencies, so the driver loads packages and their test
+// variants itself with `go list -export -test` and the standard
+// library's gc export-data importer instead of go/packages. Should the
+// real x/tools dependency ever become available, the analyzers port
+// over with trivial changes.
 //
-// Run the suite standalone via `go run ./cmd/latsimvet ./...` or through
-// the toolchain via `go vet -vettool=$(which latsimvet) ./...`.
+// Run the suite via `go run ./cmd/latsimvet ./...`.
 package analysis
 
 import (
@@ -38,7 +38,7 @@ import (
 // x/tools/go/analysis.Analyzer: Run is invoked once per loaded package
 // with a fully type-checked Pass.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -NAME=0 flags.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is the analyzer's one-paragraph description.
 	Doc string
@@ -47,8 +47,7 @@ type Analyzer struct {
 	Run func(*Pass) error
 	// FactTypes lists prototype values of the Fact types this analyzer
 	// exports and imports. An analyzer with no FactTypes is purely
-	// intraprocedural; the driver only serializes facts for analyzers
-	// that declare them.
+	// intraprocedural.
 	FactTypes []Fact
 }
 

@@ -1,8 +1,7 @@
 package analysis
 
 import (
-	"encoding/json"
-	"reflect"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -31,9 +30,24 @@ func TestNilsafeGolden(t *testing.T) {
 	), "./testdata/src/nilsafe/hooks")
 }
 
+// TestSimdetGolden also pins that test files are analyzed: the
+// fixture's sched_test.go carries a want of its own, which a driver that
+// skipped test variants would leave unchecked rather than failing. Its
+// external test uses a name only export_test.go declares, so it loads
+// only if the test binary's imports resolve to "sched [sched.test]".
 func TestSimdetGolden(t *testing.T) {
-	runGolden(t, NewSimdet("latsim/internal/analysis/testdata/src/simdet/sched"),
-		"./testdata/src/simdet/sched")
+	a := NewSimdet("latsim/internal/analysis/testdata/src/simdet/sched")
+	runGolden(t, a, "./testdata/src/simdet/sched")
+	diags, err := Run("", []*Analyzer{a}, "./testdata/src/simdet/sched")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		if filepath.Base(d.Pos.Filename) == "sched_test.go" {
+			return
+		}
+	}
+	t.Errorf("no diagnostic in sched_test.go, got %v", diags)
 }
 
 // TestPartitionGolden exercises all three partition rules. The fixture
@@ -114,99 +128,6 @@ func TestSchemaverRegression(t *testing.T) {
 	}
 
 	runGolden(t, NewSchemaverConfig(anchors("b"), golden, nil), "./testdata/src/schemaver/b")
-}
-
-// TestFactsDocRoundTrip pins the .vetx document encoding: object and
-// package facts of several analyzers survive serialization with their
-// analyzer namespaces and origin packages intact.
-func TestFactsDocRoundTrip(t *testing.T) {
-	pf := newPkgFacts()
-	eff := &FnEffects{
-		Allocs:       []EffectSite{{Pos: "x.go:3", What: "append"}},
-		MutRecv:      true,
-		EscapeParams: []int{1},
-	}
-	if err := pf.set("hookpure", "Recorder.Tick", eff); err != nil {
-		t.Fatal(err)
-	}
-	shapes := &SchemaShapes{Types: map[string]TypeShape{
-		"Doc": {Display: "store.Doc", Fields: []FieldShape{{Name: "ID", Type: "int"}}},
-	}}
-	if err := pf.set("schemaver", "", shapes); err != nil {
-		t.Fatal(err)
-	}
-	doc := newFactsDoc()
-	doc.Packages["latsim/internal/obs"] = pf
-
-	data, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeFactsDoc(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotEff FnEffects
-	if !got.Packages["latsim/internal/obs"].get("hookpure", "Recorder.Tick", &gotEff) {
-		t.Fatal("object fact lost in round trip")
-	}
-	if !reflect.DeepEqual(&gotEff, eff) {
-		t.Fatalf("object fact round trip: got %+v want %+v", gotEff, *eff)
-	}
-	var gotShapes SchemaShapes
-	if !got.Packages["latsim/internal/obs"].get("schemaver", "", &gotShapes) {
-		t.Fatal("package fact lost in round trip")
-	}
-	if !reflect.DeepEqual(&gotShapes, shapes) {
-		t.Fatalf("package fact round trip: got %+v want %+v", gotShapes, *shapes)
-	}
-	// An empty document must decode, and a wrong schema must not.
-	if _, err := decodeFactsDoc(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeFactsDoc([]byte(`{"schema":999}`)); err == nil {
-		t.Fatal("wrong-schema document decoded silently")
-	}
-}
-
-// TestRunnerCache verifies the per-package result cache: a second run
-// over unchanged sources serves every package from the sidecar files
-// and reproduces the first run's diagnostics exactly.
-func TestRunnerCache(t *testing.T) {
-	r := &Runner{
-		Analyzers: []*Analyzer{NewPartition("latsim/internal/analysis/testdata/src/partition/node")},
-		CacheDir:  t.TempDir(),
-		Salt:      "test",
-	}
-	cold, coldStats, err := r.Run("./testdata/src/partition/node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldStats.Analyzed != coldStats.Packages || coldStats.Cached != 0 {
-		t.Fatalf("cold run stats = %+v", coldStats)
-	}
-	warm, warmStats, err := r.Run("./testdata/src/partition/node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.Cached != warmStats.Packages || warmStats.Analyzed != 0 {
-		t.Fatalf("warm run stats = %+v", warmStats)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("cached diagnostics differ:\ncold: %v\nwarm: %v", cold, warm)
-	}
-	if len(cold) == 0 {
-		t.Fatal("fixture should produce diagnostics")
-	}
-	// A different salt (a rebuilt tool) must invalidate everything.
-	r.Salt = "rebuilt"
-	_, saltStats, err := r.Run("./testdata/src/partition/node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saltStats.Cached != 0 {
-		t.Fatalf("salted run stats = %+v", saltStats)
-	}
 }
 
 // TestSuiteCleanOnTree is the live gate: the production suite must

@@ -29,24 +29,30 @@ type expectation struct {
 // Dependencies of the matched packages are analyzed for facts (so
 // multi-package fixtures exercise the interprocedural path exactly like
 // the production driver) but contribute neither wants nor diagnostics;
-// list every package whose findings matter as a pattern.
+// list every package whose findings matter as a pattern. A test variant
+// lists its package's non-test files again; their wants count once.
 func CheckExpectations(dir string, analyzers []*Analyzer, patterns ...string) ([]string, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	var problems []string
-	var wants []*expectation
-	r := &Runner{Dir: dir, Analyzers: analyzers}
-	diags, _, _, err := r.runLoaded(pkgs)
+	diags, err := runLoaded(pkgs, analyzers)
 	if err != nil {
 		return nil, err
 	}
+	var problems []string
+	var wants []*expectation
+	seen := map[string]bool{}
 	for _, pkg := range pkgs {
 		if pkg.Dep {
 			continue
 		}
 		for _, file := range pkg.Files {
+			name := pkg.Fset.File(file.Pos()).Name()
+			if seen[name] {
+				continue
+			}
+			seen[name] = true
 			ws, err := parseWants(pkg.Fset, file)
 			if err != nil {
 				return nil, err

@@ -10,11 +10,10 @@ import (
 // A Fact is a typed, serializable piece of analysis knowledge attached
 // to a package-level object or to a package as a whole. Facts are the
 // interprocedural backbone of the suite: an analyzer exports facts while
-// analyzing a package, the driver serializes them to a sidecar keyed on
-// the package's export-data hash, and every dependent package's pass
-// imports them — mirroring golang.org/x/tools/go/analysis facts, but
-// JSON-encoded so the stdlib-only driver (and the `go vet` unitchecker
-// protocol's .vetx files) can carry them.
+// analyzing a package, the driver keeps them in memory, and every
+// dependent package's pass imports them — mirroring
+// golang.org/x/tools/go/analysis facts. They are held JSON-encoded, so
+// each import decodes a private copy no pass can alias or mutate.
 //
 // Implementations must be pointer-to-struct types with exported,
 // JSON-round-trippable fields, registered via Analyzer.FactTypes.
@@ -94,27 +93,6 @@ func (pf *pkgFacts) get(analyzer, key string, into Fact) bool {
 		return false
 	}
 	return json.Unmarshal(raw, into) == nil
-}
-
-// encode serializes the fact set deterministically (sorted keys, one
-// canonical JSON document) so identical analyses produce identical
-// sidecar bytes.
-func (pf *pkgFacts) encode() ([]byte, error) {
-	return json.MarshalIndent(pf, "", "\t")
-}
-
-func decodePkgFacts(data []byte) (*pkgFacts, error) {
-	pf := newPkgFacts()
-	if len(data) == 0 {
-		return pf, nil
-	}
-	if err := json.Unmarshal(data, pf); err != nil {
-		return nil, fmt.Errorf("analysis: decoding facts: %v", err)
-	}
-	if pf.Analyzers == nil {
-		pf.Analyzers = map[string]map[string]json.RawMessage{}
-	}
-	return pf, nil
 }
 
 // factEnv is the driver-side view of all facts available to one pass:

@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -16,7 +14,12 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 )
+
+// modulePathPrefix identifies this module's packages: schemaver only
+// follows types declared under it.
+const modulePathPrefix = "latsim"
 
 // Package is one loaded, parsed and type-checked package ready for
 // analysis.
@@ -31,13 +34,12 @@ type Package struct {
 	// Dep marks a package loaded only because a target imports it: the
 	// driver analyzes it for facts but does not report its diagnostics.
 	Dep bool
-	// Imports lists the in-module packages this package imports (paths
-	// into the loaded set), for dependency-order scheduling.
+	// ForTest names the package under test when this is a test variant
+	// (Path "p [p.test]" or "p_test [p.test]"), and is empty otherwise.
+	ForTest string
+	// Imports lists the plain in-module packages this package imports
+	// (paths into the loaded set), for dependency-order scheduling.
 	Imports []string
-	// ExportHash identifies this package's build: a digest of its gc
-	// export data, its source bytes and its dependencies' hashes. It
-	// keys the facts sidecar and the per-package diagnostic cache.
-	ExportHash string
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -45,6 +47,7 @@ type listPkg struct {
 	Dir        string
 	ImportPath string
 	Name       string
+	ForTest    string
 	GoFiles    []string
 	CgoFiles   []string
 	Imports    []string
@@ -57,23 +60,29 @@ type listPkg struct {
 }
 
 // Load resolves the package patterns with the go command, parses the
-// matched packages — and every in-module package they depend on — from
-// source, and type-checks them against the export data of their
-// dependencies (`go list -export` compiles dependencies into the build
-// cache, so loading works offline and needs no third-party loader).
+// matched packages — with their test variants, and every in-module
+// package they depend on — from source, and type-checks them against
+// the export data of their dependencies (`go list -export` compiles
+// dependencies into the build cache, so loading works offline and needs
+// no third-party loader).
+//
+// A package with _test.go files appears twice: as itself, and as the
+// test variant "p [p.test]" that adds its in-package test files. An
+// external test package appears as "p_test [p.test]". Packages the go
+// command recompiles only to link another package's test binary are
+// not loaded; the plain package stands for them.
+//
 // The result is in dependency order: every package appears after all of
-// its in-module imports, so a driver walking the slice forward always
-// has dependency facts before it needs them. Packages loaded only as
-// dependencies are marked Dep. Test files are not loaded: the analyzers
-// target model code, and `go vet -vettool` covers test variants
-// separately.
+// the plain packages it imports, so a driver walking the slice forward
+// always has dependency facts before it needs them. Packages loaded only
+// as dependencies are marked Dep.
 //
 // dir is the directory patterns are resolved from ("" = current).
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"."}
 	}
-	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps", "-test", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -84,6 +93,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	exports := map[string]string{} // import path -> export data file
+	// Test binaries in which an external test or a recompiled dependency
+	// imports "p [p.test]" rather than p.
+	ownImporter := map[string]bool{}
 	var loadable []*listPkg
 	inSet := map[string]bool{}
 	goVersion := ""
@@ -97,6 +109,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
+		}
+		if p.ForTest != "" && basePkgPath(p.ImportPath) != p.ForTest {
+			ownImporter[p.ForTest] = true
 		}
 		if p.Standard {
 			continue
@@ -116,6 +131,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if p.Name == "" || len(p.GoFiles) == 0 {
 			continue // empty directory matched by a wildcard
 		}
+		if p.ForTest == "" && p.Name == "main" && strings.HasSuffix(p.ImportPath, ".test") {
+			continue // generated test main
+		}
+		if base := basePkgPath(p.ImportPath); p.ForTest != "" && base != p.ForTest && base != p.ForTest+"_test" {
+			continue // recompiled only to link p.ForTest's test binary
+		}
 		q := p
 		loadable = append(loadable, &q)
 		inSet[p.ImportPath] = true
@@ -126,31 +147,39 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	sort.Slice(loadable, func(i, j int) bool { return loadable[i].ImportPath < loadable[j].ImportPath })
 
 	fset := token.NewFileSet()
-	lookup := func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("analysis: no export data for %q", path)
+	// Importers are keyed by plain import path, because export data
+	// names its dependencies that way. Inside a test binary that links
+	// recompiled packages, a path must resolve to the package recompiled
+	// for it, so such a binary gets its own importer; every other package
+	// shares one. Each dependency loads once per importer.
+	importers := map[string]types.Importer{}
+	importerFor := func(forTest string) types.Importer {
+		if !ownImporter[forTest] {
+			forTest = ""
 		}
-		return os.Open(f)
+		if imp := importers[forTest]; imp != nil {
+			return imp
+		}
+		imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			f, ok := exports[path+" ["+forTest+".test]"]
+			if !ok {
+				f, ok = exports[path]
+			}
+			if !ok {
+				return nil, fmt.Errorf("analysis: no export data for %q", path)
+			}
+			return os.Open(f)
+		})
+		importers[forTest] = imp
+		return imp
 	}
-	// One shared importer: every dependency (including targets imported
-	// by other targets) loads once from its export data.
-	imp := importer.ForCompiler(fset, "gc", lookup)
 
 	byPath := map[string]*Package{}
 	var pkgs []*Package
 	for _, t := range loadable {
 		var files []*ast.File
-		srcHash := sha256.New()
 		for _, name := range t.GoFiles {
-			full := filepath.Join(t.Dir, name)
-			src, err := os.ReadFile(full)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: %v", err)
-			}
-			srcHash.Write([]byte(name))
-			srcHash.Write(src)
-			f, err := parser.ParseFile(fset, full, src, parser.ParseComments)
+			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: %v", err)
 			}
@@ -164,7 +193,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Instances:  map[*ast.Ident]types.Instance{},
 		}
 		conf := types.Config{
-			Importer:  importMapper{imp: imp, m: t.ImportMap},
+			Importer:  importMapper{imp: importerFor(t.ForTest), m: t.ImportMap},
 			GoVersion: goVersion,
 		}
 		pkg, err := conf.Check(t.ImportPath, fset, files, info)
@@ -176,7 +205,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			if mapped, ok := t.ImportMap[ip]; ok {
 				ip = mapped
 			}
-			if inSet[ip] {
+			if ip = basePkgPath(ip); inSet[ip] {
 				imports = append(imports, ip)
 			}
 		}
@@ -189,43 +218,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Pkg:     pkg,
 			Info:    info,
 			Dep:     t.DepOnly,
+			ForTest: t.ForTest,
 			Imports: imports,
 		}
-		lp.ExportHash = packageHash(exports[t.ImportPath], hex.EncodeToString(srcHash.Sum(nil)))
 		byPath[t.ImportPath] = lp
 		pkgs = append(pkgs, lp)
 	}
 
-	ordered, err := topoSort(pkgs, byPath)
-	if err != nil {
-		return nil, err
-	}
-	// Fold dependency hashes in, in dependency order, so a change in a
-	// dependency's build invalidates every dependent's key too.
-	for _, p := range ordered {
-		h := sha256.New()
-		h.Write([]byte(p.ExportHash))
-		for _, ip := range p.Imports {
-			h.Write([]byte(byPath[ip].ExportHash))
-		}
-		p.ExportHash = hex.EncodeToString(h.Sum(nil))
-	}
-	return ordered, nil
-}
-
-// packageHash digests a package's gc export data file and source bytes.
-// The export data alone is not enough: gc only exports what dependents
-// can see (plus inlinable bodies), so a non-inlined function-body change
-// would otherwise slip past the cache.
-func packageHash(exportFile, srcDigest string) string {
-	h := sha256.New()
-	h.Write([]byte(srcDigest))
-	if exportFile != "" {
-		if data, err := os.ReadFile(exportFile); err == nil {
-			h.Write(data)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return topoSort(pkgs, byPath)
 }
 
 // topoSort orders packages so every package follows its in-set imports.
@@ -262,8 +262,8 @@ func topoSort(pkgs []*Package, byPath map[string]*Package) ([]*Package, error) {
 }
 
 // importMapper resolves source-level import paths through a package's
-// ImportMap (vendoring / test variants) before hitting the shared
-// export-data importer.
+// ImportMap (vendoring, test variants) to the plain package path its
+// importer is keyed by.
 type importMapper struct {
 	imp types.Importer
 	m   map[string]string
@@ -273,5 +273,15 @@ func (im importMapper) Import(path string) (*types.Package, error) {
 	if mapped, ok := im.m[path]; ok {
 		path = mapped
 	}
-	return im.imp.Import(path)
+	return im.imp.Import(basePkgPath(path))
+}
+
+// basePkgPath strips the go command's test-variant suffix
+// ("pkg [pkg.test]" -> "pkg") so package-keyed configuration and facts
+// apply to a package and its test variant alike.
+func basePkgPath(p string) string {
+	if i := strings.Index(p, " ["); i >= 0 {
+		return p[:i]
+	}
+	return p
 }

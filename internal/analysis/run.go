@@ -1,115 +1,46 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 )
 
-// cacheSchema versions the on-disk cache/facts sidecar format; bump on
-// any layout change so stale sidecars are ignored, not misread.
-const cacheSchema = 1
-
-// Stats reports what one driver run did, for the CLI's -stats flag and
-// the CI speedup measurement.
-type Stats struct {
-	Packages int // in-module packages loaded (targets + dependencies)
-	Analyzed int // packages actually analyzed this run
-	Cached   int // packages satisfied from the result cache
-}
-
-// Runner drives the full suite: it loads the target patterns plus their
-// in-module dependency closure, walks the packages in dependency order
-// so exported facts are always available to dependents, and (optionally)
-// caches each package's facts and diagnostics in a sidecar file keyed on
-// the package's export-data hash, so a clean re-run skips every
-// unchanged package.
-type Runner struct {
-	// Dir is the directory patterns are resolved from ("" = current).
-	Dir string
-	// Analyzers is the suite to apply.
-	Analyzers []*Analyzer
-	// CacheDir enables the per-package result cache when non-empty.
-	CacheDir string
-	// Salt is folded into every cache key; the CLI sets it to a digest
-	// of its own executable so rebuilding the tool invalidates the
-	// cache (analyzer behaviour may have changed).
-	Salt string
-}
-
-// Run analyzes the patterns and returns the diagnostics of the target
-// packages (dependency packages are analyzed for facts only), sorted by
-// position.
-func (r *Runner) Run(patterns ...string) ([]Diagnostic, Stats, error) {
-	pkgs, err := Load(r.Dir, patterns...)
+// Run loads the given package patterns with their test variants and
+// applies every analyzer to every loaded package, dependencies first so
+// each pass sees the facts of everything it imports. It returns the
+// target packages' diagnostics sorted by position, each reported once
+// although a test variant re-analyzes its package's non-test files.
+func Run(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
+	pkgs, err := Load(dir, patterns...)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
-	diags, stats, _, err := r.runLoaded(pkgs)
-	return diags, stats, err
+	return runLoaded(pkgs, analyzers)
 }
 
-// runLoaded walks already-loaded packages in their dependency order,
-// returning target diagnostics plus the per-package diagnostics map
-// (CheckExpectations needs per-package attribution).
-func (r *Runner) runLoaded(pkgs []*Package) ([]Diagnostic, Stats, map[string][]Diagnostic, error) {
-	stats := Stats{Packages: len(pkgs)}
-	allFacts := map[string]*pkgFacts{}
-	perPkg := map[string][]Diagnostic{}
+// runLoaded walks already-loaded packages in their dependency order.
+func runLoaded(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	// Only plain packages export facts: a test variant shares its
+	// package's path, and letting it overwrite the plain facts would make
+	// what dependents see depend on load order.
+	facts := map[string]*pkgFacts{}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		var (
-			pf  *pkgFacts
-			ds  []Diagnostic
-			hit bool
-		)
-		if r.CacheDir != "" {
-			pf, ds, hit = r.cacheLoad(pkg)
+		env := &factEnv{imported: facts, out: newPkgFacts()}
+		ds, err := runPackage(pkg, analyzers, env)
+		if err != nil {
+			return nil, err
 		}
-		if hit {
-			stats.Cached++
-		} else {
-			env := newFactEnv()
-			// Topological order guarantees every dependency (direct or
-			// transitive) was analyzed first, so exposing all facts
-			// accumulated so far gives the pass its full transitive-closure
-			// view — the same view vet mode reconstructs from re-exported
-			// .vetx documents.
-			for ip, f := range allFacts {
-				env.imported[basePkgPath(ip)] = f
-			}
-			var err error
-			ds, err = runPackage(pkg, r.Analyzers, env)
-			if err != nil {
-				return nil, stats, nil, err
-			}
-			pf = env.out
-			stats.Analyzed++
-			if r.CacheDir != "" {
-				r.cacheStore(pkg, pf, ds)
-			}
+		if pkg.ForTest == "" {
+			facts[pkg.Path] = env.out
 		}
-		allFacts[pkg.Path] = pf
-		perPkg[pkg.Path] = ds
 		if !pkg.Dep {
 			diags = append(diags, ds...)
 		}
 	}
 	Sort(diags)
-	return diags, stats, perPkg, nil
-}
-
-// Run loads the given package patterns and applies every analyzer to
-// every loaded package (dependencies first, exchanging facts), returning
-// the target packages' diagnostics sorted by position. It is the
-// cache-less convenience form of Runner.Run.
-func Run(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
-	diags, _, err := (&Runner{Dir: dir, Analyzers: analyzers}).Run(patterns...)
-	return diags, err
+	return slices.Compact(diags), nil
 }
 
 // RunPackage applies the analyzers to one loaded package with no
@@ -137,82 +68,8 @@ func runPackage(pkg *Package, analyzers []*Analyzer, env *factEnv) ([]Diagnostic
 	return diags, nil
 }
 
-// cacheEntry is one package's persisted analysis result.
-type cacheEntry struct {
-	Schema int          `json:"schema"`
-	Key    string       `json:"key"`
-	Facts  *pkgFacts    `json:"facts"`
-	Diags  []Diagnostic `json:"diags"`
-}
-
-// cacheKey keys one package's sidecar: the package's export-data hash
-// (which already folds in its sources and its dependencies' hashes),
-// the analyzer suite and the runner salt.
-func (r *Runner) cacheKey(pkg *Package) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "schema=%d;salt=%s;pkg=%s;hash=%s;", cacheSchema, r.Salt, pkg.Path, pkg.ExportHash)
-	names := make([]string, len(r.Analyzers))
-	for i, a := range r.Analyzers {
-		names[i] = a.Name
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h.Write([]byte(n + ";"))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func (r *Runner) cachePath(key string) string {
-	return filepath.Join(r.CacheDir, key[:2], key+".json")
-}
-
-func (r *Runner) cacheLoad(pkg *Package) (*pkgFacts, []Diagnostic, bool) {
-	key := r.cacheKey(pkg)
-	data, err := os.ReadFile(r.cachePath(key))
-	if err != nil {
-		return nil, nil, false
-	}
-	var e cacheEntry
-	if json.Unmarshal(data, &e) != nil || e.Schema != cacheSchema || e.Key != key {
-		return nil, nil, false
-	}
-	if e.Facts == nil {
-		e.Facts = newPkgFacts()
-	} else if e.Facts.Analyzers == nil {
-		e.Facts.Analyzers = map[string]map[string]json.RawMessage{}
-	}
-	return e.Facts, e.Diags, true
-}
-
-// cacheStore writes a package's sidecar; failures are ignored (the cache
-// is an optimization, never a correctness dependency).
-func (r *Runner) cacheStore(pkg *Package, pf *pkgFacts, diags []Diagnostic) {
-	key := r.cacheKey(pkg)
-	path := r.cachePath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-		return
-	}
-	data, err := json.Marshal(cacheEntry{Schema: cacheSchema, Key: key, Facts: pf, Diags: diags})
-	if err != nil {
-		return
-	}
-	tmp := path + ".tmp"
-	if os.WriteFile(tmp, data, 0o666) == nil {
-		_ = os.Rename(tmp, path)
-	}
-}
-
-// DefaultCacheDir returns the user-level cache directory for the suite
-// ("" when the platform reports no cache home).
-func DefaultCacheDir() string {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return ""
-	}
-	return filepath.Join(base, "latsimvet")
-}
-
-// Sort orders diagnostics by file, line, column, then analyzer name.
+// Sort orders diagnostics by file, line, column, analyzer name, then
+// message, so identical diagnostics end up adjacent.
 func Sort(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -225,6 +82,9 @@ func Sort(diags []Diagnostic) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }

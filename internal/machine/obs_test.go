@@ -138,8 +138,9 @@ func TestObsDeterministicAcrossRuns(t *testing.T) {
 }
 
 // benchRun is the obs-overhead workload: a mid-size LU on the 16-proc
-// base machine (the Figure 2 cached-SC configuration). BENCH_obs.json
-// records the on-vs-off delta.
+// base machine (the Figure 2 cached-SC configuration).
+// `go test -bench 'RunObs|RunSpansOn' -benchtime 3x -benchmem ./internal/machine`
+// measures the on-vs-off delta.
 func benchRun(b *testing.B, enable bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -157,8 +157,9 @@ func TestSpanTraceRoundTrips(t *testing.T) {
 }
 
 // BenchmarkRunSpansOn is BenchmarkRunObsOn plus span tracing at the
-// default 1/64 sample rate; BENCH_span.json records the delta (the
-// satellite budget is ~20% over the obs-only run).
+// default 1/64 sample rate; the budget is ~20% over the obs-only run.
+// `go test -bench 'RunObs|RunSpansOn' -benchtime 3x -benchmem ./internal/machine`
+// measures the delta.
 func BenchmarkRunSpansOn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -338,7 +338,10 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadTrace deserializes a trace written by WriteTo.
+// ReadTrace deserializes a trace written by WriteTo. It rejects lock and
+// barrier ids out of range, barrier participant counts outside
+// [1, Procs] and negative page homes, each of which would make a replay
+// panic.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
@@ -374,14 +377,19 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err := read(&nbars); err != nil {
 		return nil, err
 	}
-	if procs > 1<<12 || nbars > 1<<20 {
-		return nil, fmt.Errorf("trace: implausible header (procs=%d barriers=%d)", procs, nbars)
+	if procs > 1<<12 || locks > 1<<20 || nbars > 1<<20 {
+		return nil, fmt.Errorf("trace: implausible header (procs=%d locks=%d barriers=%d)", procs, locks, nbars)
 	}
 	t.Procs = int(procs)
 	t.Locks = int(locks)
 	t.Barriers = make([]int32, nbars)
 	if err := read(&t.Barriers); err != nil {
 		return nil, err
+	}
+	for id, total := range t.Barriers {
+		if total < 1 || int(total) > t.Procs {
+			return nil, fmt.Errorf("trace: barrier %d has %d participants, want 1..%d", id, total, t.Procs)
+		}
 	}
 	var npages uint32
 	if err := read(&npages); err != nil {
@@ -390,7 +398,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if npages > 1<<24 {
 		return nil, fmt.Errorf("trace: implausible page count %d", npages)
 	}
-	t.PageHomes = make(map[uint64]int32, npages)
+	t.PageHomes = make(map[uint64]int32)
 	for i := uint32(0); i < npages; i++ {
 		var pg uint64
 		var home int32
@@ -399,6 +407,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 		if err := read(&home); err != nil {
 			return nil, err
+		}
+		if home < 0 {
+			return nil, fmt.Errorf("trace: page %d has home node %d", pg, home)
 		}
 		t.PageHomes[pg] = home
 	}
@@ -411,8 +422,11 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if count > 1<<32 {
 			return nil, fmt.Errorf("trace: implausible stream length %d", count)
 		}
-		st := make([]Event, count)
-		for j := range st {
+		// The stream grows as events arrive: the header's count alone
+		// must not size an allocation.
+		var st []Event
+		for j := uint64(0); j < count; j++ {
+			var ev Event
 			var k uint8
 			var addr uint64
 			if err := read(&k); err != nil {
@@ -421,14 +435,25 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if err := read(&addr); err != nil {
 				return nil, err
 			}
-			if err := read(&st[j].N); err != nil {
+			if err := read(&ev.N); err != nil {
 				return nil, err
 			}
-			if err := read(&st[j].Obj); err != nil {
+			if err := read(&ev.Obj); err != nil {
 				return nil, err
 			}
-			st[j].Kind = cpu.TraceKind(k)
-			st[j].Addr = mem.Addr(addr)
+			ev.Kind = cpu.TraceKind(k)
+			ev.Addr = mem.Addr(addr)
+			switch ev.Kind {
+			case cpu.TLock, cpu.TUnlock:
+				if ev.Obj < 0 || int(ev.Obj) >= t.Locks {
+					return nil, fmt.Errorf("trace: process %d event %d: lock %d of %d", i, j, ev.Obj, t.Locks)
+				}
+			case cpu.TBarrier:
+				if ev.Obj < 0 || int(ev.Obj) >= len(t.Barriers) {
+					return nil, fmt.Errorf("trace: process %d event %d: barrier %d of %d", i, j, ev.Obj, len(t.Barriers))
+				}
+			}
+			st = append(st, ev)
 		}
 		t.Streams[i] = st
 	}

@@ -7,11 +7,12 @@ import (
 
 	"latsim/internal/apps/lu"
 	"latsim/internal/config"
+	"latsim/internal/cpu"
 	"latsim/internal/machine"
 	"latsim/internal/obs"
 )
 
-func record(t *testing.T, cfg config.Config) (*Trace, *machine.Result) {
+func record(t testing.TB, cfg config.Config) (*Trace, *machine.Result) {
 	t.Helper()
 	rec := NewRecorder(lu.New(lu.Scaled(24)))
 	m, err := machine.New(cfg)
@@ -169,6 +170,72 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
 	}
+}
+
+// TestReadTraceRejectsUnreplayable pins the decoder's validation: each
+// mutation below decodes silently without it, and the replay then
+// panics in Setup or in the replaying process.
+func TestReadTraceRejectsUnreplayable(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Trace)
+	}{
+		{"valid", func(*Trace) {}},
+		{"lock id out of range", func(tr *Trace) { tr.Locks = 0; tr.Streams[0][0].Obj = 7 }},
+		{"barrier id out of range", func(tr *Trace) { tr.Barriers = nil; tr.Streams[0][2].Obj = 3 }},
+		{"negative page home", func(tr *Trace) { tr.PageHomes[1] = -3 }},
+		{"barrier with 0 participants", func(tr *Trace) { tr.Barriers[0] = 0 }},
+	}
+	for _, c := range cases {
+		tr := &Trace{
+			AppName:   "tiny",
+			Procs:     2,
+			Locks:     1,
+			Barriers:  []int32{2},
+			PageHomes: map[uint64]int32{1: 0},
+			Streams: [][]Event{
+				{{Kind: cpu.TLock}, {Kind: cpu.TUnlock}, {Kind: cpu.TBarrier}},
+				{{Kind: cpu.TBarrier}},
+			},
+		}
+		c.mut(tr)
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadTrace(&buf)
+		if valid := c.name == "valid"; (err == nil) != valid {
+			t.Errorf("%s: err = %v", c.name, err)
+		}
+	}
+}
+
+// FuzzReadTrace feeds arbitrary bytes to the decoder: it must never
+// panic, and a trace it accepts must re-encode and decode unchanged.
+func FuzzReadTrace(f *testing.F) {
+	tr, _ := record(f, cfg4(nil))
+	var seed bytes.Buffer
+	if _, err := tr.WriteTo(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		if !reflect.DeepEqual(got, tr) {
+			t.Fatal("re-encoded trace decodes to a different Trace")
+		}
+	})
 }
 
 // TestReplayObsDeterminism replays the same trace twice with the
