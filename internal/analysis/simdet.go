@@ -44,7 +44,7 @@ const UnorderedMarker = "//simdet:unordered"
 //     the site carries a //simdet:unordered justification;
 //   - ranging over any map whose expression names a sharer collection
 //     (contains "sharer", case-insensitively), regardless of the body:
-//     sharer sets must live behind dirset, whose ForEach iterates in
+//     sharer sets must live behind dirset, whose Next walks them in
 //     ascending order by contract.
 func NewSimdet(pkgPaths ...string) *Analyzer {
 	if len(pkgPaths) == 0 {
@@ -125,12 +125,12 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, marked map[int]bool) {
 	}
 	// Sharer sets are special-cased: invalidation fan-out order is part
 	// of the deterministic event order AND of the dirset representation
-	// contract (every View.ForEach iterates ascending), so a map-backed
+	// contract (every View.Next walk is ascending), so a map-backed
 	// sharer collection is flagged even when the loop body looks
 	// order-insensitive — the representation itself is the bug.
 	if mentionsSharer(rs.X) {
 		pass.Reportf(rs.Pos(),
-			"sharer sets must not be map-backed: invalidation order is part of the deterministic event order; use dirset (View.ForEach iterates ascending) or justify with %s", UnorderedMarker)
+			"sharer sets must not be map-backed: invalidation order is part of the deterministic event order; use dirset (View.Next walks ascending) or justify with %s", UnorderedMarker)
 		return
 	}
 	if orderInsensitive(rs.Body.List) {

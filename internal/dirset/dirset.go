@@ -17,7 +17,7 @@
 // always contains every true sharer, and may contain more (the imprecise
 // organizations, and — in every organization — nodes that silently
 // evicted their copy). Invalidations sent to non-sharers are spurious
-// but harmless: they are acknowledged without effect. ForEach iterates
+// but harmless: they are acknowledged without effect. Next walks the set
 // in ascending node order, which the deterministic event kernel relies
 // on (the simdet analyzer flags unsorted sharer iteration).
 package dirset
@@ -101,7 +101,7 @@ func (o *Org) UnmarshalJSON(b []byte) error {
 }
 
 // View is the read-only side of a sharer set: what the invariant checker
-// (and any other observer) may see. Contains and ForEach report the
+// (and any other observer) may see. Contains and Next report the
 // represented superset, not ground truth — for an imprecise organization
 // a node can be "in" the set without holding a copy.
 type View interface {
@@ -109,8 +109,10 @@ type View interface {
 	Contains(id int) bool
 	// Len is the number of nodes the representation includes.
 	Len() int
-	// ForEach calls fn for every included node in ascending id order.
-	ForEach(fn func(id int))
+	// Next returns the lowest included node >= id, or -1 if there is
+	// none. The walk for id := v.Next(0); id >= 0; id = v.Next(id+1)
+	// visits every included node in ascending order without allocating.
+	Next(id int) int
 	// Precise reports whether the set currently equals the exact set of
 	// nodes that were added (and not removed): full-map always,
 	// limited-pointer until it overflows, coarse-vector only at k = 1.
@@ -171,12 +173,12 @@ var None View = noneView{}
 
 type noneView struct{}
 
-func (noneView) Contains(int) bool    { return false }
-func (noneView) Len() int             { return 0 }
-func (noneView) ForEach(func(id int)) {}
-func (noneView) Precise() bool        { return true }
-func (noneView) Overflowed() bool     { return false }
-func (noneView) Bits() int            { return 0 }
+func (noneView) Contains(int) bool { return false }
+func (noneView) Len() int          { return 0 }
+func (noneView) Next(int) int      { return -1 }
+func (noneView) Precise() bool     { return true }
+func (noneView) Overflowed() bool  { return false }
+func (noneView) Bits() int         { return 0 }
 
 // bitSet is the exact full-map organization: one presence bit per node,
 // in 64-bit chunks.
@@ -208,16 +210,7 @@ func (s *bitSet) Len() int {
 	return n
 }
 
-func (s *bitSet) ForEach(fn func(id int)) {
-	for wi, w := range s.words {
-		base := wi << 6
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(base + b)
-			w &^= 1 << uint(b)
-		}
-	}
-}
+func (s *bitSet) Next(id int) int { return nextBit(s.words, id) }
 
 func (s *bitSet) Precise() bool    { return true }
 func (s *bitSet) Overflowed() bool { return false }
@@ -295,16 +288,19 @@ func (s *ptrSet) Len() int {
 	return len(s.ptrs)
 }
 
-func (s *ptrSet) ForEach(fn func(id int)) {
+func (s *ptrSet) Next(id int) int {
 	if s.bcast {
-		for id := 0; id < s.procs; id++ {
-			fn(id)
+		if id < s.procs {
+			return id
 		}
-		return
+		return -1
 	}
 	for _, p := range s.ptrs {
-		fn(p)
+		if p >= id {
+			return p
+		}
 	}
+	return -1
 }
 
 func (s *ptrSet) Precise() bool    { return !s.bcast }
@@ -353,32 +349,47 @@ func (s *coarseSet) Contains(id int) bool {
 
 func (s *coarseSet) Len() int {
 	n := 0
-	s.ForEach(func(int) { n++ })
+	for id := s.Next(0); id >= 0; id = s.Next(id + 1) {
+		n++
+	}
 	return n
 }
 
-func (s *coarseSet) ForEach(fn func(id int)) {
-	for wi, w := range s.words {
-		base := wi << 6
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << uint(b)
-			g := base + b
-			lo := g * s.k
-			hi := lo + s.k
-			if hi > s.procs {
-				hi = s.procs
-			}
-			for id := lo; id < hi; id++ {
-				fn(id)
-			}
-		}
+// Next is id itself when id's group is marked, else the first member of
+// the next marked group. Groups are marked only through valid ids, so
+// only ids past the last node (in a short final group) need the cut.
+func (s *coarseSet) Next(id int) int {
+	if id >= s.procs {
+		return -1
 	}
+	g := nextBit(s.words, id/s.k)
+	if g < 0 {
+		return -1
+	}
+	return max(id, g*s.k)
 }
 
 func (s *coarseSet) Precise() bool    { return s.k == 1 }
 func (s *coarseSet) Overflowed() bool { return false }
 func (s *coarseSet) Bits() int        { return (s.procs + s.k - 1) / s.k }
+
+// nextBit returns the index of the lowest set bit at or above i in the
+// bit vector words, or -1 if there is none.
+func nextBit(words []uint64, i int) int {
+	wi := i >> 6
+	if wi >= len(words) {
+		return -1
+	}
+	w := words[wi] &^ (1<<uint(i&63) - 1)
+	for w == 0 {
+		wi++
+		if wi == len(words) {
+			return -1
+		}
+		w = words[wi]
+	}
+	return wi<<6 + bits.TrailingZeros64(w)
+}
 
 // ceilLog2 returns ceil(log2 n) for n >= 1 (0 for n <= 1): the width of
 // one node pointer.

@@ -8,7 +8,9 @@ import (
 
 func collect(v View) []int {
 	ids := []int{}
-	v.ForEach(func(id int) { ids = append(ids, id) })
+	for id := v.Next(0); id >= 0; id = v.Next(id + 1) {
+		ids = append(ids, id)
+	}
 	return ids
 }
 
@@ -42,7 +44,7 @@ func TestFullMapRoundTrip(t *testing.T) {
 	}
 	want := []int{0, 5, 63, 64, 128, 199}
 	if got := collect(s); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ForEach = %v, want %v", got, want)
+		t.Fatalf("walk = %v, want %v", got, want)
 	}
 	if s.Len() != 6 || !s.Contains(64) || s.Contains(1) {
 		t.Fatalf("Len/Contains wrong: len=%d", s.Len())
@@ -72,7 +74,7 @@ func TestLimitedPtrOverflow(t *testing.T) {
 		}
 	}
 	if got, want := collect(s), []int{7, 42, 200}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ForEach = %v, want %v", got, want)
+		t.Fatalf("walk = %v, want %v", got, want)
 	}
 	if !s.Precise() || s.Overflowed() || s.Len() != 3 {
 		t.Fatal("pre-overflow state wrong")
@@ -96,7 +98,7 @@ func TestLimitedPtrOverflow(t *testing.T) {
 	}
 	ids := collect(s)
 	if len(ids) != 256 || !sort.IntsAreSorted(ids) {
-		t.Fatalf("broadcast ForEach: %d ids, sorted=%v", len(ids), sort.IntsAreSorted(ids))
+		t.Fatalf("broadcast walk: %d ids, sorted=%v", len(ids), sort.IntsAreSorted(ids))
 	}
 	// Remove in broadcast mode keeps the superset.
 	s.Remove(5)
@@ -110,7 +112,7 @@ func TestLimitedPtrOverflow(t *testing.T) {
 	}
 	s.Add(1)
 	if got, want := collect(s), []int{1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-Clear ForEach = %v, want %v", got, want)
+		t.Fatalf("post-Clear walk = %v, want %v", got, want)
 	}
 	// 3 pointers × ceil(log2 256)=8 bits + broadcast bit.
 	if s.Bits() != 3*8+1 {
@@ -131,7 +133,7 @@ func TestLimitedPtrRemove(t *testing.T) {
 		t.Fatal("Add into freed slot overflowed")
 	}
 	if got, want := collect(s), []int{20, 30}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ForEach = %v, want %v", got, want)
+		t.Fatalf("walk = %v, want %v", got, want)
 	}
 }
 
@@ -140,7 +142,7 @@ func TestCoarseVectorRoundTrip(t *testing.T) {
 	// Adding node 5 marks group 1 = nodes 4..7.
 	s.Add(5)
 	if got, want := collect(s), []int{4, 5, 6, 7}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ForEach = %v, want %v", got, want)
+		t.Fatalf("walk = %v, want %v", got, want)
 	}
 	if !s.Contains(4) || s.Contains(3) || s.Len() != 4 {
 		t.Fatal("group membership wrong")
@@ -151,7 +153,7 @@ func TestCoarseVectorRoundTrip(t *testing.T) {
 	// The last group is clamped to procs: node 9 marks group 2 = {8, 9}.
 	s.Add(9)
 	if got, want := collect(s), []int{4, 5, 6, 7, 8, 9}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("clamped ForEach = %v, want %v", got, want)
+		t.Fatalf("clamped walk = %v, want %v", got, want)
 	}
 	// Remove at k>1 keeps the superset (group may have other sharers).
 	s.Remove(5)
@@ -213,20 +215,20 @@ func TestSupersetContract(t *testing.T) {
 				s.Remove(step.id)
 			}
 		}
-		exact.ForEach(func(id int) {
+		for _, id := range collect(exact) {
 			for name, s := range orgs {
 				if !s.Contains(id) {
 					t.Fatalf("%s dropped true sharer %d", name, id)
 				}
 			}
-		})
+		}
 	}
 }
 
-// TestForEachDeterminism: two identically-built sets of every org must
+// TestNextDeterminism: two identically-built sets of every org must
 // iterate identically (the event kernel schedules invalidations in
-// ForEach order).
-func TestForEachDeterminism(t *testing.T) {
+// Next order), and Next from any id must agree with the full walk.
+func TestNextDeterminism(t *testing.T) {
 	build := func(org Org) Set {
 		s := New(org, 128, 3, 4)
 		for _, id := range []int{90, 2, 45, 44, 127, 3} {
@@ -242,6 +244,16 @@ func TestForEachDeterminism(t *testing.T) {
 		if !sort.IntsAreSorted(a) {
 			t.Fatalf("%v: iteration not ascending: %v", org, a)
 		}
+		s := build(org)
+		for id := 0; id <= 128; id++ {
+			want := -1
+			if i := sort.SearchInts(a, id); i < len(a) {
+				want = a[i]
+			}
+			if got := s.Next(id); got != want {
+				t.Fatalf("%v: Next(%d) = %d, want %d", org, id, got, want)
+			}
+		}
 	}
 }
 
@@ -249,7 +261,9 @@ func TestNoneView(t *testing.T) {
 	if None.Len() != 0 || None.Contains(0) || None.Overflowed() || !None.Precise() {
 		t.Fatal("None must be the precise empty view")
 	}
-	None.ForEach(func(int) { t.Fatal("None.ForEach yielded a node") })
+	if id := None.Next(0); id != -1 {
+		t.Fatalf("None.Next(0) = %d, want -1", id)
+	}
 }
 
 func TestCeilLog2(t *testing.T) {

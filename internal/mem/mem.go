@@ -22,6 +22,8 @@ const (
 	LineSize = 16
 	// PageSize is the allocation/placement granularity.
 	PageSize = 4096
+	// LinesPerPage is the number of cache lines in one page.
+	LinesPerPage = PageSize / LineSize
 )
 
 // Line identifies a cache line (an address with the offset stripped).
@@ -47,10 +49,13 @@ type arena struct {
 // (a specific node, or the round-robin pool) pack into shared pages at
 // cache-line granularity, so data structures lay out realistically.
 type Allocator struct {
-	nodes    int
-	next     Addr // next fresh page
-	rrNode   int  // next node for round-robin page placement
-	pageHome map[uint64]int
+	nodes  int
+	next   Addr // next fresh page
+	rrNode int  // next node for round-robin page placement
+	// pageHome[p] is the home node of page p. Pages are placed densely
+	// and in ascending order from page 1 (address 0 stays invalid), so
+	// slot 0 holds -1 and the slice ends at the last allocated page.
+	pageHome []int
 
 	perNode []arena // partial pages for node-targeted allocation
 	rr      arena   // partial page for round-robin small allocations
@@ -67,7 +72,7 @@ func NewAllocator(nodes int) *Allocator {
 	return &Allocator{
 		nodes:    nodes,
 		next:     PageSize, // keep address 0 invalid
-		pageHome: make(map[uint64]int),
+		pageHome: []int{-1},
 		perNode:  make([]arena, nodes),
 	}
 }
@@ -100,7 +105,7 @@ func (a *Allocator) alloc(size, node int) Addr {
 		base := a.next
 		pages := (size + PageSize - 1) / PageSize
 		for i := 0; i < pages; i++ {
-			a.placePage(a.next, node)
+			a.placePage(node)
 			a.next += PageSize
 		}
 		return base
@@ -112,7 +117,7 @@ func (a *Allocator) alloc(size, node int) Addr {
 	}
 	if ar.left < size {
 		// Start a new page for this domain.
-		a.placePage(a.next, node)
+		a.placePage(node)
 		ar.cur = a.next
 		ar.left = PageSize
 		a.next += PageSize
@@ -123,30 +128,29 @@ func (a *Allocator) alloc(size, node int) Addr {
 	return base
 }
 
-func (a *Allocator) placePage(base Addr, node int) {
-	page := PageOf(base)
-	if node >= 0 {
-		a.pageHome[page] = node
-		return
+// placePage records the home of the fresh page at a.next: node, or the
+// next round-robin node when node < 0.
+func (a *Allocator) placePage(node int) {
+	if node < 0 {
+		node = a.rrNode
+		a.rrNode = (a.rrNode + 1) % a.nodes
 	}
-	a.pageHome[page] = a.rrNode
-	a.rrNode = (a.rrNode + 1) % a.nodes
+	a.pageHome = append(a.pageHome, node)
 }
 
 // Home returns the home node of the page containing addr. Referencing
 // unallocated memory panics: it always indicates an application bug.
 func (a *Allocator) Home(addr Addr) int {
-	home, ok := a.pageHome[PageOf(addr)]
-	if !ok {
-		panic(fmt.Sprintf("mem: reference to unallocated address %#x", uint64(addr)))
+	if a.Allocated(addr) {
+		return a.pageHome[PageOf(addr)]
 	}
-	return home
+	panic(fmt.Sprintf("mem: reference to unallocated address %#x", uint64(addr)))
 }
 
 // Allocated reports whether addr lies in allocated memory.
 func (a *Allocator) Allocated(addr Addr) bool {
-	_, ok := a.pageHome[PageOf(addr)]
-	return ok
+	p := PageOf(addr)
+	return p < uint64(len(a.pageHome)) && a.pageHome[p] >= 0
 }
 
 // TotalBytes returns the total bytes of shared memory requested

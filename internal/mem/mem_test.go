@@ -69,6 +69,30 @@ func TestUnallocatedReferencePanics(t *testing.T) {
 	a.Home(Addr(1 << 40))
 }
 
+// TestHomePanicsOutsideAllocatedPages: page 0 (address 0 stays invalid)
+// and the first page past the last allocation have no home.
+func TestHomePanicsOutsideAllocatedPages(t *testing.T) {
+	a := NewAllocator(2)
+	base := a.Alloc(3 * PageSize)
+	last := base + 2*PageSize
+	if a.Home(last) != 0 || !a.Allocated(last) {
+		t.Fatalf("last page: home %d, allocated %v", a.Home(last), a.Allocated(last))
+	}
+	for _, addr := range []Addr{0, PageSize - 1, last + PageSize} {
+		if a.Allocated(addr) {
+			t.Errorf("Allocated(%#x) = true", uint64(addr))
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Home(%#x) did not panic", uint64(addr))
+				}
+			}()
+			a.Home(addr)
+		}()
+	}
+}
+
 func TestAllocatedPredicate(t *testing.T) {
 	a := NewAllocator(2)
 	base := a.Alloc(100)

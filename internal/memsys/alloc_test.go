@@ -1,0 +1,128 @@
+package memsys
+
+import (
+	"testing"
+	"unsafe"
+
+	"latsim/internal/mem"
+	"latsim/internal/sim"
+)
+
+// countTask is an allocation-free completion that counts its runs.
+type countTask struct{ n int }
+
+func (c *countTask) Act() { c.n++ }
+
+// protocolStep drives line a, homed at node 0, through the directory
+// protocol paths that used to allocate, and back to where it started:
+// Dirty at node 1.
+//   - Nodes 2 and 3 read it together: a dirty-remote read forward to
+//     node 1, and node 3's read parks on the busy entry.
+//   - Node 1 writes it through its write buffer, invalidating the two
+//     other sharers, followed by a release (to line rel, which node 1
+//     owns) that waits for the invalidation acks.
+//   - Node 2 writes it while node 3 reads it: a dirty-remote write
+//     forward, and a second read parked on the busy entry, which is then
+//     forwarded to the new owner.
+//   - Node 1 writes it again, invalidating nodes 2 and 3.
+type protocolStep struct {
+	r      *rig
+	a, rel mem.Addr
+	done   countTask
+	parked int // kernel steps that ended with a request parked at the home
+	armed  int // kernel steps that ended with node 1's release waiting for acks
+}
+
+func newProtocolStep() *protocolStep {
+	r := newRig(4, nil)
+	p := &protocolStep{r: r, a: r.alloc.AllocOnNode(mem.LineSize, 0), rel: r.alloc.AllocOnNode(mem.LineSize, 0)}
+	r.nodes[1].acquireOwnTask(p.a, sim.ActorTask(&p.done))
+	r.nodes[1].acquireOwnTask(p.rel, sim.ActorTask(&p.done))
+	p.drain()
+	return p
+}
+
+// drain runs the kernel to quiescence, counting the steps that leave a
+// request parked on the home's busy list or the release waiting.
+func (p *protocolStep) drain() {
+	for p.r.k.Step() {
+		if len(p.r.nodes[0].parked) > 0 {
+			p.parked++
+		}
+		if p.r.nodes[1].wb.releaseArmed {
+			p.armed++
+		}
+	}
+}
+
+func (p *protocolStep) run() {
+	n, a, done := p.r.nodes, p.a, sim.ActorTask(&p.done)
+	n[2].ReadTask(a, done)
+	n[3].ReadTask(a, done)
+	p.drain()
+	n[1].WBEnqueueTask(a, false, done)
+	n[1].WBEnqueueTask(p.rel, true, done)
+	p.drain()
+	n[2].acquireOwnTask(a, done)
+	n[3].ReadTask(a, done)
+	p.drain()
+	n[1].acquireOwnTask(a, done)
+	p.drain()
+}
+
+// TestProtocolStepAllocatesNothing: once the pools and queues have grown
+// to the step's high-water mark, forwards, parked requests, the
+// invalidation fan-out and the acks a release waits for allocate nothing.
+func TestProtocolStepAllocatesNothing(t *testing.T) {
+	p := newProtocolStep()
+	home := p.r.nodes[0]
+	for i := 0; i < 3; i++ {
+		p.run()
+	}
+	done, parked, armed, invals := p.done.n, p.parked, p.armed, p.r.sts[0].InvalsSent
+	p.run()
+	if got := p.done.n - done; got != 7 {
+		t.Fatalf("one step completed %d accesses, want 7", got)
+	}
+	if p.parked == parked {
+		t.Fatal("no request parked on the busy entry during a step")
+	}
+	if p.armed == armed {
+		t.Fatal("the release never waited for invalidation acks during a step")
+	}
+	if got := p.r.sts[0].InvalsSent - invals; got != 4 {
+		t.Fatalf("one step sent %d invalidations, want 4", got)
+	}
+	if e := home.lookup(mem.LineOf(p.a)); e.state != DirDirty || e.owner != 1 || e.busy {
+		t.Fatalf("step left the entry state=%d owner=%d busy=%v, want Dirty at node 1", e.state, e.owner, e.busy)
+	}
+	if err := CheckInvariants(p.r.nodes); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(20, p.run); allocs != 0 {
+		t.Errorf("protocol step allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// BenchmarkProtocolStep measures the step of TestProtocolStepAllocatesNothing;
+// CI asserts it reports 0 allocs/op.
+func BenchmarkProtocolStep(b *testing.B) {
+	p := newProtocolStep()
+	for i := 0; i < 3; i++ {
+		p.run()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.run()
+	}
+}
+
+// TestDirEntryStaysSmall: the directory allocates an entry for every line
+// of a page once any line of it reaches its home, so the entry's size
+// multiplies into the live heap.
+func TestDirEntryStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(dirEntry{}); size > 24 {
+		t.Errorf("dirEntry is %d bytes, want at most 24", size)
+	}
+}

@@ -22,8 +22,8 @@ func (i inspector) HomeOf(l mem.Line) int {
 }
 
 func (i inspector) Dir(home int, l mem.Line) (check.DirState, dirset.View, int, bool) {
-	e, ok := i.nodes[home].dir[l]
-	if !ok {
+	e := i.nodes[home].lookup(l)
+	if e == nil {
 		return check.DirUncached, dirset.None, 0, false
 	}
 	s := check.DirUncached
@@ -33,7 +33,7 @@ func (i inspector) Dir(home int, l mem.Line) (check.DirState, dirset.View, int, 
 	case DirDirty:
 		s = check.DirDirty
 	}
-	return s, e.sharers, e.owner, e.busy
+	return s, e.sharers, int(e.owner), e.busy
 }
 
 func (i inspector) CacheState(node int, l mem.Line) check.CacheState {

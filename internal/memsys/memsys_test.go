@@ -1,7 +1,9 @@
 package memsys
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"latsim/internal/config"
@@ -593,5 +595,49 @@ func TestProtocolDeterminism(t *testing.T) {
 	e2, t2 := run()
 	if e1 != e2 || t1 != t2 {
 		t.Errorf("nondeterministic: run1=(%d events, t=%d) run2=(%d events, t=%d)", e1, t1, e2, t2)
+	}
+}
+
+// TestCheckInvariantsReportsLowestDirtyLine: two directory entries say
+// Dirty at a node that caches neither line. The walk runs in page and
+// line order, so the error names the lower line whichever was marked
+// first.
+func TestCheckInvariantsReportsLowestDirtyLine(t *testing.T) {
+	r := newRig(4, nil)
+	lo := r.alloc.AllocOnNode(mem.LineSize, 1)
+	hi := r.alloc.AllocOnNode(mem.PageSize, 1) // the next page
+	home := r.nodes[1]
+	for _, a := range []mem.Addr{hi, lo} {
+		e := home.entry(mem.LineOf(a))
+		e.state, e.owner = DirDirty, 2
+	}
+	err := CheckInvariants(r.nodes)
+	if err == nil {
+		t.Fatal("CheckInvariants accepted Dirty entries whose owner caches nothing")
+	}
+	want := fmt.Sprintf("says line %#x dirty at node 2", mem.LineOf(lo))
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the lower line (want %q)", err, want)
+	}
+}
+
+// TestCheckInvariantsReportsCopyWithoutEntry: a cached copy whose line
+// never reached its home is a violation, also when the line's page
+// already has directory storage (its slot is untouched).
+func TestCheckInvariantsReportsCopyWithoutEntry(t *testing.T) {
+	r := newRig(4, nil)
+	a := r.alloc.AllocOnNode(2*mem.LineSize, 1)
+	r.readLatency(t, 0, a+mem.LineSize) // gives the page a directory chunk
+	if err := CheckInvariants(r.nodes); err != nil {
+		t.Fatalf("invariants before the stray copy: %v", err)
+	}
+	if r.nodes[1].lookup(mem.LineOf(a)) != nil {
+		t.Fatal("an untouched slot reads as an entry")
+	}
+	r.nodes[2].sec.Install(mem.LineOf(a), Shared)
+	err := CheckInvariants(r.nodes)
+	want := fmt.Sprintf("node 2 caches line %#x with no directory entry", mem.LineOf(a))
+	if err == nil || err.Error() != want {
+		t.Fatalf("CheckInvariants = %v, want %q", err, want)
 	}
 }

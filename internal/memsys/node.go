@@ -15,7 +15,7 @@ import (
 )
 
 // dirState is the directory state of a memory line at its home node.
-type dirState int
+type dirState uint8
 
 const (
 	// DirUncached: no cache holds the line; memory is up to date.
@@ -29,18 +29,33 @@ const (
 // dirEntry is the directory entry for one line. The sharer set's
 // representation is picked by Config.DirOrg (exact full-map by default;
 // limited-pointer and coarse-vector for scaled machines) and always
-// holds a superset of the nodes with shared copies.
+// holds a superset of the nodes with shared copies. The entry is kept to
+// 24 bytes because the directory stores one for every line of each page
+// that has reached its home, touched or not (see Node.dir). A slot whose
+// sharer set is still nil has never been touched and reads as no entry.
 type dirEntry struct {
-	state   dirState
 	sharers dirset.Set // nodes with (potential) shared copies
-	owner   int        // owning node when state == DirDirty
+	owner   int32      // owning node when state == DirDirty
+	state   dirState
 
 	// busy serializes ownership-transfer transactions on the line: while
 	// a forwarded request is in flight to the owner, later requests for
-	// the line queue in pending and are replayed when the owner's
-	// completion notice arrives (DASH's request-pending behaviour).
-	busy    bool
-	pending []func()
+	// the line park on the home's parked list and re-enter the
+	// controller when the owner's completion notice arrives (DASH's
+	// request-pending behaviour).
+	busy bool
+}
+
+// dirChunk holds the directory entries of one page's lines, indexed by
+// the line's position in the page.
+type dirChunk [mem.LinesPerPage]dirEntry
+
+// parkedReq is a directory request that found its line's entry busy: the
+// miss (mshr) or writeback (victimEntry), stopped at its directory stage
+// so that re-acquiring the controller re-runs the directory action.
+type parkedReq struct {
+	line mem.Line
+	req  sim.Actor
 }
 
 // mshrKind distinguishes what created an outstanding-miss register.
@@ -70,8 +85,8 @@ type mshr struct {
 	stage       mshrStage
 	started     sim.Time
 	waiters     []sim.Task
-	queuedMsgs  []func()
-	invalidated bool // an invalidation arrived while in flight
+	queuedMsgs  []sim.Actor // forwards (fwdMsg) that arrived before the fill
+	invalidated bool        // an invalidation arrived while in flight
 
 	// span traces the transaction when it was sampled (nil otherwise).
 	// An adopted span belongs to the write-buffer entry that started the
@@ -89,7 +104,7 @@ type victimEntry struct {
 	n       *Node
 	line    mem.Line
 	stage   vbStage
-	waiters []func() // local accesses waiting for the writeback to clear
+	waiters []sim.Actor // local accesses (retryOp) waiting for the writeback to clear
 	span    *span.Span
 }
 
@@ -153,7 +168,13 @@ type Node struct {
 
 	prim *primaryCache
 	sec  *secondaryCache
-	dir  map[mem.Line]*dirEntry
+
+	// dir is this node's slice of the directory: one chunk per page homed
+	// here, indexed by page number and allocated when a line of the page
+	// first reaches this home (nil until then). parked holds the requests
+	// waiting on busy entries, in arrival order.
+	dir    []*dirChunk
+	parked []parkedReq
 
 	mshrs   map[mem.Line]*mshr
 	victims map[mem.Line]*victimEntry
@@ -164,7 +185,7 @@ type Node struct {
 	niOut *sim.Resource
 
 	pendingAcks int
-	ackWaiters  []func()
+	ackWaiters  []sim.Task
 
 	primBusyUntil sim.Time
 	primBusyPF    bool
@@ -193,6 +214,8 @@ type Node struct {
 	uncachedPool sim.Pool[uncachedOp]
 	invals       sim.Pool[invalMsg]
 	victimPool   sim.Pool[victimEntry]
+	fwds         sim.Pool[fwdMsg]
+	retries      sim.Pool[retryOp]
 }
 
 // NewNode constructs node id. Call Connect with the full node slice before
@@ -206,7 +229,6 @@ func NewNode(k *sim.Kernel, id int, cfg *config.Config, alloc *mem.Allocator, st
 		st:      st,
 		prim:    newPrimaryCache(cfg.PrimaryBytes),
 		sec:     newSecondaryCache(cfg.SecondaryBytes, max(1, cfg.SecondaryWays)),
-		dir:     make(map[mem.Line]*dirEntry),
 		mshrs:   make(map[mem.Line]*mshr),
 		victims: make(map[mem.Line]*victimEntry),
 		bus:     sim.NewResource(k, fmt.Sprintf("bus%d", id)),
@@ -273,12 +295,34 @@ func (n *Node) IsLocal(a mem.Addr) bool { return n.alloc.Home(a) == n.id }
 // entry returns (creating if needed) the directory entry for a line homed
 // at this node.
 func (n *Node) entry(l mem.Line) *dirEntry {
-	e, ok := n.dir[l]
-	if !ok {
-		e = &dirEntry{state: DirUncached, sharers: n.newSharerSet()}
-		n.dir[l] = e
+	p := mem.PageOf(mem.AddrOf(l))
+	if p >= uint64(len(n.dir)) {
+		n.dir = append(n.dir, make([]*dirChunk, p+1-uint64(len(n.dir)))...)
+	}
+	c := n.dir[p]
+	if c == nil {
+		c = new(dirChunk)
+		n.dir[p] = c
+	}
+	e := &c[l%mem.LinesPerPage]
+	if e.sharers == nil {
+		e.sharers = n.newSharerSet()
 	}
 	return e
+}
+
+// lookup returns the directory entry for a line homed at this node, or
+// nil if no request for the line has reached this home. Unlike entry it
+// creates nothing, so observers can read the directory freely.
+func (n *Node) lookup(l mem.Line) *dirEntry {
+	p := mem.PageOf(mem.AddrOf(l))
+	if p >= uint64(len(n.dir)) || n.dir[p] == nil {
+		return nil
+	}
+	if e := &n.dir[p][l%mem.LinesPerPage]; e.sharers != nil {
+		return e
+	}
+	return nil
 }
 
 // newSharerSet builds an empty sharer set in the configured organization
@@ -324,22 +368,13 @@ func (m *netMsg) Act() {
 	}
 }
 
-// send models a protocol message from node n to node to: NI-out occupancy,
-// wire latency, NI-in occupancy, then fn at delivery. Messages between a
-// node and itself take a short fixed local delay instead.
-func (n *Node) send(to *Node, wire int, fn func()) {
-	n.sendTask(to, wire, sim.FuncTask(fn))
-}
-
-// sendTask is send with a Task delivery (allocation-free when the Task
-// wraps an Actor). The mesh interconnect (an ablation) keeps the closure
-// route.
-func (n *Node) sendTask(to *Node, wire int, done sim.Task) {
-	n.sendSpanTask(to, wire, done, nil)
-}
-
-// sendSpanTask is sendTask carrying the sending transaction's span (nil
-// when untraced) so the mesh can open one child per link crossed.
+// sendSpanTask models a protocol message from node n to node to: NI-out
+// occupancy, wire latency, NI-in occupancy, then done at delivery.
+// Messages between a node and itself take a short fixed local delay
+// instead. sp is the sending transaction's span (nil when untraced), so
+// the mesh can open one child per link crossed. The direct network
+// allocates nothing when done wraps an Actor; the mesh interconnect (an
+// ablation) keeps the closure route.
 func (n *Node) sendSpanTask(to *Node, wire int, done sim.Task, sp *span.Span) {
 	if to == n {
 		n.k.AfterTask(2, done)
@@ -410,14 +445,14 @@ func (n *Node) lockPrimary(t sim.Time, pf bool) {
 // node is still waiting for.
 func (n *Node) PendingAcks() int { return n.pendingAcks }
 
-// onAllAcked runs fn once pendingAcks reaches zero (immediately if it
+// onAllAcked runs t once pendingAcks reaches zero (immediately if it
 // already is).
-func (n *Node) onAllAcked(fn func()) {
+func (n *Node) onAllAcked(t sim.Task) {
 	if n.pendingAcks == 0 {
-		fn()
+		t.Run()
 		return
 	}
-	n.ackWaiters = append(n.ackWaiters, fn)
+	n.ackWaiters = append(n.ackWaiters, t)
 }
 
 func (n *Node) addAcks(count int) { n.pendingAcks += count }
@@ -428,10 +463,16 @@ func (n *Node) ackArrived() {
 	}
 	n.pendingAcks--
 	if n.pendingAcks == 0 {
+		// Waiters registered while these run (acks pending again) go to
+		// a fresh list; otherwise the storage is reused.
 		ws := n.ackWaiters
 		n.ackWaiters = nil
 		for _, w := range ws {
-			w()
+			w.Run()
+		}
+		if n.ackWaiters == nil {
+			clear(ws)
+			n.ackWaiters = ws[:0]
 		}
 	}
 }
@@ -460,8 +501,8 @@ func CheckInvariants(nodes []*Node) error {
 				return
 			}
 			home := nodes[node.alloc.Home(mem.AddrOf(l))]
-			e, ok := home.dir[l]
-			if !ok {
+			e := home.lookup(l)
+			if e == nil {
 				err = fmt.Errorf("node %d caches line %#x with no directory entry", node.id, l)
 				return
 			}
@@ -473,7 +514,7 @@ func CheckInvariants(nodes []*Node) error {
 					err = fmt.Errorf("node %d has Shared copy of line %#x but is not in sharer set", node.id, l)
 				}
 			case Dirty:
-				if e.state != DirDirty || e.owner != node.id {
+				if e.state != DirDirty || int(e.owner) != node.id {
 					err = fmt.Errorf("node %d has Dirty copy of line %#x but directory state=%d owner=%d", node.id, l, e.state, e.owner)
 				}
 			}
@@ -489,22 +530,22 @@ func CheckInvariants(nodes []*Node) error {
 		}
 	}
 	// Dirty directory entries must have exactly one Dirty cached copy.
-	// Sort the lines so the first violation reported is deterministic
-	// (map order would otherwise pick an arbitrary one).
+	// Pages and lines are walked in ascending order, so the first
+	// violation reported is the lowest line at the lowest home.
 	for _, home := range nodes {
-		lines := make([]mem.Line, 0, len(home.dir))
-		//simdet:unordered — collecting keys for sorting below
-		for l := range home.dir {
-			lines = append(lines, l)
-		}
-		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-		for _, l := range lines {
-			e := home.dir[l]
-			if e.state == DirDirty {
-				owner := nodes[e.owner]
-				if owner.sec.State(l) != Dirty {
+		for p, c := range home.dir {
+			if c == nil {
+				continue
+			}
+			for i := range c {
+				e := &c[i]
+				if e.sharers == nil || e.state != DirDirty {
+					continue
+				}
+				l := mem.Line(p*mem.LinesPerPage + i)
+				if st := nodes[e.owner].sec.State(l); st != Dirty {
 					return fmt.Errorf("directory at node %d says line %#x dirty at node %d, but that cache has state %v",
-						home.id, l, e.owner, owner.sec.State(l))
+						home.id, l, e.owner, st)
 				}
 			}
 		}

@@ -25,10 +25,16 @@ import (
 // Contention adds queueing at the bus, memory/directory controller and
 // network-interface resources along each path.
 //
-// Each transaction is carried by a pooled Actor record (mshr, secFill,
-// invalMsg, victimEntry, uncachedOp) that walks itself through the stages
-// above, so the steady-state protocol paths schedule no closures and
-// allocate nothing.
+// Each transaction is carried by a pooled Actor record that walks itself
+// through the stages above: mshr (a miss), secFill (a secondary hit),
+// fwdMsg (a request forwarded to a dirty owner), invalMsg (one
+// invalidation and its ack), victimEntry (a dirty writeback), retryOp (an
+// access retried after its line's writeback or in-flight fill) and
+// uncachedOp (an access to uncacheable shared data). A request that finds
+// its directory entry busy parks its own record on the home's list, and
+// the invalidation fan-out walks the sharer set with dirset's Next. So
+// the steady-state protocol paths schedule no closures and allocate
+// nothing; the mesh interconnect (an ablation) is the exception.
 
 // mshrStage is the miss transaction's next step when its event fires.
 type mshrStage uint8
@@ -194,7 +200,7 @@ func (n *Node) ReadTask(a mem.Addr, done sim.Task) {
 	if v, ok := n.victims[l]; ok {
 		// The line is in the writeback buffer on its way out; wait for
 		// the home to acknowledge, then retry.
-		v.waiters = append(v.waiters, func() { n.ReadTask(a, done) })
+		v.waiters = append(v.waiters, n.retry(a, false, done))
 		return
 	}
 	if m, ok := n.mshrs[l]; ok {
@@ -237,7 +243,7 @@ func (n *Node) acquireOwnTask(a mem.Addr, done sim.Task) {
 		return
 	}
 	if v, ok := n.victims[l]; ok {
-		v.waiters = append(v.waiters, func() { n.acquireOwnTask(a, done) })
+		v.waiters = append(v.waiters, n.retry(a, true, done))
 		return
 	}
 	if m, ok := n.mshrs[l]; ok {
@@ -247,7 +253,7 @@ func (n *Node) acquireOwnTask(a mem.Addr, done sim.Task) {
 		// Wait for the in-flight fill, then reclassify: the fill may
 		// deliver ownership (write/pf-exclusive) or only a shared copy
 		// (then this becomes an upgrade).
-		m.waiters = append(m.waiters, sim.FuncTask(func() { n.acquireOwnTask(a, done) }))
+		m.waiters = append(m.waiters, sim.ActorTask(n.retry(a, true, done)))
 		return
 	}
 	n.st.WriteMisses++
@@ -258,15 +264,41 @@ func (n *Node) acquireOwnTask(a mem.Addr, done sim.Task) {
 	n.k.AfterActor(sim.Time(n.lat().SecCheckWrite), m)
 }
 
+// retryOp re-issues a demand read or ownership request that waited for
+// its line's writeback or in-flight fill to finish.
+type retryOp struct {
+	n     *Node
+	a     mem.Addr
+	write bool
+	done  sim.Task
+}
+
+// retry draws a retry record for an access to a from the node's pool.
+func (n *Node) retry(a mem.Addr, write bool, done sim.Task) *retryOp {
+	r := n.retries.Get()
+	r.n, r.a, r.write, r.done = n, a, write, done
+	return r
+}
+
+// Act implements sim.Actor: recycle the record, then re-issue the access.
+func (r *retryOp) Act() {
+	n, a, write, done := r.n, r.a, r.write, r.done
+	r.done = sim.Task{}
+	n.retries.Put(r)
+	if write {
+		n.acquireOwnTask(a, done)
+	} else {
+		n.ReadTask(a, done)
+	}
+}
+
 // dirRead is the home directory's handling of a read request. Runs at the
 // home node when its memory/directory controller grants the request.
 func (h *Node) dirRead(a mem.Addr, req *Node, m *mshr) {
 	l := mem.LineOf(a)
 	e := h.entry(l)
 	if e.busy {
-		e.pending = append(e.pending, func() {
-			h.memc.AcquireActor(sim.Time(h.lat().MemHold), m)
-		})
+		h.parked = append(h.parked, parkedReq{l, m})
 		return
 	}
 	if h.rec != nil {
@@ -280,7 +312,7 @@ func (h *Node) dirRead(a mem.Addr, req *Node, m *mshr) {
 			// caches the line, so the reply carries ownership and a
 			// subsequent write by the reader hits locally.
 			e.state = DirDirty
-			e.owner = req.id
+			e.owner = int32(req.id)
 			e.sharers.Clear()
 			m.excl = true
 			h.dirEvent(l)
@@ -297,7 +329,7 @@ func (h *Node) dirRead(a mem.Addr, req *Node, m *mshr) {
 		h.dirEvent(l)
 		h.replyFill(req, m)
 	case DirDirty:
-		if e.owner == req.id {
+		if int(e.owner) == req.id {
 			panic(fmt.Sprintf("memsys: node %d read-missed a line the directory says it owns (line %#x)", req.id, l))
 		}
 		owner := h.nodes[e.owner]
@@ -307,12 +339,7 @@ func (h *Node) dirRead(a mem.Addr, req *Node, m *mshr) {
 		h.sharerAdd(e, req.id)
 		e.busy = true
 		h.dirEvent(l)
-		if h.rec != nil {
-			h.rec.DirTxn(obs.DirForward)
-		}
-		m.span.Seg(span.KSegNet, h.id)
-		h.sendSpanTask(owner, h.lat().WireForward,
-			sim.FuncTask(func() { owner.serveForward(l, req, m, false) }), m.span)
+		h.forward(owner, m, false)
 	}
 }
 
@@ -321,9 +348,7 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 	l := mem.LineOf(a)
 	e := h.entry(l)
 	if e.busy {
-		e.pending = append(e.pending, func() {
-			h.memc.AcquireActor(sim.Time(h.lat().MemHold), m)
-		})
+		h.parked = append(h.parked, parkedReq{l, m})
 		return
 	}
 	if h.rec != nil {
@@ -332,22 +357,22 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 	switch e.state {
 	case DirUncached:
 		e.state = DirDirty
-		e.owner = req.id
+		e.owner = int32(req.id)
 		e.sharers.Clear()
 		h.dirEvent(l)
 		h.replyFill(req, m)
 	case DirShared:
 		// Invalidate every represented sharer except the requester; acks
-		// flow directly to the requester (DASH style). ForEach yields
+		// flow directly to the requester (DASH style). Next yields
 		// ascending node ids, preserving the event order of the old
 		// ascending bitmask scan. For an imprecise organization (an
 		// overflowed limited-pointer entry broadcasts machine-wide, a
 		// coarse-vector group fans out to every member) some targets hold
 		// no copy; those invalidations are spurious and ack harmlessly.
 		count := 0
-		e.sharers.ForEach(func(id int) {
+		for id := e.sharers.Next(0); id >= 0; id = e.sharers.Next(id + 1) {
 			if id == req.id {
-				return
+				continue
 			}
 			count++
 			h.st.InvalsSent++
@@ -363,27 +388,22 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 			im.stage = invArrive
 			im.span = m.span.Child(span.KSegInval, id)
 			h.sendSpanTask(sharer, h.lat().Wire, sim.ActorTask(im), im.span)
-		})
+		}
 		e.state = DirDirty
-		e.owner = req.id
+		e.owner = int32(req.id)
 		e.sharers.Clear()
 		h.dirEvent(l)
 		req.addAcks(count)
 		h.replyFill(req, m)
 	case DirDirty:
-		if e.owner == req.id {
+		if int(e.owner) == req.id {
 			panic(fmt.Sprintf("memsys: node %d write-missed a line the directory says it owns (line %#x)", req.id, l))
 		}
 		owner := h.nodes[e.owner]
-		e.owner = req.id
+		e.owner = int32(req.id)
 		e.busy = true
 		h.dirEvent(l)
-		if h.rec != nil {
-			h.rec.DirTxn(obs.DirForward)
-		}
-		m.span.Seg(span.KSegNet, h.id)
-		h.sendSpanTask(owner, h.lat().WireForward,
-			sim.FuncTask(func() { owner.serveForward(l, req, m, true) }), m.span)
+		h.forward(owner, m, true)
 	}
 }
 
@@ -399,54 +419,101 @@ func (h *Node) replyFill(req *Node, m *mshr) {
 	h.sendSpanTask(req, h.lat().Wire, sim.ActorTask(m), m.span)
 }
 
-// serveForward handles a request forwarded to this node as the recorded
-// owner of line l. For reads the owner downgrades to Shared; for writes it
-// relinquishes the line. Either way it replies directly to the requester
-// and sends a completion (sharing writeback / transfer notice) to the home
-// to clear the directory busy state.
-func (o *Node) serveForward(l mem.Line, req *Node, m *mshr, write bool) {
-	if om, ok := o.mshrs[l]; ok {
-		// Our own fill for the line is still in flight; the forward
-		// waits for it, exactly as a lockup-free cache queues external
-		// requests against an MSHR.
-		om.queuedMsgs = append(om.queuedMsgs, func() { o.serveForward(l, req, m, write) })
-		return
-	}
-	m.span.Seg(span.KSegOwner, o.id)
-	lat := o.lat()
-	o.bus.Acquire(sim.Time(lat.BusHold), func() {
-		o.k.After(sim.Time(lat.OwnerAccess), func() {
-			// Re-examine state at apply time: the line may have been
-			// evicted (moved to the writeback/victim buffer) while the
-			// forward waited for the bus.
-			if _, inVictim := o.victims[l]; inVictim {
-				// Serve the data from the victim buffer; the local copy
-				// is already gone.
-			} else if o.sec.State(l) == Dirty {
-				if write {
-					o.sec.Invalidate(l)
-					o.prim.Invalidate(l)
-				} else {
-					o.sec.SetState(l, Shared)
-				}
-			} else {
-				panic(fmt.Sprintf("memsys: forward for line %#x reached node %d which is not owner (state %v)", l, o.id, o.sec.State(l)))
-			}
-			m.stage = msFill
-			m.span.Seg(span.KSegReply, o.id)
-			o.sendSpanTask(req, lat.Wire, sim.ActorTask(m), m.span)
-			// Completion to home: carries the sharing writeback (read)
-			// or the ownership-transfer notice (write) and unblocks the
-			// directory entry.
-			home := o.home(mem.AddrOf(l))
-			o.send(home, lat.Wire, func() {
-				home.memc.Acquire(sim.Time(lat.MemHold), func() { home.dirUnbusy(l) })
-			})
-		})
-	})
+// fwdMsg carries a request the home forwarded to the line's dirty owner.
+// For a read the owner downgrades to Shared; for a write it relinquishes
+// the line. Either way it replies directly to the requester and sends a
+// completion (sharing writeback / transfer notice) to the home, whose
+// controller then clears the entry's busy state. The record comes from
+// the home's pool and returns to it at the last stage.
+type fwdMsg struct {
+	home, owner *Node
+	m           *mshr // the requester's miss
+	line        mem.Line
+	write       bool
+	stage       fwdStage
 }
 
-// dirUnbusy clears the busy bit and reprocesses deferred requests.
+// fwdStage is the forward's next step when its event fires.
+type fwdStage uint8
+
+const (
+	fwdArrive fwdStage = iota // delivered at the owner: arbitrate its bus
+	fwdBus                    // owner's bus granted: access its cache
+	fwdAccess                 // cache access done: apply, reply, notify the home
+	fwdAtHome                 // notice delivered at the home: queue for the controller
+	fwdUnbusy                 // home controller granted: clear the busy entry
+)
+
+// forward sends m's request on to owner, the line's dirty owner. The
+// caller has marked the entry busy.
+func (h *Node) forward(owner *Node, m *mshr, write bool) {
+	if h.rec != nil {
+		h.rec.DirTxn(obs.DirForward)
+	}
+	m.span.Seg(span.KSegNet, h.id)
+	f := h.fwds.Get()
+	f.home, f.owner, f.m, f.line, f.write = h, owner, m, m.line, write
+	f.stage = fwdArrive
+	h.sendSpanTask(owner, h.lat().WireForward, sim.ActorTask(f), m.span)
+}
+
+// Act implements sim.Actor.
+func (f *fwdMsg) Act() {
+	o, l := f.owner, f.line
+	lat := o.lat()
+	switch f.stage {
+	case fwdArrive:
+		if om, ok := o.mshrs[l]; ok {
+			// Our own fill for the line is still in flight; the forward
+			// waits for it, exactly as a lockup-free cache queues external
+			// requests against an MSHR. completeFill re-runs this stage.
+			om.queuedMsgs = append(om.queuedMsgs, f)
+			return
+		}
+		f.m.span.Seg(span.KSegOwner, o.id)
+		f.stage = fwdBus
+		o.bus.AcquireActor(sim.Time(lat.BusHold), f)
+	case fwdBus:
+		f.stage = fwdAccess
+		o.k.AfterActor(sim.Time(lat.OwnerAccess), f)
+	case fwdAccess:
+		// Re-examine state at apply time: the line may have been
+		// evicted (moved to the writeback/victim buffer) while the
+		// forward waited for the bus.
+		if _, inVictim := o.victims[l]; inVictim {
+			// Serve the data from the victim buffer; the local copy
+			// is already gone.
+		} else if o.sec.State(l) == Dirty {
+			if f.write {
+				o.sec.Invalidate(l)
+				o.prim.Invalidate(l)
+			} else {
+				o.sec.SetState(l, Shared)
+			}
+		} else {
+			panic(fmt.Sprintf("memsys: forward for line %#x reached node %d which is not owner (state %v)", l, o.id, o.sec.State(l)))
+		}
+		m := f.m
+		m.stage = msFill
+		m.span.Seg(span.KSegReply, o.id)
+		o.sendSpanTask(m.n, lat.Wire, sim.ActorTask(m), m.span)
+		// Completion to home: carries the sharing writeback (read) or the
+		// ownership-transfer notice (write) and unblocks the entry.
+		f.stage = fwdAtHome
+		o.sendSpanTask(f.home, lat.Wire, sim.ActorTask(f), nil)
+	case fwdAtHome:
+		f.stage = fwdUnbusy
+		f.home.memc.AcquireActor(sim.Time(lat.MemHold), f)
+	case fwdUnbusy:
+		h := f.home
+		f.home, f.owner, f.m = nil, nil, nil
+		h.fwds.Put(f)
+		h.dirUnbusy(l)
+	}
+}
+
+// dirUnbusy clears the busy bit and sends the requests parked on the
+// line back to the controller, in arrival order.
 func (h *Node) dirUnbusy(l mem.Line) {
 	e := h.entry(l)
 	if !e.busy {
@@ -454,11 +521,18 @@ func (h *Node) dirUnbusy(l mem.Line) {
 	}
 	e.busy = false
 	h.dirEvent(l)
-	pend := e.pending
-	e.pending = nil
-	for _, f := range pend {
-		f()
+	// Re-acquiring the controller only schedules, so the list can be
+	// compacted in place.
+	kept := h.parked[:0]
+	for _, p := range h.parked {
+		if p.line != l {
+			kept = append(kept, p)
+			continue
+		}
+		h.memc.AcquireActor(sim.Time(h.lat().MemHold), p.req)
 	}
+	clear(h.parked[len(kept):])
+	h.parked = kept
 }
 
 // dirEvent notifies the invariant checker that a directory transaction
@@ -628,9 +702,10 @@ func (n *Node) completeFill(m *mshr) {
 		m.waiters[i].Run()
 	}
 	for i := 0; i < len(m.queuedMsgs); i++ {
-		m.queuedMsgs[i]()
+		m.queuedMsgs[i].Act()
 	}
 	m.waiters = m.waiters[:0]
+	clear(m.queuedMsgs)
 	m.queuedMsgs = m.queuedMsgs[:0]
 	n.mshrPool.Put(m)
 }
@@ -658,15 +733,13 @@ func (h *Node) dirWriteback(v *victimEntry) {
 	l, from := v.line, v.n
 	e := h.entry(l)
 	if e.busy {
-		e.pending = append(e.pending, func() {
-			h.memc.AcquireActor(sim.Time(h.lat().MemHold), v)
-		})
+		h.parked = append(h.parked, parkedReq{l, v})
 		return
 	}
 	if h.rec != nil {
 		h.rec.DirTxn(obs.DirWriteback)
 	}
-	if e.state == DirDirty && e.owner == from.id {
+	if e.state == DirDirty && int(e.owner) == from.id {
 		e.state = DirUncached
 		e.sharers.Clear()
 	} else {
@@ -696,8 +769,9 @@ func (n *Node) writebackAcked(v *victimEntry) {
 	v.span.End()
 	v.span = nil
 	for i := 0; i < len(v.waiters); i++ {
-		v.waiters[i]()
+		v.waiters[i].Act()
 	}
+	clear(v.waiters)
 	v.waiters = v.waiters[:0]
 	n.victimPool.Put(v)
 }

@@ -45,13 +45,20 @@ type writeBuffer struct {
 	n            *Node
 	entries      []*wbEntry
 	inflight     int
-	releaseArmed bool // an onAllAcked callback for a blocked release is registered
+	releaseArmed bool // the buffer is registered with onAllAcked for a blocked release
 	spaceWaiters []func()
 	drainWaiters []func() // fences waiting for the buffer to empty
 	pool         sim.Pool[wbEntry]
 }
 
 func newWriteBuffer(n *Node) *writeBuffer { return &writeBuffer{n: n} }
+
+// Act implements sim.Actor: the invalidation acks a blocked release was
+// waiting for have all arrived, so drain again.
+func (w *writeBuffer) Act() {
+	w.releaseArmed = false
+	w.drain()
+}
 
 // WBEnqueue adds a write to the buffer; the callback runs when the write
 // retires (ownership acquired). Non-release writes coalesce into an
@@ -129,7 +136,7 @@ func (n *Node) WBEmpty() bool { return len(n.wb.entries) == 0 }
 // memory fence (weak consistency's synchronization condition).
 func (n *Node) WBOnDrained(fn func()) {
 	if len(n.wb.entries) == 0 && n.wb.inflight == 0 {
-		n.onAllAcked(fn)
+		n.onAllAcked(sim.FuncTask(fn))
 		return
 	}
 	n.wb.drainWaiters = append(n.wb.drainWaiters, fn)
@@ -201,10 +208,7 @@ func (w *writeBuffer) drain() {
 			if w.n.cfg.Model != config.PC && w.n.pendingAcks > 0 {
 				if !w.releaseArmed {
 					w.releaseArmed = true
-					w.n.onAllAcked(func() {
-						w.releaseArmed = false
-						w.drain()
-					})
+					w.n.onAllAcked(sim.ActorTask(w))
 				}
 				return
 			}
@@ -258,7 +262,7 @@ func (w *writeBuffer) retire(e *wbEntry) {
 		ws := w.drainWaiters
 		w.drainWaiters = nil
 		for _, fn := range ws {
-			w.n.onAllAcked(fn)
+			w.n.onAllAcked(sim.FuncTask(fn))
 		}
 	}
 	w.drain()
@@ -341,8 +345,10 @@ func (p *prefetchBuffer) step() {
 		p.draining = false
 		return
 	}
+	// Dequeue in place (at most PrefetchBufferDepth entries shift), so
+	// enqueue keeps reusing the same storage.
 	p.cur = p.queue[0]
-	p.queue = p.queue[1:]
+	p.queue = p.queue[:copy(p.queue, p.queue[1:])]
 	if len(p.spaceWaiters) > 0 {
 		fn := p.spaceWaiters[0]
 		p.spaceWaiters = p.spaceWaiters[1:]

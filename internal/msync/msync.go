@@ -95,9 +95,13 @@ func (l *Lock) ReleaseRetired() {
 		l.holder = -1
 		return
 	}
+	// Dequeue in place. The loop below then walks the queue itself: no
+	// acquirer can join it meanwhile, because neither the ownership
+	// request nor a refetch runs a callback synchronously.
 	next := l.waiters[0]
-	rest := l.waiters[1:]
-	l.waiters = append([]waiter(nil), rest...)
+	last := copy(l.waiters, l.waiters[1:])
+	l.waiters[last] = waiter{}
+	l.waiters = l.waiters[:last]
 	l.holder = next.n.ID()
 	next.n.BeginSyncSpans()
 	next.n.AcquireOwnership(l.addr, next.granted)
