@@ -75,16 +75,8 @@ func main() {
 	cfg.Prefetch = *prefetch
 	cfg.Contexts = *contexts
 	cfg.SwitchPenalty = *switchPen
-	switch *model {
-	case "SC":
-	case "PC":
-		cfg.Model = config.PC
-	case "WC":
-		cfg.Model = config.WC
-	case "RC":
-		cfg.Model = config.RC
-	default:
-		fmt.Fprintf(os.Stderr, "latsim: unknown model %q (want SC, PC, WC or RC)\n", *model)
+	if cfg.Model, err = config.ParseConsistency(*model); err != nil {
+		fmt.Fprintln(os.Stderr, "latsim:", err)
 		os.Exit(2)
 	}
 	if *fullcache {

@@ -1,122 +1,36 @@
-// Command obs runs a benchmark with the observability recorder enabled
-// and writes the report + Chrome trace artifacts, or re-renders artifacts
-// from a previously saved report without re-simulating.
-//
-// Run and export:
-//
-//	obs -app MP3D -model RC -contexts 4 -dir obs
-//
-// Re-render from a saved report (print the summary and re-emit the
-// Perfetto trace next to it):
+// Command obs re-renders a saved observability report without
+// re-simulating: it prints the report's summary and re-emits its
+// Perfetto trace next to it.
 //
 //	obs -from obs/MP3D_RC-4ctx.report.json
 //
+// Reports come from a run with the recorder on, e.g.
+// `latsim -app MP3D -model RC -contexts 4 -obs` or `figures -obs`.
 // The trace artifact loads at ui.perfetto.dev (or chrome://tracing): one
 // track per processor showing the execution-time bucket each cycle is
 // charged to, plus counter tracks for write-buffer depth, context
-// switches, directory traffic, kernel events and mesh hops. With span
-// tracing on (-obs-span-rate, default 1/64) the trace also carries
-// sampled transaction spans with flow arrows, and the report gains the
-// critical-path stall waterfall. -listen serves live telemetry
-// (Prometheus /metrics, /progress, /debug/pprof) while the run is in
-// flight.
+// switches, directory traffic, kernel events and mesh hops, and the
+// sampled transaction spans with flow arrows when the run traced them.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"latsim/internal/config"
-	"latsim/internal/core"
 	"latsim/internal/obs"
-	"latsim/internal/runner"
 )
 
 func main() {
-	from := flag.String("from", "", "re-render from a saved .report.json instead of simulating")
-	app := flag.String("app", "MP3D", "benchmark: MP3D, LU or PTHOR")
-	model := flag.String("model", "SC", "memory consistency model: SC, PC, WC or RC")
-	prefetch := flag.Bool("prefetch", false, "run the software-prefetching variant")
-	contexts := flag.Int("contexts", 1, "hardware contexts per processor")
-	procs := flag.Int("procs", 16, "number of processors")
-	meshNet := flag.Bool("mesh", false, "use the 2-D wormhole mesh interconnect")
-	scaleFlag := flag.String("scale", "small", "data-set scale: small or paper")
-	dir := flag.String("dir", "obs", "directory for the report + trace artifacts")
-	interval := flag.Uint64("obs-interval", 0, "sampling interval in cycles (0 = default)")
-	spanRate := flag.Float64("obs-span-rate", 1.0/64, "transaction span-tracing sample rate in (0, 1] (0 = off)")
-	listen := flag.String("listen", "", "serve live telemetry (Prometheus /metrics, /progress, /debug/pprof) on this host:port")
-	timeout := flag.Duration("timeout", 0, "wall-clock limit for the run (0 = unbounded)")
+	from := flag.String("from", "", "saved .report.json to re-render")
 	flag.Parse()
-
-	if *from != "" {
-		rerender(*from)
-		return
+	if *from == "" {
+		fmt.Fprintln(os.Stderr, "obs: need -from <report.json> (record one with latsim -obs)")
+		os.Exit(2)
 	}
-
-	scale, err := core.ParseScale(*scaleFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := config.ValidateSpanRate(*spanRate); err != nil {
-		fatalf("%v", err)
-	}
-	if err := config.ValidateListenAddr(*listen); err != nil {
-		fatalf("%v", err)
-	}
-	cfg := config.Default()
-	cfg.Procs = *procs
-	cfg.Prefetch = *prefetch
-	cfg.Contexts = *contexts
-	cfg.MeshNetwork = *meshNet
-	switch *model {
-	case "SC":
-	case "PC":
-		cfg.Model = config.PC
-	case "WC":
-		cfg.Model = config.WC
-	case "RC":
-		cfg.Model = config.RC
-	default:
-		fatalf("unknown model %q (want SC, PC, WC or RC)", *model)
-	}
-	if err := cfg.Validate(); err != nil {
-		fatalf("%v", err)
-	}
-
-	s := core.NewSession(scale)
-	s.Obs = &obs.Options{Interval: *interval, SpanRate: *spanRate}
-	if *listen != "" {
-		tel, err := runner.ServeTelemetry(*listen, s.Metrics)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer tel.Close()
-		fmt.Fprintf(os.Stderr, "obs: telemetry on http://%s/metrics\n", tel.Addr())
-	}
-	if *timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		s.Ctx = ctx
-	}
-	defer s.Close()
-	res, err := s.Run(*app, cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	fmt.Printf("%s on %s (%s scale, %d procs): %d cycles\n",
-		res.AppName, cfg.Name(), scale, cfg.Procs, res.Elapsed)
-	res.Obs.Summary(os.Stdout)
-	repPath, trPath, err := res.Obs.WriteArtifacts(*dir, fmt.Sprintf("%s_%s", res.AppName, cfg.Name()))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("report: %s\n", repPath)
-	fmt.Printf("trace:  %s (open at ui.perfetto.dev)\n", trPath)
+	rerender(*from)
 }
 
 // rerender prints the summary of a saved report and re-emits its Chrome

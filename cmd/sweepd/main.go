@@ -16,13 +16,14 @@
 // /v1/sweeps/{id}/diff?base=<id>; the /dashboard page renders the
 // breakdown, stall waterfall and cross-sweep verdicts live.
 //
-// On SIGTERM or SIGINT the service drains: it stops accepting sweeps,
-// finishes the accepted ones (up to -drain-timeout), then exits.
+// On SIGTERM or SIGINT the service shuts its HTTP server down, cancels
+// the sweeps still running and exits. With -cache-dir set, every
+// simulation that finished is already in the persistent cache, so
+// resubmitting a canceled sweep after a restart re-runs only the rest.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -37,18 +38,13 @@ import (
 
 func main() {
 	var (
-		listen       = flag.String("listen", "127.0.0.1:8080", "address to serve the API on (port 0 picks a free port)")
-		jobs         = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cacheDir     = flag.String("cache-dir", "", "persistent result cache directory (empty disables)")
-		cacheMax     = flag.Int64("cache-max-bytes", 0, "cap the cache's on-disk size, evicting least-recently-used results (0 = unbounded)")
-		timeout      = flag.Duration("timeout", 0, "per-attempt wall-clock limit per job (0 = none)")
-		retries      = flag.Int("retries", 2, "re-run a failed job attempt up to this many times")
-		retryBackoff = flag.Duration("retry-backoff", 250*time.Millisecond, "base backoff before a retry (doubles per attempt, jittered)")
-		spanRate     = flag.Float64("span-rate", 0, "default span-tracing sample rate for obs sweeps (0 = 1/64; a sweep's span_rate overrides)")
-		chaos        = flag.Int("chaos", 0, "TESTING: panic the first N job executions to exercise retry")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Minute, "how long a shutdown signal waits for accepted sweeps")
-		drainGrace   = flag.Duration("drain-grace", 30*time.Second, "after draining, keep serving until every finished sweep's result has been fetched (at most this long)")
-		verbose      = flag.Bool("v", false, "stream engine progress to stderr")
+		listen   = flag.String("listen", "127.0.0.1:8080", "address to serve the API on (port 0 picks a free port)")
+		jobs     = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		cacheDir = flag.String("cache-dir", "", "persistent result cache directory (empty disables)")
+		cacheMax = flag.Int64("cache-max-bytes", 0, "cap the cache's on-disk size, evicting least-recently-used results (0 = unbounded)")
+		timeout  = flag.Duration("timeout", 0, "wall-clock limit per job (0 = none)")
+		spanRate = flag.Float64("span-rate", 0, "default span-tracing sample rate for obs sweeps (0 = 1/64; a sweep's span_rate overrides)")
+		verbose  = flag.Bool("v", false, "stream engine progress to stderr")
 	)
 	flag.Parse()
 	if err := run(*listen, sweepd.Options{
@@ -56,17 +52,14 @@ func main() {
 		CacheDir:      *cacheDir,
 		CacheMaxBytes: *cacheMax,
 		Timeout:       *timeout,
-		Retries:       *retries,
-		RetryBackoff:  *retryBackoff,
 		ObsSpanRate:   *spanRate,
-		ChaosFailures: *chaos,
-	}, *verbose, *drainTimeout, *drainGrace); err != nil {
+	}, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen string, opts sweepd.Options, verbose bool, drainTimeout, drainGrace time.Duration) error {
+func run(listen string, opts sweepd.Options, verbose bool) error {
 	if verbose {
 		opts.Trace = os.Stderr
 	}
@@ -94,33 +87,11 @@ func run(listen string, opts sweepd.Options, verbose bool, drainTimeout, drainGr
 	case err := <-done:
 		return err
 	case got := <-sig:
-		fmt.Fprintf(os.Stderr, "sweepd: %v: draining (timeout %v)\n", got, drainTimeout)
+		fmt.Fprintf(os.Stderr, "sweepd: %v: shutting down\n", got)
 	}
-
-	// Graceful drain: no new sweeps, accepted ones finish. The API keeps
-	// serving while draining so clients can collect results; a second
-	// signal aborts immediately.
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "sweepd: second signal, aborting")
-		cancel()
-	}()
-	if err := svc.Drain(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	} else if drainGrace > 0 {
-		// Drained clean: linger so clients can still collect results the
-		// service rendered on their behalf before they polled.
-		graceCtx, cancelGrace := context.WithTimeout(context.Background(), drainGrace)
-		if err := svc.WaitCollected(graceCtx); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		cancelGrace()
-	}
-	shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShut()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := srv.Shutdown(shutCtx); err != nil {
 		srv.Close()
 	}
 	<-done

@@ -64,18 +64,11 @@ func main() {
 
 	var models []config.Consistency
 	for _, name := range strings.Split(*model, ",") {
-		switch strings.TrimSpace(name) {
-		case "SC":
-			models = append(models, config.SC)
-		case "PC":
-			models = append(models, config.PC)
-		case "WC":
-			models = append(models, config.WC)
-		case "RC":
-			models = append(models, config.RC)
-		default:
-			fatalf("unknown model %q", name)
+		m, err := config.ParseConsistency(strings.TrimSpace(name))
+		if err != nil {
+			fatalf("%v", err)
 		}
+		models = append(models, m)
 	}
 
 	ctx := context.Background()

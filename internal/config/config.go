@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 
 	"latsim/internal/dirset"
@@ -288,6 +289,13 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: MaxOutstandingWrites = %d, need >= 1", c.MaxOutstandingWrites)
 	case c.PrefetchIssueCycles < 0:
 		return fmt.Errorf("config: negative PrefetchIssueCycles")
+	}
+	// A negative latency would schedule an event in the simulated past.
+	lat := reflect.ValueOf(&c.Lat).Elem()
+	for i := 0; i < lat.NumField(); i++ {
+		if v := lat.Field(i).Int(); v < 0 {
+			return fmt.Errorf("config: Lat.%s = %d, need >= 0", lat.Type().Field(i).Name, v)
+		}
 	}
 	if c.MeshNetwork {
 		if w := isqrt(c.Procs); w*w != c.Procs {

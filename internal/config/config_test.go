@@ -41,6 +41,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero pointers", func(c *Config) { c.DirOrg = dirset.LimitedPtr; c.DirPointers = 0 }, "DirPointers"},
 		{"zero coarseness", func(c *Config) { c.DirOrg = dirset.CoarseVector; c.DirCoarseness = 0 }, "DirCoarseness"},
 		{"coarse at tiny machine", func(c *Config) { c.DirOrg = dirset.CoarseVector; c.Procs = 4 }, "pointless"},
+		{"negative wire", func(c *Config) { c.Lat.Wire = -50 }, "Lat.Wire"},
+		{"negative memory hold", func(c *Config) { c.Lat.MemHold = -5 }, "Lat.MemHold"},
+		{"negative uncached write", func(c *Config) { c.Lat.UncachedWriteRemote = -1 }, "Lat.UncachedWriteRemote"},
 	}
 	for _, tc := range cases {
 		cfg := Default()

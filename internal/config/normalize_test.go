@@ -1,6 +1,8 @@
 package config
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -116,4 +118,43 @@ func TestOverlayCanonical(t *testing.T) {
 	if spelled != omitted {
 		t.Fatalf("spelled defaults != omitted defaults:\n%+v\n%+v", spelled, omitted)
 	}
+}
+
+// FuzzOverlay feeds Overlay the untrusted documents a sweep-service
+// client can send. No input may panic; an accepted configuration must
+// re-marshal and re-overlay to an identical one (the canonical-hash
+// property cross-client dedup relies on) and carry no negative latency.
+func FuzzOverlay(f *testing.F) {
+	for _, seed := range []string{
+		"", "{}", `{"Procs": 4, "Contexts": 2}`, `{"SwitchPenalty": 0}`,
+		`{"Procss": 4}`, `{"Procs": 4} {"Procs": 8}`, `{"Procs": 0}`,
+		`{"Model": "RC", "DirOrg": "limited-pointer"}`, `{"Model": 3, "DirOrg": 2}`,
+		`{"Model": "XC"}`, `{"Model": 9}`, `{"DirOrg": "sparse"}`, `{"DirOrg": 7}`,
+		`{"Procs": 16, "Model": "SC"}`, `{"Lat":{"Wire":-1}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c, err := Overlay(Default(), raw)
+		if err != nil {
+			return
+		}
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Overlay(Default(), b)
+		if err != nil {
+			t.Fatalf("re-marshaled config rejected: %v\n%s", err, b)
+		}
+		if !reflect.DeepEqual(again, c) {
+			t.Fatalf("round trip changed the config:\n%+v\n%+v", c, again)
+		}
+		lat := reflect.ValueOf(&c.Lat).Elem()
+		for i := 0; i < lat.NumField(); i++ {
+			if lat.Field(i).Int() < 0 {
+				t.Fatalf("accepted negative Lat.%s", lat.Type().Field(i).Name)
+			}
+		}
+	})
 }

@@ -3,8 +3,8 @@
 // here, so any front end — the CLI, tests, the sweep service's HTTP API
 // — produces identical bytes from one code path. The sweep service
 // leans on all three pieces: the registry to validate untrusted ids,
-// ExperimentRequests to schedule a sweep's jobs individually (per-job
-// status, priority, retry), and RunExperiment to assemble the final
+// ExperimentRequests to submit a sweep's jobs individually (per-job
+// status and cancellation), and RunExperiment to assemble the final
 // artifact from the memoized results.
 package core
 
@@ -201,9 +201,9 @@ func allApps(cfgs []config.Config) []Request {
 }
 
 // ExperimentRequests returns the simulation requests the experiment is
-// known to need ahead of render time, so a scheduler can run them as
-// individually tracked jobs (per-job status, priority ordering, retry)
-// and let RunExperiment assemble the output from the memoized results.
+// known to need ahead of render time, so a control plane can run them
+// as individually tracked jobs (per-job status and cancellation) and
+// let RunExperiment assemble the output from the memoized results.
 // Some experiments (table1's latency probes, the ablation sweeps whose
 // configuration sets live in their closures) return no requests; they
 // still execute through the session's engine — with dedup and caching —

@@ -2,7 +2,7 @@ package runner
 
 // Hooks observes the lifecycle of tasks inside a Runner. A control plane
 // (internal/sweepd) threads one through Options to keep live per-job
-// views — which jobs are queued, executing, retrying — without polling.
+// views — which jobs are queued, executing, finished — without polling.
 //
 // All exported methods are nil-safe, following the same contract as the
 // observability hook types (DESIGN.md §4b): the runner holds a plain
@@ -14,12 +14,13 @@ type Hooks struct {
 	// OnQueued fires when a newly submitted job enters the queue
 	// (deduplicated submissions do not fire it again).
 	OnQueued func(key string, j Job)
-	// OnAttemptStart fires before execution attempt n (1-based) of a
-	// job. Cache hits never reach an attempt.
+	// OnAttemptStart fires before a job executes. The runner executes a
+	// job at most once, so attempt is always 1. Cache hits and tasks
+	// whose submitter gave up before a worker reached them never
+	// execute.
 	OnAttemptStart func(key string, j Job, attempt int)
-	// OnAttemptDone fires after attempt n returns; err is nil on
-	// success. A failed attempt with attempts remaining is followed by
-	// a backoff wait and another OnAttemptStart.
+	// OnAttemptDone fires after the execution returns; err is nil on
+	// success and attempt is always 1.
 	OnAttemptDone func(key string, j Job, attempt int, err error)
 	// OnFinish fires exactly once per task, after its outcome — result,
 	// cache hit, or final error — is published.

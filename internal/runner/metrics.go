@@ -20,12 +20,9 @@ type Metrics struct {
 	// (always 0 without a cache directory). Together with CacheHits and
 	// Deduped it tells a sweep exactly what was recomputed.
 	CacheMisses int64
-	// Retried counts execution attempts that failed and were re-run
-	// (Options.Retries); a job that fails twice then succeeds adds 2.
-	Retried   int64
-	Failed    int64 // returned an error, panicked, or timed out
-	SimCycles uint64
-	WallTime  time.Duration
+	Failed      int64 // returned an error, panicked, or timed out
+	SimCycles   uint64
+	WallTime    time.Duration
 
 	// Kernel-level counters summed over executed (non-cached) jobs.
 	SimEvents uint64 // discrete events fired
@@ -37,9 +34,9 @@ func (m Metrics) Done() int64 { return m.Executed + m.CacheHits + m.Failed }
 // String renders the one-line progress summary streamed to Trace.
 func (m Metrics) String() string {
 	return fmt.Sprintf(
-		"jobs: %d submitted (%d deduped), %d queued, %d running, %d simulated, %d cache hits, %d cache misses, %d retried, %d failed; %d sim cycles, %d events in %v",
+		"jobs: %d submitted (%d deduped), %d queued, %d running, %d simulated, %d cache hits, %d cache misses, %d failed; %d sim cycles, %d events in %v",
 		m.Submitted, m.Deduped, m.Queued, m.Running, m.Executed,
-		m.CacheHits, m.CacheMisses, m.Retried, m.Failed, m.SimCycles, m.SimEvents,
+		m.CacheHits, m.CacheMisses, m.Failed, m.SimCycles, m.SimEvents,
 		m.WallTime.Round(time.Millisecond))
 }
 

@@ -33,24 +33,10 @@ type Options struct {
 	// Store pushes past it, least-recently-used entries are evicted
 	// (0 = unbounded). Ignored without CacheDir.
 	CacheMaxBytes int64
-	// Timeout is the per-job wall-clock limit (0 = none). Each retry
-	// attempt gets a fresh timeout.
+	// Timeout is the per-job wall-clock limit (0 = none). A job that
+	// exceeds it fails and is not re-run: a result depends only on its
+	// job, so only a larger limit changes the outcome.
 	Timeout time.Duration
-	// Retries is how many times a failed execution (error, panic or
-	// per-attempt timeout) is re-run before the task fails; 0 disables
-	// retry. A failure caused by the submitting context being canceled
-	// or past its deadline is never retried.
-	Retries int
-	// RetryBackoff is the base wait before retry k: RetryBackoff <<
-	// (k-1), capped at RetryMaxBackoff, plus deterministic jitter of up
-	// to half the step derived from the job key (so identical sweeps
-	// behave identically; no shared rand state). Zero retries
-	// immediately. The wait occupies the worker slot, which is the
-	// intended backpressure: a failing job must not free capacity just
-	// to fail again faster.
-	RetryBackoff time.Duration
-	// RetryMaxBackoff caps the exponential step (0 = 30s).
-	RetryMaxBackoff time.Duration
 	// Hooks observes task lifecycle events (nil = none).
 	Hooks *Hooks
 	// Trace receives progress lines (nil discards them).
@@ -64,18 +50,11 @@ type Task struct {
 	Job Job
 	Key string
 
-	ctx      context.Context
-	done     chan struct{}
-	res      *machine.Result
-	err      error
-	hit      bool      // satisfied from the persistent cache
-	attempts []Attempt // error ledger, one entry per failed attempt
-}
-
-// Attempt is one failed execution attempt in a task's error ledger.
-type Attempt struct {
-	N   int    `json:"n"` // 1-based attempt number
-	Err string `json:"err"`
+	ctx  context.Context
+	done chan struct{}
+	res  *machine.Result
+	err  error
+	hit  bool // satisfied from the persistent cache
 }
 
 // Wait blocks until the job finishes and returns its result.
@@ -89,16 +68,6 @@ func (t *Task) Wait() (*machine.Result, error) {
 func (t *Task) FromCache() bool {
 	<-t.done
 	return t.hit
-}
-
-// Attempts returns the task's error ledger: one entry per execution
-// attempt that failed (a task that succeeded first try has none). It
-// blocks until the task finishes.
-func (t *Task) Attempts() []Attempt {
-	<-t.done
-	out := make([]Attempt, len(t.attempts))
-	copy(out, t.attempts)
-	return out
 }
 
 // Runner executes jobs on a bounded pool of worker goroutines. Workers
@@ -187,13 +156,11 @@ func (r *Runner) Submit(ctx context.Context, j Job) *Task {
 
 // Forget drops a finished task from the in-process memo so the same job
 // can be resubmitted and re-executed — the escape hatch for a
-// deduplicated task poisoned by another submitter's canceled context,
-// and for a control plane that wants to retry a permanently failed job
-// with a fresh budget. Queued or running tasks are left alone (they
-// still complete and publish to their waiters). The persistent cache is
-// unaffected: a successful Forget+resubmit of a completed job will
-// normally re-load the cached result. Reports whether the task was
-// dropped.
+// deduplicated task poisoned by another submitter's canceled context.
+// Queued or running tasks are left alone (they still complete and
+// publish to their waiters). The persistent cache is unaffected: a
+// successful Forget+resubmit of a completed job will normally re-load
+// the cached result. Reports whether the task was dropped.
 func (r *Runner) Forget(key string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -271,8 +238,8 @@ func (r *Runner) work() {
 	}
 }
 
-// runTask resolves one task: cache probe, then up to 1+Retries
-// execution attempts with exponential backoff between failures.
+// runTask resolves one task: a cache probe, then, unless the submitter
+// has already given up, one execution under the per-job timeout.
 func (r *Runner) runTask(t *Task) {
 	start := time.Now()
 	if r.cache != nil {
@@ -284,42 +251,20 @@ func (r *Runner) runTask(t *Task) {
 		r.metrics.CacheMisses++
 		r.mu.Unlock()
 	}
-	attempts := 1 + r.opts.Retries
-	if attempts < 1 {
-		attempts = 1
+	if err := t.ctx.Err(); err != nil {
+		r.finish(t, nil, fmt.Errorf("runner: %s: %w", t.Job, err), false, start)
+		return
 	}
-	var res *machine.Result
-	var err error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if cerr := t.ctx.Err(); cerr != nil {
-			// The submitter gave up; its error dominates any attempt
-			// failures already on the ledger.
-			err = fmt.Errorf("runner: %s: %w", t.Job, cerr)
-			break
-		}
-		r.opts.Hooks.AttemptStart(t.Key, t.Job, attempt)
-		r.tracef("  running %s...", t.Job)
-		res, err = r.execAttempt(t)
-		r.opts.Hooks.AttemptDone(t.Key, t.Job, attempt, err)
-		if err == nil {
-			break
-		}
-		t.attempts = append(t.attempts, Attempt{N: attempt, Err: err.Error()})
-		if t.ctx.Err() != nil || attempt == attempts {
-			break
-		}
-		r.mu.Lock()
-		r.metrics.Retried++
-		r.mu.Unlock()
-		wait := r.backoff(t.Key, attempt)
-		r.tracef("  retrying %s in %v (attempt %d failed: %v)",
-			t.Job, wait.Round(time.Millisecond), attempt, err)
-		if !sleepCtx(t.ctx, wait) {
-			// Canceled mid-backoff; the loop head turns this into the
-			// task's final error.
-			continue
-		}
+	ctx := t.ctx
+	if r.opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.opts.Timeout)
+		defer cancel()
 	}
+	r.opts.Hooks.AttemptStart(t.Key, t.Job, 1)
+	r.tracef("  running %s...", t.Job)
+	res, err := r.safeExec(ctx, t.Job)
+	r.opts.Hooks.AttemptDone(t.Key, t.Job, 1, err)
 	if err == nil && r.cache != nil {
 		if serr := r.cache.Store(t.Key, t.Job, res); serr != nil {
 			// A full disk or read-only cache degrades to re-simulation;
@@ -328,63 +273,6 @@ func (r *Runner) runTask(t *Task) {
 		}
 	}
 	r.finish(t, res, err, false, start)
-}
-
-// execAttempt runs one execution attempt under the per-attempt timeout.
-func (r *Runner) execAttempt(t *Task) (*machine.Result, error) {
-	ctx := t.ctx
-	if r.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.opts.Timeout)
-		defer cancel()
-	}
-	return r.safeExec(ctx, t.Job)
-}
-
-// backoff returns the wait before the retry that follows failed attempt
-// n: base << (n-1) capped at the maximum, plus deterministic jitter of
-// up to half that step derived from the job key, so concurrent retries
-// of different jobs spread out while identical runs stay reproducible.
-func (r *Runner) backoff(key string, n int) time.Duration {
-	base := r.opts.RetryBackoff
-	if base <= 0 {
-		return 0
-	}
-	max := r.opts.RetryMaxBackoff
-	if max <= 0 {
-		max = 30 * time.Second
-	}
-	step := base
-	for i := 1; i < n && step < max; i++ {
-		step *= 2
-	}
-	if step > max {
-		step = max
-	}
-	// FNV-1a over the key and attempt number: cheap, stateless, stable.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	h = (h ^ uint64(n)) * 1099511628211
-	jitter := time.Duration(h % uint64(step/2+1))
-	return step + jitter
-}
-
-// sleepCtx waits d unless ctx is done first; reports whether the full
-// wait elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-timer.C:
-		return true
-	}
 }
 
 // safeExec runs exec with panic containment, so one bad job cannot take

@@ -167,6 +167,31 @@ func TestCanceledContext(t *testing.T) {
 	}
 }
 
+// TestRetryCanceledBeforeStart checks that a task whose context is dead
+// before a worker picks it up is never attempted: it fails with
+// context.Canceled and counts as one failed job, not an executed one.
+func TestRetryCanceledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var execs atomic.Int64
+	r, err := New(Options{Workers: 1}, func(_ context.Context, j Job) (*machine.Result, error) {
+		execs.Add(1)
+		return fakeResult(j), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Submit(ctx, testJob(0)).Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait = %v, want context.Canceled", err)
+	}
+	if execs.Load() != 0 {
+		t.Fatalf("executed %d times under a dead context, want 0", execs.Load())
+	}
+	if m := r.Metrics(); m.Failed != 1 || m.Executed != 0 {
+		t.Fatalf("metrics %+v, want 1 failed, 0 executed", m)
+	}
+}
+
 func TestRunAllFirstError(t *testing.T) {
 	bad := errors.New("bad job")
 	r, err := New(Options{Workers: 2}, func(_ context.Context, j Job) (*machine.Result, error) {
@@ -247,6 +272,144 @@ func TestTraceOutput(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "running fake on SC (small scale)") || !strings.Contains(out, "done fake on SC") {
 		t.Fatalf("unexpected trace:\n%s", out)
+	}
+}
+
+// flakyExec fails the first n executions, then succeeds.
+func flakyExec(n int64) (ExecFunc, *atomic.Int64) {
+	var execs atomic.Int64
+	return func(_ context.Context, j Job) (*machine.Result, error) {
+		if execs.Add(1) <= n {
+			return nil, errors.New("injected fault")
+		}
+		return fakeResult(j), nil
+	}, &execs
+}
+
+// TestHooksObserveLifecycle follows one job through the hooks. A blocker
+// holds the only worker until the job has queued (otherwise the worker
+// may start it before Submit fires OnQueued), and the test waits for
+// OnFinish, which fires after waiters wake.
+func TestHooksObserveLifecycle(t *testing.T) {
+	job := testJob(1)
+	var mu sync.Mutex
+	var events []string
+	record := func(key, event string) {
+		if key != job.Key() {
+			return
+		}
+		mu.Lock()
+		events = append(events, event)
+		mu.Unlock()
+	}
+	finished := make(chan struct{})
+	hooks := &Hooks{
+		OnQueued:       func(key string, _ Job) { record(key, "queued") },
+		OnAttemptStart: func(key string, _ Job, _ int) { record(key, "start") },
+		OnAttemptDone: func(key string, _ Job, _ int, err error) {
+			if err != nil {
+				record(key, "fail")
+			} else {
+				record(key, "ok")
+			}
+		},
+		OnFinish: func(key string, _ Job, _ error, _ bool) {
+			record(key, "finish")
+			if key == job.Key() {
+				close(finished)
+			}
+		},
+	}
+	release := make(chan struct{})
+	r, err := New(Options{Workers: 1, Hooks: hooks}, func(_ context.Context, j Job) (*machine.Result, error) {
+		if j.Key() != job.Key() {
+			<-release
+		}
+		return fakeResult(j), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Submit(context.Background(), testJob(0))
+	task := r.Submit(context.Background(), job)
+	close(release)
+	if _, err := task.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	<-finished
+	mu.Lock()
+	got := strings.Join(events, " ")
+	mu.Unlock()
+	if got != "queued start ok finish" {
+		t.Fatalf("hook sequence = %q", got)
+	}
+}
+
+// A nil Hooks receiver must be safe on every dispatch method (the
+// nilsafe analyzer enforces the guards; this exercises them).
+func TestNilHooksSafe(t *testing.T) {
+	var h *Hooks
+	h.Queued("k", Job{})
+	h.AttemptStart("k", Job{}, 1)
+	h.AttemptDone("k", Job{}, 1, nil)
+	h.Finish("k", Job{}, nil, false)
+}
+
+func TestForget(t *testing.T) {
+	exec, execs := flakyExec(1)
+	r, err := New(Options{Workers: 1}, exec) // the first run fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := testJob(0)
+	if _, err := r.Run(context.Background(), j); err == nil {
+		t.Fatal("first run should have failed")
+	}
+	// Resubmission dedups onto the failed task...
+	if _, err := r.Run(context.Background(), j); err == nil {
+		t.Fatal("memoized failure should still fail")
+	}
+	if execs.Load() != 1 {
+		t.Fatalf("executed %d times before Forget, want 1", execs.Load())
+	}
+	// ...until Forget drops it; then a fresh submission re-executes.
+	if !r.Forget(j.Key()) {
+		t.Fatal("Forget returned false for a finished task")
+	}
+	if r.Forget(j.Key()) {
+		t.Fatal("second Forget of the same key returned true")
+	}
+	if _, err := r.Run(context.Background(), j); err != nil {
+		t.Fatalf("rerun after Forget failed: %v", err)
+	}
+	if execs.Load() != 2 {
+		t.Fatalf("executed %d times after Forget, want 2", execs.Load())
+	}
+}
+
+func TestForgetInFlightRefused(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{})
+	r, err := New(Options{Workers: 1}, func(_ context.Context, j Job) (*machine.Result, error) {
+		close(started)
+		<-release
+		return fakeResult(j), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := testJob(0)
+	task := r.Submit(context.Background(), j)
+	<-started
+	if r.Forget(j.Key()) {
+		t.Fatal("Forget dropped a running task")
+	}
+	close(release)
+	if _, err := task.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Forget(j.Key()) {
+		t.Fatal("Forget refused a finished task")
 	}
 }
 

@@ -95,14 +95,13 @@ func (t *Telemetry) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	WritePrometheus(w, m)
+	writePrometheus(w, m)
 }
 
-// WritePrometheus renders a Metrics snapshot in the Prometheus text
+// writePrometheus renders a Metrics snapshot in the Prometheus text
 // exposition format (version 0.0.4): gauges for the in-flight queue
-// state, counters for totals. Shared by the telemetry server and the
-// sweep service's /metrics endpoint.
-func WritePrometheus(w io.Writer, m Metrics) {
+// state, counters for totals.
+func writePrometheus(w io.Writer, m Metrics) {
 	put := func(name, kind, help string, v any) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, kind, name, v)
 	}
@@ -114,7 +113,6 @@ func WritePrometheus(w io.Writer, m Metrics) {
 	put("latsim_jobs_executed_total", "counter", "Jobs simulated to completion.", m.Executed)
 	put("latsim_jobs_cache_hits_total", "counter", "Jobs satisfied from the persistent cache.", m.CacheHits)
 	put("latsim_jobs_cache_misses_total", "counter", "Persistent-cache probes that found no entry.", m.CacheMisses)
-	put("latsim_jobs_retried_total", "counter", "Failed execution attempts that were re-run.", m.Retried)
 	put("latsim_jobs_failed_total", "counter", "Jobs that errored, panicked or timed out.", m.Failed)
 	put("latsim_sim_cycles_total", "counter", "Simulated cycles over executed jobs.", m.SimCycles)
 	put("latsim_sim_events_total", "counter", "Discrete events fired over executed jobs.", m.SimEvents)

@@ -18,9 +18,6 @@ import (
 type SweepSpec struct {
 	// Name is an optional client label echoed in statuses.
 	Name string `json:"name,omitempty"`
-	// Priority orders sweeps in the scheduler: higher runs sooner;
-	// equal priorities run in submission order (FIFO).
-	Priority int `json:"priority,omitempty"`
 	// Experiment names a canned experiment. Its rendered result is
 	// byte-identical to the cmd/figures output for the same id.
 	// Mutually exclusive with Jobs.
@@ -89,31 +86,23 @@ func ParseSpec(raw []byte) (*SweepSpec, error) {
 	return &spec, nil
 }
 
-// Sweep states. A sweep is terminal in StateDone, StateFailed and
-// StateCanceled.
+// Sweep states. A sweep runs from the moment it is accepted; it is
+// terminal in StateDone, StateFailed and StateCanceled.
 const (
-	StateQueued   = "queued"
 	StateRunning  = "running"
 	StateDone     = "done"
 	StateFailed   = "failed"
 	StateCanceled = "canceled"
 )
 
-// Job states within a sweep.
+// Job states within a sweep. A pending job is queued in the engine or
+// executing.
 const (
-	JobPending = "pending"
-	JobRunning = "running"
-	JobDone    = "done"
-	JobFailed  = "failed"
-	JobSkipped = "skipped" // sweep canceled before the job dispatched
+	JobPending  = "pending"
+	JobDone     = "done"
+	JobFailed   = "failed"
+	JobCanceled = "canceled" // its sweep was canceled before the job finished
 )
-
-// Attempt is one failed execution attempt of a job (mirrors the
-// runner's error ledger).
-type Attempt struct {
-	N   int    `json:"n"`
-	Err string `json:"err"`
-}
 
 // JobStatus is one job's progress within a sweep.
 type JobStatus struct {
@@ -127,8 +116,6 @@ type JobStatus struct {
 	FromCache bool `json:"from_cache,omitempty"`
 	// ElapsedCycles is the simulated run length (valid once done).
 	ElapsedCycles uint64 `json:"elapsed_cycles,omitempty"`
-	// Attempts lists failed execution attempts that were retried.
-	Attempts []Attempt `json:"attempts,omitempty"`
 	// Error is the job's final error (failed jobs only).
 	Error string `json:"error,omitempty"`
 }
@@ -138,17 +125,17 @@ type SweepStatus struct {
 	ID         string `json:"id"`
 	Name       string `json:"name,omitempty"`
 	State      string `json:"state"`
-	Priority   int    `json:"priority,omitempty"`
 	Experiment string `json:"experiment,omitempty"`
 	Scale      string `json:"scale"`
 	// Created/Started/Finished are RFC 3339 timestamps ("" if the
-	// phase has not been reached).
+	// phase has not been reached). A sweep starts when it is accepted,
+	// so Started equals Created.
 	Created  string `json:"created"`
 	Started  string `json:"started,omitempty"`
 	Finished string `json:"finished,omitempty"`
 	// Error is the sweep-level failure reason (failed sweeps only).
 	Error string `json:"error,omitempty"`
-	// Jobs has one entry per tracked job, in scheduling order.
+	// Jobs has one entry per tracked job, in submission order.
 	Jobs []JobStatus `json:"jobs"`
 	// Done counts terminal jobs; Total is len(Jobs). A render-only
 	// sweep (an experiment whose jobs are not known ahead of render
@@ -162,7 +149,6 @@ type SweepSummary struct {
 	ID         string `json:"id"`
 	Name       string `json:"name,omitempty"`
 	State      string `json:"state"`
-	Priority   int    `json:"priority,omitempty"`
 	Experiment string `json:"experiment,omitempty"`
 	Done       int    `json:"done"`
 	Total      int    `json:"total"`
@@ -179,27 +165,23 @@ type Created struct {
 	ID string `json:"id"`
 }
 
-// Stats is the GET /v1/stats document: the engine's counters plus the
-// service's sweep and scheduler state.
+// Stats is the GET /v1/stats document: the engine's counters and queue
+// state plus the service's sweep counts.
 type Stats struct {
 	// Engine counters (cumulative since the service started).
 	Submitted uint64 `json:"submitted"`
 	Deduped   uint64 `json:"deduped"`
 	Executed  uint64 `json:"executed"`
 	CacheHits uint64 `json:"cache_hits"`
-	Retried   uint64 `json:"retried"`
 	Failed    uint64 `json:"failed"`
 	// Cache state (0 when the persistent cache is disabled).
 	CacheEntries int   `json:"cache_entries"`
 	CacheBytes   int64 `json:"cache_bytes"`
-	// Scheduler state.
+	// Engine queue state: jobs waiting for a worker and executing.
 	QueuedJobs   int `json:"queued_jobs"`
 	InflightJobs int `json:"inflight_jobs"`
 	// Sweep counts by state.
 	Sweeps map[string]int `json:"sweeps"`
-	// Draining reports that the service has stopped accepting sweeps
-	// and is waiting for the accepted ones to finish.
-	Draining bool `json:"draining,omitempty"`
 }
 
 // ObsDoc is the GET /v1/sweeps/{id}/obs document: everything the

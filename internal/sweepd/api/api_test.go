@@ -6,11 +6,11 @@ import (
 )
 
 func TestParseSpecExperiment(t *testing.T) {
-	spec, err := ParseSpec([]byte(`{"experiment": "fig2", "priority": 3, "name": "nightly"}`))
+	spec, err := ParseSpec([]byte(`{"experiment": "fig2", "name": "nightly"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Experiment != "fig2" || spec.Priority != 3 || spec.Name != "nightly" {
+	if spec.Experiment != "fig2" || spec.Name != "nightly" {
 		t.Fatalf("parsed %+v", spec)
 	}
 }

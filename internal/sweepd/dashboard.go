@@ -36,11 +36,10 @@ const dashboardHTML = `<!doctype html>
   .grid { display: flex; gap: 2.5rem; flex-wrap: wrap; }
   .stat b { display: block; font-size: 20px; }
   .state-done { color: #7ee787; } .state-failed, .state-canceled { color: #ff7b72; }
-  .state-running { color: #79c0ff; } .state-queued { color: #8b98a5; }
+  .state-running { color: #79c0ff; }
   .bar { background: #2a333c; height: 6px; width: 160px; border-radius: 3px; }
   .bar i { display: block; background: #79c0ff; height: 6px; border-radius: 3px; }
   pre { color: #8b98a5; max-height: 16rem; overflow-y: auto; }
-  #drain { color: #ffb86b; display: none; }
   select { font: inherit; background: #1a212a; color: #d6dde4;
            border: 1px solid #2a333c; border-radius: 3px; padding: 1px 4px; }
   .wf { margin: 2px 0; }
@@ -57,12 +56,12 @@ const dashboardHTML = `<!doctype html>
 </style>
 </head>
 <body>
-<h1>sweepd <span id="drain">— draining</span></h1>
+<h1>sweepd</h1>
 <div class="grid" id="stats"></div>
 <h2>sweeps</h2>
 <table><thead><tr>
   <th>id</th><th>name</th><th>experiment</th><th>state</th>
-  <th>progress</th><th>prio</th><th>created</th>
+  <th>progress</th><th>created</th>
 </tr></thead><tbody id="sweeps"></tbody></table>
 <h2>observability
   <select id="obs-sweep"><option value="">(pick an obs sweep)</option></select>
@@ -83,21 +82,20 @@ async function tick() {
     ]);
     const cells = [
       ["executed", stats.executed], ["cache hits", stats.cache_hits],
-      ["deduped", stats.deduped], ["retried", stats.retried],
-      ["failed", stats.failed], ["queued", stats.queued_jobs],
+      ["deduped", stats.deduped], ["failed", stats.failed],
+      ["queued", stats.queued_jobs],
       ["in flight", stats.inflight_jobs],
       ["cache", stats.cache_entries + " / " + stats.cache_bytes + " B"],
     ];
     document.getElementById("stats").innerHTML = cells.map(
       ([k, v]) => '<div class="stat"><b>' + esc(v) + "</b>" + esc(k) + "</div>").join("");
-    document.getElementById("drain").style.display = stats.draining ? "inline" : "none";
     document.getElementById("sweeps").innerHTML = (sweeps.sweeps || []).slice().reverse().map(s => {
       const pct = s.total ? Math.round(100 * s.done / s.total) : (s.state === "done" ? 100 : 0);
       return "<tr><td>" + esc(s.id) + "</td><td>" + esc(s.name) + "</td><td>" +
         esc(s.experiment || "jobs") + '</td><td class="state-' + esc(s.state) + '">' +
         esc(s.state) + '</td><td><div class="bar"><i style="width:' + pct +
-        '%"></i></div> ' + s.done + "/" + s.total + "</td><td>" + esc(s.priority || 0) +
-        "</td><td>" + esc(s.created) + "</td></tr>";
+        '%"></i></div> ' + s.done + "/" + s.total + "</td><td>" +
+        esc(s.created) + "</td></tr>";
     }).join("");
     document.getElementById("events").textContent = (events.events || []).join("\n");
     syncObsOptions(sweeps.sweeps || []);

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 
-	"latsim/internal/runner"
 	"latsim/internal/sweepd/api"
 )
 
@@ -26,8 +25,7 @@ const maxSpecBytes = 1 << 20
 //	GET    /v1/sweeps/{id}/diff   diff vs another sweep (?base=<id>)
 //	DELETE /v1/sweeps/{id}        cancel
 //	GET    /v1/stats              service + engine counters
-//	GET    /metrics               Prometheus exposition of the engine
-//	GET    /healthz               liveness (503 while draining)
+//	GET    /healthz               liveness
 //	GET    /dashboard             live HTML dashboard
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -44,18 +42,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		runner.WritePrometheus(w, s.eng.Metrics())
-	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining {
-			writeError(w, http.StatusServiceUnavailable, "draining")
-			return
-		}
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /dashboard", s.handleDashboard)
@@ -80,13 +67,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := s.Submit(spec)
 	if err != nil {
-		code := http.StatusBadRequest
-		s.mu.Lock()
-		if s.draining {
-			code = http.StatusServiceUnavailable
-		}
-		s.mu.Unlock()
-		writeError(w, code, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, api.Created{ID: id})
@@ -108,7 +89,7 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		switch state {
 		case "":
 			writeError(w, http.StatusNotFound, "no sweep %q", id)
-		case api.StateQueued, api.StateRunning:
+		case api.StateRunning:
 			// 409: the resource exists but is not ready; poll status.
 			writeError(w, http.StatusConflict, "sweep %s is %s", id, state)
 		default:

@@ -8,25 +8,20 @@
 // every sweep and every client, so the engine's content-hash memo and
 // persistent cache give cross-client dedup for free: two clients
 // POSTing the same figure concurrently execute each simulation once.
-// Priority lives above the engine — the service holds submitted jobs in
-// a priority queue and keeps at most Workers of them in flight, so a
-// high-priority sweep overtakes a queued backlog without preempting
-// running jobs. Retry with exponential backoff lives below, inside the
-// engine (runner.Options.Retries), where it also covers every other
-// front end. Rendering goes through core.RunExperiment, the same code
+// The engine is also the only job queue: each accepted sweep is one
+// goroutine that submits every job, waits for each in order, then
+// renders. Rendering goes through core.RunExperiment, the same code
 // path cmd/figures prints with, so an experiment sweep's result is
 // byte-identical to the CLI's output.
 package sweepd
 
 import (
 	"bytes"
-	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -53,20 +48,11 @@ type Options struct {
 	// CacheMaxBytes caps it with LRU eviction (0 = unbounded).
 	CacheDir      string
 	CacheMaxBytes int64
-	// Timeout is the per-attempt wall-clock limit (0 = none).
+	// Timeout is the per-job wall-clock limit (0 = none).
 	Timeout time.Duration
-	// Retries, RetryBackoff and RetryMaxBackoff configure the engine's
-	// retry of failed attempts (error, panic or timeout).
-	Retries         int
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
 	// ObsSpanRate is the span-tracing sample rate for obs-enabled
 	// sweeps (0 = the figures CLI's default, 1/64).
 	ObsSpanRate float64
-	// ChaosFailures injects faults for testing the retry path: the
-	// first N executions panic before simulating. With Retries > 0 the
-	// affected jobs recover on a later attempt.
-	ChaosFailures int
 	// Trace receives the engine's progress lines (nil discards).
 	Trace io.Writer
 	// Exec overrides the execution function (nil = core.Exec, the real
@@ -76,27 +62,21 @@ type Options struct {
 }
 
 // Service is the sweep control plane. Create with New, serve Handler()
-// over HTTP, stop with Drain (graceful) and Close.
+// over HTTP, stop with Close.
 type Service struct {
-	opts    Options
-	eng     *runner.Runner
-	workers int
+	opts Options
+	eng  *runner.Runner
 
 	ctx    context.Context // base context; Close cancels every job
 	cancel context.CancelFunc
+	wg     sync.WaitGroup // one count per sweep goroutine
 
 	mu       sync.Mutex
-	cond     *sync.Cond // signaled on sweep completion (Drain waits on it)
 	sweeps   map[string]*sweep
 	order    []string // sweep ids in submission order
 	sessions map[sessionKey]*sessionEntry
-	queue    jobQueue
-	seq      int64 // FIFO tiebreak within a priority
 	nextID   int
-	inflight int
-	draining bool
-
-	chaosLeft int64 // remaining injected faults
+	closed   bool
 
 	events eventLog // dashboard's recent-activity feed
 }
@@ -131,17 +111,13 @@ type sweep struct {
 	cancel context.CancelFunc
 
 	// Guarded by Service.mu.
-	state      string
-	err        string
-	jobs       []*jobEntry
-	remaining  int  // jobs not yet terminal; render runs when it hits 0
-	finalizing bool // a goroutine owns the render step
-	collected  bool // the result has been served at least once
-	created    time.Time
-	started    time.Time
-	finished   time.Time
-	result     []byte // rendered output (terminal sweeps)
-	resultCT   string // result content type
+	state    string
+	err      string
+	jobs     []*jobEntry
+	created  time.Time
+	finished time.Time
+	result   []byte // rendered output (terminal sweeps)
+	resultCT string // result content type
 }
 
 // jobEntry is one tracked job of a sweep. Guarded by Service.mu except
@@ -154,40 +130,8 @@ type jobEntry struct {
 	state     string
 	fromCache bool
 	elapsed   uint64
-	attempts  []runner.Attempt
 	err       string
 	res       *machine.Result
-}
-
-// jobItem is one scheduler queue entry. entry == nil marks a
-// render-only sweep's single synthetic step (experiments whose jobs are
-// unknown before render time still queue and count against Workers).
-type jobItem struct {
-	prio  int
-	seq   int64
-	sweep *sweep
-	entry *jobEntry
-}
-
-// jobQueue is a max-heap on (priority, FIFO order).
-type jobQueue []*jobItem
-
-func (q jobQueue) Len() int { return len(q) }
-func (q jobQueue) Less(i, j int) bool {
-	if q[i].prio != q[j].prio {
-		return q[i].prio > q[j].prio
-	}
-	return q[i].seq < q[j].seq
-}
-func (q jobQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *jobQueue) Push(x any)   { *q = append(*q, x.(*jobItem)) }
-func (q *jobQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
 }
 
 // New builds the service and its shared engine.
@@ -199,40 +143,22 @@ func New(opts Options) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		opts:      opts,
-		sweeps:    map[string]*sweep{},
-		sessions:  map[sessionKey]*sessionEntry{},
-		chaosLeft: int64(opts.ChaosFailures),
+		opts:     opts,
+		sweeps:   map[string]*sweep{},
+		sessions: map[sessionKey]*sessionEntry{},
 	}
-	s.cond = sync.NewCond(&s.mu)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	exec := opts.Exec
 	if exec == nil {
 		exec = core.Exec
 	}
-	if opts.ChaosFailures > 0 {
-		exec = s.chaosExec(exec)
-	}
 	eng, err := runner.New(runner.Options{
-		Workers:         opts.Workers,
-		CacheDir:        opts.CacheDir,
-		CacheMaxBytes:   opts.CacheMaxBytes,
-		Timeout:         opts.Timeout,
-		Retries:         opts.Retries,
-		RetryBackoff:    opts.RetryBackoff,
-		RetryMaxBackoff: opts.RetryMaxBackoff,
-		Trace:           opts.Trace,
+		Workers:       opts.Workers,
+		CacheDir:      opts.CacheDir,
+		CacheMaxBytes: opts.CacheMaxBytes,
+		Timeout:       opts.Timeout,
+		Trace:         opts.Trace,
 		Hooks: &runner.Hooks{
-			OnAttemptStart: func(_ string, j runner.Job, n int) {
-				if n > 1 {
-					s.events.addf("retrying %s (attempt %d)", j, n)
-				}
-			},
-			OnAttemptDone: func(_ string, j runner.Job, n int, err error) {
-				if err != nil {
-					s.events.addf("attempt %d of %s failed: %v", n, j, firstLine(err))
-				}
-			},
 			OnFinish: func(_ string, j runner.Job, err error, hit bool) {
 				switch {
 				case err != nil:
@@ -249,29 +175,7 @@ func New(opts Options) (*Service, error) {
 		return nil, err
 	}
 	s.eng = eng
-	s.workers = opts.Workers
-	if s.workers <= 0 {
-		s.workers = runtime.GOMAXPROCS(0)
-	}
 	return s, nil
-}
-
-// chaosExec panics for the first ChaosFailures executions, then passes
-// through — the in-process stand-in for killing a worker, exercising
-// panic containment and retry end to end.
-func (s *Service) chaosExec(exec runner.ExecFunc) runner.ExecFunc {
-	return func(ctx context.Context, j runner.Job) (*machine.Result, error) {
-		s.mu.Lock()
-		n := s.chaosLeft
-		if n > 0 {
-			s.chaosLeft--
-		}
-		s.mu.Unlock()
-		if n > 0 {
-			panic(fmt.Sprintf("sweepd: chaos: injected worker failure (%d left)", n-1))
-		}
-		return exec(ctx, j)
-	}
 }
 
 // Engine exposes the shared engine (metrics, cache) to the HTTP layer
@@ -306,9 +210,10 @@ func (s *Service) session(key sessionKey) *sessionEntry {
 	return e
 }
 
-// Submit accepts a parsed sweep spec, queues its jobs, and returns the
-// sweep id. It validates everything derived from untrusted input
-// (scale, experiment id, per-job configs) before accepting.
+// Submit accepts a parsed sweep spec, starts the goroutine that runs
+// it, and returns the sweep id. It validates everything derived from
+// untrusted input (scale, experiment id, per-job configs) before
+// accepting.
 func (s *Service) Submit(spec *api.SweepSpec) (string, error) {
 	scaleStr := spec.Scale
 	if scaleStr == "" {
@@ -340,7 +245,7 @@ func (s *Service) Submit(spec *api.SweepSpec) (string, error) {
 		spec:  spec,
 		scale: scale,
 		sess:  sessEnt,
-		state: api.StateQueued,
+		state: api.StateRunning,
 	}
 	sw.ctx, sw.cancel = context.WithCancel(s.ctx)
 
@@ -378,33 +283,22 @@ func (s *Service) Submit(spec *api.SweepSpec) (string, error) {
 			state:   api.JobPending,
 		})
 	}
-	sw.remaining = len(sw.jobs)
 
 	s.mu.Lock()
-	if s.draining {
+	if s.closed {
 		s.mu.Unlock()
 		sw.cancel()
-		return "", errors.New("sweepd: draining, not accepting sweeps")
+		return "", fmt.Errorf("sweepd: %w", runner.ErrClosed)
 	}
 	s.nextID++
 	sw.id = fmt.Sprintf("s%d", s.nextID)
 	sw.created = time.Now()
 	s.sweeps[sw.id] = sw
 	s.order = append(s.order, sw.id)
-	if len(sw.jobs) == 0 {
-		// Render-only: queue one synthetic step so priority ordering and
-		// the Workers bound still apply.
-		s.seq++
-		heap.Push(&s.queue, &jobItem{prio: spec.Priority, seq: s.seq, sweep: sw})
-	} else {
-		for _, je := range sw.jobs {
-			s.seq++
-			heap.Push(&s.queue, &jobItem{prio: spec.Priority, seq: s.seq, sweep: sw, entry: je})
-		}
-	}
+	s.wg.Add(1)
 	s.mu.Unlock()
 	s.events.addf("accepted sweep %s (%s, %d jobs)", sw.id, sw.label(), len(sw.jobs))
-	s.dispatch()
+	go s.run(sw)
 	return sw.id, nil
 }
 
@@ -415,71 +309,37 @@ func (sw *sweep) label() string {
 	return fmt.Sprintf("%d explicit jobs", len(sw.spec.Jobs))
 }
 
-// dispatch starts queued jobs while worker slots are free. Callers must
-// NOT hold s.mu.
-func (s *Service) dispatch() {
-	for {
-		s.mu.Lock()
-		if s.inflight >= s.workers || s.queue.Len() == 0 {
-			s.mu.Unlock()
-			return
-		}
-		it := heap.Pop(&s.queue).(*jobItem)
-		sw := it.sweep
-		if sw.state == api.StateCanceled {
-			if it.entry != nil && it.entry.state == api.JobPending {
-				it.entry.state = api.JobSkipped
-				sw.remaining--
-			}
-			s.mu.Unlock()
-			continue
-		}
-		if sw.state == api.StateQueued {
-			sw.state = api.StateRunning
-			sw.started = time.Now()
-		}
-		s.inflight++
-		if it.entry != nil {
-			it.entry.state = api.JobRunning
-		}
-		s.mu.Unlock()
-		go s.runItem(it)
+// run is a sweep's goroutine: it submits every job to the shared
+// engine, records each outcome in order, then finishes the sweep.
+func (s *Service) run(sw *sweep) {
+	defer s.wg.Done()
+	defer sw.cancel() // every task of the sweep has finished by then
+	tasks := make([]*runner.Task, len(sw.jobs))
+	for i, je := range sw.jobs {
+		tasks[i] = s.eng.Submit(sw.ctx, je.job)
 	}
-}
-
-// runItem executes one queue entry, releases its worker slot, and
-// finalizes the sweep when it was the last outstanding piece.
-func (s *Service) runItem(it *jobItem) {
-	sw := it.sweep
-	if it.entry != nil {
-		s.runJob(sw, it.entry)
+	for i, je := range sw.jobs {
+		s.runJob(sw, je, tasks[i])
 	}
-	s.mu.Lock()
-	s.inflight--
-	last := it.entry == nil || (sw.remaining == 0 && sw.state == api.StateRunning)
-	s.mu.Unlock()
-	if last {
-		s.finalize(sw)
-	}
-	s.dispatch()
+	s.finalize(sw)
 }
 
 // maxPoisonRetries bounds Forget+resubmit of a task failed by another
 // sweep's canceled context.
 const maxPoisonRetries = 2
 
-// runJob submits the job to the shared engine and records its outcome.
-func (s *Service) runJob(sw *sweep, je *jobEntry) {
-	task := s.eng.Submit(sw.ctx, je.job)
+// runJob waits for the job's task and records its outcome.
+func (s *Service) runJob(sw *sweep, je *jobEntry, task *runner.Task) {
 	res, err := task.Wait()
 	// Cross-sweep context poisoning: the engine memoizes the FIRST
 	// submitter's context, so a job deduplicated onto a sweep that was
-	// canceled mid-flight fails with that sweep's cancellation even
-	// though ours is live. Forget the poisoned memo entry and resubmit
-	// under our own context (bounded; normally the retry loads the
-	// fresh result from the persistent cache or re-executes once).
-	for retries := 0; err != nil && sw.ctx.Err() == nil &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) &&
+	// canceled — while its task ran or still queued — fails with that
+	// sweep's cancellation even though ours is live. Forget the
+	// poisoned memo entry and resubmit under our own context (bounded;
+	// normally the resubmission loads the fresh result from the
+	// persistent cache or executes once). A timeout is the job's own
+	// failure, not poisoning: no sweep context has a deadline.
+	for retries := 0; err != nil && sw.ctx.Err() == nil && errors.Is(err, context.Canceled) &&
 		retries < maxPoisonRetries; retries++ {
 		if !s.eng.Forget(je.key) {
 			break
@@ -489,32 +349,26 @@ func (s *Service) runJob(sw *sweep, je *jobEntry) {
 		res, err = task.Wait()
 	}
 	s.mu.Lock()
-	je.attempts = task.Attempts()
 	je.fromCache = task.FromCache()
-	if err != nil {
-		je.state = api.JobFailed
-		je.err = err.Error()
-	} else {
+	switch {
+	case err == nil:
 		je.state = api.JobDone
 		je.res = res
 		if res != nil {
 			je.elapsed = uint64(res.Elapsed)
 		}
+	case sw.ctx.Err() != nil:
+		je.state = api.JobCanceled
+	default:
+		je.state = api.JobFailed
+		je.err = err.Error()
 	}
-	sw.remaining--
 	s.mu.Unlock()
 }
 
-// finalize renders the sweep's result once every job is terminal. Two
-// jobs finishing together can both observe remaining == 0; the
-// finalizing flag elects exactly one renderer.
+// finalize renders the sweep's result once every job is terminal.
 func (s *Service) finalize(sw *sweep) {
 	s.mu.Lock()
-	if sw.state != api.StateRunning || sw.finalizing {
-		s.mu.Unlock()
-		return
-	}
-	sw.finalizing = true
 	var failed *jobEntry
 	for _, je := range sw.jobs {
 		if je.state == api.JobFailed {
@@ -556,7 +410,6 @@ func (s *Service) finalize(sw *sweep) {
 	}
 	s.mu.Unlock()
 	s.events.addf("sweep %s %s", sw.id, state)
-	s.cond.Broadcast()
 }
 
 // render produces the sweep's result document. Experiment sweeps go
@@ -616,49 +469,21 @@ func (s *Service) renderJobs(sw *sweep) ([]byte, string, error) {
 	return append(b, '\n'), "application/json", nil
 }
 
-// Drain stops accepting sweeps and waits until every accepted sweep is
-// terminal or ctx expires. It does not cancel anything: accepted work
-// finishes normally.
-func (s *Service) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	stop := context.AfterFunc(ctx, func() { s.cond.Broadcast() })
-	defer stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		active := 0
-		for _, sw := range s.sweeps {
-			switch sw.state {
-			case api.StateQueued, api.StateRunning:
-				active++
-			}
-		}
-		if active == 0 {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("sweepd: drain: %d sweeps still active: %w", active, ctx.Err())
-		}
-		s.cond.Wait()
-	}
-}
-
-// Close cancels every in-flight job and rejects further engine
-// submissions. Call Drain first for a graceful stop.
+// Close cancels every sweep, rejects further submissions, and returns
+// once every sweep's goroutine has exited.
 func (s *Service) Close() {
 	s.mu.Lock()
-	s.draining = true
+	s.closed = true
 	s.mu.Unlock()
 	s.cancel()
 	s.eng.Close()
-	s.cond.Broadcast()
+	s.wg.Wait()
 }
 
-// Cancel cancels a sweep: pending jobs are skipped, running ones are
-// interrupted through the sweep's context. Canceling a terminal sweep
-// is a no-op. Reports whether the sweep exists.
+// Cancel cancels a sweep through its context: its running jobs are
+// interrupted and its queued ones fail without executing, all reporting
+// JobCanceled. Canceling a terminal sweep is a no-op. Reports whether
+// the sweep exists.
 func (s *Service) Cancel(id string) bool {
 	s.mu.Lock()
 	sw, ok := s.sweeps[id]
@@ -666,19 +491,15 @@ func (s *Service) Cancel(id string) bool {
 		s.mu.Unlock()
 		return false
 	}
-	terminal := sw.state == api.StateDone || sw.state == api.StateFailed || sw.state == api.StateCanceled
-	if !terminal {
-		if sw.state == api.StateQueued {
-			sw.started = time.Now()
-		}
+	running := sw.state == api.StateRunning
+	if running {
 		sw.state = api.StateCanceled
 		sw.finished = time.Now()
 	}
 	s.mu.Unlock()
-	if !terminal {
+	if running {
 		sw.cancel()
 		s.events.addf("sweep %s canceled", id)
-		s.cond.Broadcast()
 	}
 	return true
 }
@@ -699,11 +520,10 @@ func (sw *sweep) statusLocked() *api.SweepStatus {
 		ID:         sw.id,
 		Name:       sw.spec.Name,
 		State:      sw.state,
-		Priority:   sw.spec.Priority,
 		Experiment: sw.spec.Experiment,
 		Scale:      sw.scale.String(),
 		Created:    stamp(sw.created),
-		Started:    stamp(sw.started),
+		Started:    stamp(sw.created),
 		Finished:   stamp(sw.finished),
 		Error:      sw.err,
 		Total:      len(sw.jobs),
@@ -718,11 +538,8 @@ func (sw *sweep) statusLocked() *api.SweepStatus {
 			ElapsedCycles: je.elapsed,
 			Error:         je.err,
 		}
-		for _, a := range je.attempts {
-			js.Attempts = append(js.Attempts, api.Attempt{N: a.N, Err: a.Err})
-		}
 		switch je.state {
-		case api.JobDone, api.JobFailed, api.JobSkipped:
+		case api.JobDone, api.JobFailed, api.JobCanceled:
 			st.Done++
 		}
 		st.Jobs = append(st.Jobs, js)
@@ -742,7 +559,6 @@ func (s *Service) List() *api.SweepList {
 			ID:         st.ID,
 			Name:       st.Name,
 			State:      st.State,
-			Priority:   st.Priority,
 			Experiment: st.Experiment,
 			Done:       st.Done,
 			Total:      st.Total,
@@ -765,37 +581,7 @@ func (s *Service) Result(id string) (data []byte, contentType, state string, ok 
 	if sw.state != api.StateDone {
 		return nil, "", sw.state, false
 	}
-	if !sw.collected {
-		sw.collected = true
-		s.cond.Broadcast() // WaitCollected may be blocked on this fetch
-	}
 	return sw.result, sw.resultCT, sw.state, true
-}
-
-// WaitCollected blocks until every successfully finished sweep's result
-// has been served at least once, or ctx expires. A draining service
-// calls this after Drain so it does not exit holding results no client
-// has seen — the last leg of "accepted work is never lost".
-func (s *Service) WaitCollected(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() { s.cond.Broadcast() })
-	defer stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		uncollected := 0
-		for _, sw := range s.sweeps {
-			if sw.state == api.StateDone && !sw.collected {
-				uncollected++
-			}
-		}
-		if uncollected == 0 {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("sweepd: %d results never collected: %w", uncollected, ctx.Err())
-		}
-		s.cond.Wait()
-	}
 }
 
 // Report aggregates the sweep's per-job observability reports. Returns
@@ -902,22 +688,20 @@ func (s *Service) obsReports(id string) ([]*obs.Report, bool) {
 func (s *Service) Stats() *api.Stats {
 	m := s.eng.Metrics()
 	st := &api.Stats{
-		Submitted: uint64(m.Submitted),
-		Deduped:   uint64(m.Deduped),
-		Executed:  uint64(m.Executed),
-		CacheHits: uint64(m.CacheHits),
-		Retried:   uint64(m.Retried),
-		Failed:    uint64(m.Failed),
-		Sweeps:    map[string]int{},
+		Submitted:    uint64(m.Submitted),
+		Deduped:      uint64(m.Deduped),
+		Executed:     uint64(m.Executed),
+		CacheHits:    uint64(m.CacheHits),
+		Failed:       uint64(m.Failed),
+		QueuedJobs:   int(m.Queued),
+		InflightJobs: int(m.Running),
+		Sweeps:       map[string]int{},
 	}
 	if c := s.eng.Cache(); c != nil {
 		st.CacheEntries = c.Len()
 		st.CacheBytes = c.Size()
 	}
 	s.mu.Lock()
-	st.QueuedJobs = s.queue.Len()
-	st.InflightJobs = s.inflight
-	st.Draining = s.draining
 	for _, sw := range s.sweeps {
 		st.Sweeps[sw.state]++
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -227,115 +226,40 @@ func TestDedupAcrossConcurrentClients(t *testing.T) {
 	}
 }
 
-// An injected fault (a paniced worker) is retried with backoff and the
-// sweep completes; the attempt ledger records the failures.
-func TestChaosRetryRecovers(t *testing.T) {
+// A job that times out fails its sweep without being re-run, and the
+// sweep serves no result.
+func TestTimedOutJobFailsSweep(t *testing.T) {
 	var execs atomic.Int64
-	svc, ts := newTestService(t, Options{
-		Workers:       1,
-		Exec:          fakeExec(&execs),
-		ChaosFailures: 2,
-		Retries:       3,
-		RetryBackoff:  time.Millisecond,
-	})
+	exec := func(ctx context.Context, j runner.Job) (*machine.Result, error) {
+		execs.Add(1)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	_, ts := newTestService(t, Options{Workers: 1, Timeout: 10 * time.Millisecond, Exec: exec})
 	id := submit(t, ts.URL, `{"jobs": [{"app": "LU"}]}`)
 	st := waitTerminal(t, ts.URL, id)
-	if st.State != api.StateDone {
-		t.Fatalf("sweep did not recover: %+v", st)
-	}
-	if len(st.Jobs[0].Attempts) != 2 {
-		t.Fatalf("attempt ledger: %+v", st.Jobs[0].Attempts)
-	}
-	for i, a := range st.Jobs[0].Attempts {
-		if a.N != i+1 || !strings.Contains(a.Err, "chaos") {
-			t.Fatalf("attempt %d: %+v", i, a)
-		}
-	}
-	if m := svc.Engine().Metrics(); m.Retried != 2 {
-		t.Fatalf("Retried = %d, want 2", m.Retried)
-	}
-}
-
-func TestRetryBudgetExhaustedFailsSweep(t *testing.T) {
-	var execs atomic.Int64
-	_, ts := newTestService(t, Options{
-		Workers:       1,
-		Exec:          fakeExec(&execs),
-		ChaosFailures: 10,
-		Retries:       1,
-		RetryBackoff:  time.Millisecond,
-	})
-	id := submit(t, ts.URL, `{"jobs": [{"app": "LU"}]}`)
-	st := waitTerminal(t, ts.URL, id)
-	if st.State != api.StateFailed || st.Error == "" {
+	if st.State != api.StateFailed || !strings.Contains(st.Error, "deadline exceeded") {
 		t.Fatalf("status: %+v", st)
 	}
 	if st.Jobs[0].State != api.JobFailed {
 		t.Fatalf("job: %+v", st.Jobs[0])
+	}
+	if got := execs.Load(); got != 1 {
+		t.Fatalf("executions = %d, want 1 (a timed-out job is not re-run)", got)
 	}
 	if code, _ := get(t, ts.URL+"/v1/sweeps/"+id+"/result"); code != http.StatusConflict {
 		t.Fatalf("result of failed sweep: %d, want 409", code)
 	}
 }
 
-// A higher-priority sweep submitted later overtakes queued lower-
-// priority jobs (without preempting the one already running).
-func TestPriorityOvertakesQueue(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan string, 16)
-	var mu sync.Mutex
-	var order []string
-	exec := func(ctx context.Context, j runner.Job) (*machine.Result, error) {
-		mu.Lock()
-		order = append(order, j.App+"/"+fmt.Sprint(j.Cfg.Procs))
-		mu.Unlock()
-		started <- j.App
-		<-release
-		return &machine.Result{AppName: j.App, Cfg: j.Cfg, Elapsed: 1}, nil
-	}
-	_, ts := newTestService(t, Options{Workers: 1, Exec: exec})
-
-	submit(t, ts.URL, `{"jobs": [
-		{"app": "LU"}, {"app": "MP3D"}, {"app": "PTHOR"}
-	]}`)
-	<-started // the first low-priority job occupies the only worker
-	hi := submit(t, ts.URL, `{"priority": 5, "jobs": [{"app": "LU", "config": {"Procs": 4}}]}`)
-	close(release)
-
-	st := waitTerminal(t, ts.URL, hi)
-	if st.State != api.StateDone {
-		t.Fatalf("high-priority sweep: %+v", st)
-	}
-	// Drain the rest, then check order: LU first (was running), then
-	// the priority-5 job, then the remaining queue.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		n := len(order)
-		mu.Unlock()
-		if n == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d executions", n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []string{"LU/16", "LU/4", "MP3D/16", "PTHOR/16"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("execution order %v, want %v", order, want)
-		}
-	}
-}
-
 // DELETE cancels: the running job is interrupted through the sweep's
-// context, pending jobs are skipped, and no result is served.
+// context, the jobs queued behind it never execute, and no result is
+// served.
 func TestCancelInterruptsAndSkips(t *testing.T) {
 	started := make(chan struct{}, 4)
+	var execs atomic.Int64
 	exec := func(ctx context.Context, j runner.Job) (*machine.Result, error) {
+		execs.Add(1)
 		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -360,107 +284,70 @@ func TestCancelInterruptsAndSkips(t *testing.T) {
 	if st.State != api.StateCanceled {
 		t.Fatalf("state %s, want canceled", st.State)
 	}
-	var skipped int
+	var canceled int
 	deadline := time.Now().Add(10 * time.Second)
-	for skipped == 0 && time.Now().Before(deadline) {
+	for canceled != 3 && time.Now().Before(deadline) {
 		st = waitTerminal(t, ts.URL, id)
-		skipped = 0
+		canceled = 0
 		for _, js := range st.Jobs {
-			if js.State == api.JobSkipped {
-				skipped++
+			if js.State == api.JobCanceled {
+				canceled++
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if skipped != 2 {
-		t.Fatalf("skipped = %d, want 2: %+v", skipped, st.Jobs)
+	if canceled != 3 {
+		t.Fatalf("canceled jobs = %d, want 3: %+v", canceled, st.Jobs)
+	}
+	if got := execs.Load(); got != 1 {
+		t.Fatalf("executions = %d, want 1 (the queued jobs must not execute)", got)
 	}
 	if code, _ := get(t, ts.URL+"/v1/sweeps/"+id+"/result"); code != http.StatusConflict {
 		t.Fatalf("result of canceled sweep: %d, want 409", code)
 	}
 }
 
-// Drain stops intake but finishes accepted work.
-func TestDrainFinishesAcceptedWork(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
+// A sweep whose jobs deduplicated onto a canceled sweep's tasks — the
+// running one and the two queued behind it — resubmits them under its
+// own context and finishes.
+func TestCancelPoisoningResubmits(t *testing.T) {
+	started := make(chan struct{})
+	var execs, luExecs atomic.Int64
 	exec := func(ctx context.Context, j runner.Job) (*machine.Result, error) {
-		started <- struct{}{}
-		<-release
-		return &machine.Result{AppName: j.App, Cfg: j.Cfg, Elapsed: 7}, nil
+		execs.Add(1)
+		if j.App == "LU" && luExecs.Add(1) == 1 {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return &machine.Result{AppName: j.App, Cfg: j.Cfg, Elapsed: 1}, nil
 	}
 	svc, ts := newTestService(t, Options{Workers: 1, Exec: exec})
+	spec := `{"jobs": [{"app": "LU"}, {"app": "MP3D"}, {"app": "PTHOR"}]}`
 
-	id := submit(t, ts.URL, `{"jobs": [{"app": "LU"}]}`)
+	a := submit(t, ts.URL, spec)
 	<-started
-
-	drained := make(chan error, 1)
-	go func() { drained <- svc.Drain(context.Background()) }()
-
-	// Wait for the drain flag, then verify intake is closed.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var stats api.Stats
-		_, b := get(t, ts.URL+"/v1/stats")
-		if err := json.Unmarshal(b, &stats); err != nil {
-			t.Fatal(err)
-		}
-		if stats.Draining {
-			break
-		}
+	b := submit(t, ts.URL, spec)
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.Engine().Metrics().Deduped != 3 {
 		if time.Now().After(deadline) {
-			t.Fatal("draining flag never set")
+			t.Fatalf("sweep %s never deduplicated onto %s: %+v", b, a, svc.Engine().Metrics())
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	if code, b := post(t, ts.URL+"/v1/sweeps", `{"jobs": [{"app": "MP3D"}]}`); code != http.StatusServiceUnavailable {
-		t.Fatalf("submit while draining: %d %s", code, b)
-	}
-	if code, _ := get(t, ts.URL+"/healthz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz while draining: %d", code)
-	}
+	svc.Cancel(a)
 
-	close(release) // let the accepted job finish
-	if err := <-drained; err != nil {
-		t.Fatalf("Drain: %v", err)
+	st := waitTerminal(t, ts.URL, b)
+	if st.State != api.StateDone || st.Done != 3 {
+		t.Fatalf("sweep %s: %+v", b, st)
 	}
-	if st := waitTerminal(t, ts.URL, id); st.State != api.StateDone {
-		t.Fatalf("accepted sweep lost in drain: %+v", st)
-	}
-
-	// The drained result is still uncollected: WaitCollected must hold
-	// the door open until a client fetches it, then release.
-	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	if err := svc.WaitCollected(short); err == nil {
-		t.Fatal("WaitCollected returned before the result was fetched")
-	}
-	cancel()
-	if code, _ := get(t, ts.URL+"/v1/sweeps/"+id+"/result"); code != http.StatusOK {
-		t.Fatalf("result after drain: %d", code)
-	}
-	collected := make(chan error, 1)
-	go func() { collected <- svc.WaitCollected(context.Background()) }()
-	select {
-	case err := <-collected:
-		if err != nil {
-			t.Fatalf("WaitCollected after fetch: %v", err)
+	for _, js := range st.Jobs {
+		if js.State != api.JobDone {
+			t.Fatalf("job: %+v", js)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitCollected still blocked after the result was fetched")
 	}
-}
-
-func TestDrainTimeout(t *testing.T) {
-	exec := func(ctx context.Context, j runner.Job) (*machine.Result, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	svc, ts := newTestService(t, Options{Workers: 1, Exec: exec})
-	submit(t, ts.URL, `{"jobs": [{"app": "LU"}]}`)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := svc.Drain(ctx); err == nil {
-		t.Fatal("Drain returned nil with a sweep still running")
+	if got := execs.Load(); got != 4 {
+		t.Fatalf("executions = %d, want 4 (the interrupted LU, then LU, MP3D and PTHOR once each)", got)
 	}
 }
 
@@ -685,9 +572,6 @@ func TestDashboardServes(t *testing.T) {
 	}
 	if code, _ = get(t, ts.URL+"/dashboard/events"); code != http.StatusOK {
 		t.Fatalf("events: %d", code)
-	}
-	if code, _ = get(t, ts.URL+"/metrics"); code != http.StatusOK {
-		t.Fatalf("metrics: %d", code)
 	}
 }
 
