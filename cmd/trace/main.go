@@ -27,9 +27,6 @@ import (
 	"os"
 	"strings"
 
-	"latsim/internal/apps/lu"
-	"latsim/internal/apps/mp3d"
-	"latsim/internal/apps/pthor"
 	"latsim/internal/config"
 	"latsim/internal/core"
 	"latsim/internal/machine"
@@ -107,39 +104,9 @@ func doRecord(ctx context.Context, cfg config.Config, appName, scaleFlag, out st
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var app machine.App
-	switch appName {
-	case "MP3D":
-		p := mp3d.Default()
-		if scale == core.ScaleSmall {
-			p = mp3d.Scaled(2000, 2)
-		}
-		if seed != 0 {
-			p.Seed = seed
-		}
-		app = mp3d.New(p)
-	case "LU":
-		p := lu.Default()
-		if scale == core.ScaleSmall {
-			p = lu.Scaled(96)
-		}
-		if seed != 0 {
-			p.Seed = seed
-		}
-		app = lu.New(p)
-	case "PTHOR":
-		p := pthor.Default()
-		if scale == core.ScaleSmall {
-			p.Circuit.Gates = 3000
-			p.Circuit.Depth = 12
-			p.Cycles = 2
-		}
-		if seed != 0 {
-			p.Circuit.Seed = seed
-		}
-		app = pthor.New(p)
-	default:
-		fatalf("unknown app %q", appName)
+	app, err := core.NewApp(appName, scale, false, seed)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	rec := trace.NewRecorder(app)
 	m, err := machine.New(cfg)

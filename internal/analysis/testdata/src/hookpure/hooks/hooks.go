@@ -26,7 +26,7 @@ func (r *Recorder) Tick(n int) {
 // Defer schedules kernel work; the hazard is visible only through the
 // sim package's exported FnEffects facts.
 func (r *Recorder) Defer(fn func()) {
-	r.k.After(1, fn) // want `hook method \(hooks\.Recorder\)\.Defer schedules kernel work`
+	r.k.AfterActor(1, sim.Func(fn)) // want `hook method \(hooks\.Recorder\)\.Defer schedules kernel work`
 }
 
 // Tune writes simulation-model state through a model-package pointer.

@@ -117,8 +117,10 @@ func NewSession(scale Scale) *Session {
 	return &Session{Scale: scale}
 }
 
-// newApp builds a benchmark instance (fresh per run: apps hold state).
-func newApp(name string, scale Scale, prefetch bool, seed int64) (machine.App, error) {
+// NewApp builds a benchmark instance (fresh per run: apps hold state):
+// one of AppNames at the given scale, with software prefetching on or off.
+// A nonzero seed replaces the paper's input seed.
+func NewApp(name string, scale Scale, prefetch bool, seed int64) (machine.App, error) {
 	switch name {
 	case "MP3D":
 		p := mp3d.Default()
@@ -193,7 +195,7 @@ func Exec(ctx context.Context, j runner.Job) (*machine.Result, error) {
 			return nil, err
 		}
 	}
-	app, err := newApp(j.App, scale, j.Cfg.Prefetch, j.Seed)
+	app, err := NewApp(j.App, scale, j.Cfg.Prefetch, j.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -91,10 +91,10 @@ type Context struct {
 	stallCause stats.Bucket // its bucket before inline attribution
 	blockStart sim.Time     // when the context last blocked (obs latency)
 
-	// Pre-built closures for the callback-based msync/memsys interfaces
+	// Pre-built closure completions for lock grants and barrier arrivals
 	// (one allocation per context per run instead of per operation).
-	wakeFn    func()
-	barrierFn func()
+	wakeFn    sim.Func
+	barrierFn sim.Func
 
 	evt ctxEvent // kernel-event identity (see ctxEvent)
 }
@@ -536,7 +536,7 @@ func (p *Processor) doRead(c *Context) {
 		// bypass it.
 		c.stallStart = p.k.Now()
 		c.cont = contWBRead
-		p.node.WBOnLineRetireTask(a, sim.ActorTask(c))
+		p.node.WBOnLineRetire(a, c)
 		return
 	}
 	// Classify after the 1-cycle issue, at the same instant the access
@@ -552,7 +552,7 @@ func (p *Processor) doRead(c *Context) {
 func (p *Processor) wbReadRetired(c *Context) {
 	a := c.cur.addr
 	if p.node.WBPendingLine(a) {
-		p.node.WBOnLineRetireTask(a, sim.ActorTask(c))
+		p.node.WBOnLineRetire(a, c)
 		return
 	}
 	p.account(p.inlineStallBucket(stats.ReadStall), p.k.Now()-c.stallStart)
@@ -571,11 +571,11 @@ func (p *Processor) classifyRead(c *Context) {
 		c.stallStart = p.k.Now()
 		c.stallCause = stats.ReadStall
 		c.cont = contInlineDone
-		p.node.ReadTask(a, sim.ActorTask(c))
+		p.node.Read(a, c)
 	case memsys.ClassMiss:
 		p.blockOn(c, stats.ReadStall)
 		c.cont = contWake
-		p.node.ReadTask(a, sim.ActorTask(c))
+		p.node.Read(a, c)
 	}
 }
 
@@ -606,14 +606,14 @@ func (p *Processor) scWrite(c *Context, a mem.Addr) {
 		c.stallStart = p.k.Now()
 		c.stallCause = stats.WriteStall
 		c.cont = contInlineDone
-		if !p.node.WBEnqueueTask(a, false, sim.ActorTask(c)) {
+		if !p.node.WBEnqueue(a, false, c) {
 			panic("cpu: write buffer full under SC")
 		}
 		return
 	}
 	p.blockOn(c, stats.WriteStall)
 	c.cont = contWake
-	if !p.node.WBEnqueueTask(a, false, sim.ActorTask(c)) {
+	if !p.node.WBEnqueue(a, false, c) {
 		panic("cpu: write buffer full under SC")
 	}
 }
@@ -621,14 +621,14 @@ func (p *Processor) scWrite(c *Context, a mem.Addr) {
 // rcWrite buffers the write and continues; it only stalls when the write
 // buffer is full.
 func (p *Processor) rcWrite(c *Context, a mem.Addr) {
-	if p.node.WBEnqueueTask(a, false, sim.Task{}) {
+	if p.node.WBEnqueue(a, false, nil) {
 		p.exec(c)
 		return
 	}
 	p.blockOn(c, stats.WriteStall)
-	var try func()
+	var try sim.Func
 	try = func() {
-		if p.node.WBEnqueueTask(a, false, sim.Task{}) {
+		if p.node.WBEnqueue(a, false, nil) {
 			p.wake(c)
 			return
 		}
@@ -646,7 +646,7 @@ func (p *Processor) issuePrefetch(c *Context) {
 	// Prefetch buffer full: the processor stalls (overhead) until a slot
 	// frees.
 	start := p.k.Now()
-	var try func()
+	var try sim.Func
 	try = func() {
 		if p.node.PFEnqueue(a, excl) {
 			p.account(stats.PrefetchOverhead, p.k.Now()-start)
@@ -665,9 +665,9 @@ func (p *Processor) issueLock(c *Context) {
 		// Weak consistency: a synchronization access is a full fence —
 		// all previous accesses (and their invalidations) complete
 		// before it issues.
-		p.node.WBOnDrained(func() {
+		p.node.WBOnDrained(sim.Func(func() {
 			lk.Acquire(p.node, c.wakeFn)
-		})
+		}))
 		return
 	}
 	lk.Acquire(p.node, c.wakeFn)
@@ -681,14 +681,14 @@ func (p *Processor) issueUnlock(c *Context) {
 		// invalidations are acknowledged. PC: it simply performs in
 		// program order behind the buffered writes. Either way the
 		// processor continues immediately.
-		if p.node.WBEnqueueRelease(lk.Addr(), lk, sim.Task{}) {
+		if p.node.WBEnqueueRelease(lk.Addr(), lk, nil) {
 			p.exec(c)
 			return
 		}
 		p.blockOn(c, stats.SyncStall)
-		var try func()
+		var try sim.Func
 		try = func() {
-			if p.node.WBEnqueueRelease(lk.Addr(), lk, sim.Task{}) {
+			if p.node.WBEnqueueRelease(lk.Addr(), lk, nil) {
 				p.wake(c)
 				return
 			}
@@ -702,11 +702,11 @@ func (p *Processor) issueUnlock(c *Context) {
 		// wait for everything before it, then stall until it completes.
 		p.blockOn(c, stats.SyncStall)
 		c.cont = contWake
-		p.node.WBOnDrained(func() {
-			if !p.node.WBEnqueueRelease(lk.Addr(), lk, sim.ActorTask(c)) {
+		p.node.WBOnDrained(sim.Func(func() {
+			if !p.node.WBEnqueueRelease(lk.Addr(), lk, c) {
 				panic("cpu: write buffer full after drain fence")
 			}
-		})
+		}))
 		return
 	}
 	// SC: stall until the unlock store retires. A secondary-owned unlock
@@ -717,14 +717,14 @@ func (p *Processor) issueUnlock(c *Context) {
 		c.stallStart = p.k.Now()
 		c.stallCause = stats.SyncStall
 		c.cont = contInlineDone
-		if !p.node.WBEnqueueRelease(lk.Addr(), lk, sim.ActorTask(c)) {
+		if !p.node.WBEnqueueRelease(lk.Addr(), lk, c) {
 			panic("cpu: write buffer full under SC")
 		}
 		return
 	}
 	p.blockOn(c, stats.SyncStall)
 	c.cont = contWake
-	if !p.node.WBEnqueueRelease(lk.Addr(), lk, sim.ActorTask(c)) {
+	if !p.node.WBEnqueueRelease(lk.Addr(), lk, c) {
 		panic("cpu: write buffer full under SC")
 	}
 }
@@ -735,9 +735,9 @@ func (p *Processor) issueBarrier(c *Context) {
 	// The arrival increment is a release-marked write on the barrier
 	// counter: it waits for all previous writes and acks (the barrier's
 	// fence semantics) and serializes through the counter's home node.
-	var try func()
+	var try sim.Func
 	try = func() {
-		if p.node.WBEnqueueTask(b.CounterAddr(), true, sim.FuncTask(c.barrierFn)) {
+		if p.node.WBEnqueue(b.CounterAddr(), true, c.barrierFn) {
 			return
 		}
 		p.node.WBOnSpace(try)

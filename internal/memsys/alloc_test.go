@@ -4,8 +4,8 @@ import (
 	"testing"
 	"unsafe"
 
+	"latsim/internal/config"
 	"latsim/internal/mem"
-	"latsim/internal/sim"
 )
 
 // countTask is an allocation-free completion that counts its runs.
@@ -36,8 +36,8 @@ type protocolStep struct {
 func newProtocolStep() *protocolStep {
 	r := newRig(4, nil)
 	p := &protocolStep{r: r, a: r.alloc.AllocOnNode(mem.LineSize, 0), rel: r.alloc.AllocOnNode(mem.LineSize, 0)}
-	r.nodes[1].acquireOwnTask(p.a, sim.ActorTask(&p.done))
-	r.nodes[1].acquireOwnTask(p.rel, sim.ActorTask(&p.done))
+	r.nodes[1].AcquireOwnership(p.a, &p.done)
+	r.nodes[1].AcquireOwnership(p.rel, &p.done)
 	p.drain()
 	return p
 }
@@ -56,17 +56,17 @@ func (p *protocolStep) drain() {
 }
 
 func (p *protocolStep) run() {
-	n, a, done := p.r.nodes, p.a, sim.ActorTask(&p.done)
-	n[2].ReadTask(a, done)
-	n[3].ReadTask(a, done)
+	n, a, done := p.r.nodes, p.a, &p.done
+	n[2].Read(a, done)
+	n[3].Read(a, done)
 	p.drain()
-	n[1].WBEnqueueTask(a, false, done)
-	n[1].WBEnqueueTask(p.rel, true, done)
+	n[1].WBEnqueue(a, false, done)
+	n[1].WBEnqueue(p.rel, true, done)
 	p.drain()
-	n[2].acquireOwnTask(a, done)
-	n[3].ReadTask(a, done)
+	n[2].AcquireOwnership(a, done)
+	n[3].Read(a, done)
 	p.drain()
-	n[1].acquireOwnTask(a, done)
+	n[1].AcquireOwnership(a, done)
 	p.drain()
 }
 
@@ -115,6 +115,44 @@ func BenchmarkProtocolStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.run()
+	}
+}
+
+// TestSpaceWaitsAllocateNothing: the waiter a full write or prefetch
+// buffer registers is dequeued in place when a slot frees, so the next
+// wait reuses the queue's storage.
+func TestSpaceWaitsAllocateNothing(t *testing.T) {
+	r := newRig(1, func(c *config.Config) { c.WriteBufferDepth = 1; c.PrefetchBufferDepth = 1 })
+	n, a := r.nodes[0], r.alloc.AllocOnNode(mem.LineSize, 0)
+	// Owning the line makes each buffered write retire after the ownership
+	// check and each prefetch of it a discard.
+	var owned, waited countTask
+	n.AcquireOwnership(a, &owned)
+	r.k.Run(nil)
+	for _, tc := range []struct {
+		name string
+		wait func()
+	}{
+		{"write buffer", func() {
+			n.WBEnqueue(a, false, nil)
+			n.WBOnSpace(&waited)
+			r.k.Run(nil)
+		}},
+		{"prefetch buffer", func() {
+			n.PFEnqueue(a, false)
+			n.PFOnSpace(&waited)
+			r.k.Run(nil)
+		}},
+	} {
+		before := waited.n
+		tc.wait()
+		allocs := testing.AllocsPerRun(20, tc.wait)
+		if got := waited.n - before; got != 22 {
+			t.Fatalf("%s: %d of 22 space waits completed", tc.name, got)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a space wait allocates %.1f objects, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -80,13 +80,13 @@ func TestAssocInvariantsUnderStress(t *testing.T) {
 		a := base + mem.Addr((i*37%128)*mem.LineSize)
 		when := i * 23
 		if i%3 == 0 {
-			r.k.At(sim.Time(when), func() { node.WBEnqueue(a, false, nil) })
+			r.k.AtActor(sim.Time(when), sim.Func(func() { node.WBEnqueue(a, false, nil) }))
 		} else {
-			r.k.At(sim.Time(when), func() {
+			r.k.AtActor(sim.Time(when), sim.Func(func() {
 				if node.ClassifyRead(a) != ClassPrimary {
-					node.Read(a, func() {})
+					node.Read(a, sim.Func(func() {}))
 				}
-			})
+			}))
 		}
 	}
 	r.k.Run(nil)

@@ -48,7 +48,7 @@ func (r *rig) readLatency(t *testing.T, node int, a mem.Addr) sim.Time {
 	var done sim.Time
 	fired := false
 	start := r.k.Now()
-	r.nodes[node].Read(a, func() { done = r.k.Now(); fired = true })
+	r.nodes[node].Read(a, sim.Func(func() { done = r.k.Now(); fired = true }))
 	r.k.Run(nil)
 	if !fired {
 		t.Fatalf("read of %#x on node %d never completed", a, node)
@@ -61,7 +61,7 @@ func (r *rig) writeLatency(t *testing.T, node int, a mem.Addr) sim.Time {
 	var done sim.Time
 	fired := false
 	start := r.k.Now()
-	r.nodes[node].AcquireOwnership(a, func() { done = r.k.Now(); fired = true })
+	r.nodes[node].AcquireOwnership(a, sim.Func(func() { done = r.k.Now(); fired = true }))
 	r.k.Run(nil)
 	if !fired {
 		t.Fatalf("write of %#x on node %d never completed", a, node)
@@ -170,8 +170,8 @@ func TestMSHRMergesSameLineReads(t *testing.T) {
 	r := newRig(2, nil)
 	a := r.alloc.AllocOnNode(mem.LineSize, 1)
 	var t1, t2 sim.Time
-	r.nodes[0].Read(a, func() { t1 = r.k.Now() })
-	r.nodes[0].Read(a+4, func() { t2 = r.k.Now() })
+	r.nodes[0].Read(a, sim.Func(func() { t1 = r.k.Now() }))
+	r.nodes[0].Read(a+4, sim.Func(func() { t2 = r.k.Now() }))
 	r.k.Run(nil)
 	if t1 != t2 {
 		t.Errorf("merged reads completed at %d and %d, want same time", t1, t2)
@@ -215,11 +215,11 @@ func TestAcksCountedDuringInvalidation(t *testing.T) {
 	r.readLatency(t, 0, a)
 	r.readLatency(t, 1, a)
 	sawPending := false
-	r.nodes[2].AcquireOwnership(a, func() {
+	r.nodes[2].AcquireOwnership(a, sim.Func(func() {
 		if r.nodes[2].PendingAcks() > 0 {
 			sawPending = true
 		}
-	})
+	}))
 	r.k.Run(nil)
 	if !sawPending {
 		t.Error("ownership granted with no pending acks despite two sharers (acks should trail the grant)")
@@ -287,11 +287,11 @@ func TestReadDuringWritebackWaitsAndRetries(t *testing.T) {
 	r.alloc.AllocOnNode(int(conflict-a)+mem.LineSize, 1)
 	r.writeLatency(t, 0, a)
 	fired := false
-	r.nodes[0].Read(conflict, func() {
+	r.nodes[0].Read(conflict, sim.Func(func() {
 		// Immediately re-read the just-evicted line while its
 		// writeback is still in flight.
-		r.nodes[0].Read(a, func() { fired = true })
-	})
+		r.nodes[0].Read(a, sim.Func(func() { fired = true }))
+	}))
 	r.k.Run(nil)
 	if !fired {
 		t.Fatal("read issued during writeback never completed")
@@ -305,8 +305,8 @@ func TestWriteBufferCoalescesSameLine(t *testing.T) {
 	r := newRig(2, nil)
 	a := r.alloc.AllocOnNode(mem.LineSize, 1)
 	retired := 0
-	r.nodes[0].WBEnqueue(a, false, func() { retired++ })
-	r.nodes[0].WBEnqueue(a+4, false, func() { retired++ })
+	r.nodes[0].WBEnqueue(a, false, sim.Func(func() { retired++ }))
+	r.nodes[0].WBEnqueue(a+4, false, sim.Func(func() { retired++ }))
 	r.k.Run(nil)
 	if retired != 2 {
 		t.Fatalf("retired = %d, want 2", retired)
@@ -329,7 +329,7 @@ func TestWriteBufferCapacity(t *testing.T) {
 		t.Fatal("third enqueue accepted by a 2-entry buffer")
 	}
 	spaced := false
-	r.nodes[0].WBOnSpace(func() { spaced = true })
+	r.nodes[0].WBOnSpace(sim.Func(func() { spaced = true }))
 	r.k.Run(nil)
 	if !spaced {
 		t.Error("space waiter never notified")
@@ -346,8 +346,8 @@ func TestReleaseWaitsForPriorWritesAndAcks(t *testing.T) {
 	r.readLatency(t, 2, data)
 
 	var writeDone, releaseDone sim.Time
-	r.nodes[0].WBEnqueue(data, false, func() { writeDone = r.k.Now() })
-	r.nodes[0].WBEnqueue(lock, true, func() { releaseDone = r.k.Now() })
+	r.nodes[0].WBEnqueue(data, false, sim.Func(func() { writeDone = r.k.Now() }))
+	r.nodes[0].WBEnqueue(lock, true, sim.Func(func() { releaseDone = r.k.Now() }))
 	r.k.Run(nil)
 	if releaseDone <= writeDone {
 		t.Errorf("release retired at %d, write at %d: release must wait", releaseDone, writeDone)
@@ -366,8 +366,8 @@ func TestWritePipeliningUnderRC(t *testing.T) {
 	a := r.alloc.AllocOnNode(mem.LineSize, 1)
 	b := r.alloc.AllocOnNode(mem.LineSize, 1)
 	var lastRetire sim.Time
-	r.nodes[0].WBEnqueue(a, false, func() { lastRetire = r.k.Now() })
-	r.nodes[0].WBEnqueue(b, false, func() { lastRetire = r.k.Now() })
+	r.nodes[0].WBEnqueue(a, false, sim.Func(func() { lastRetire = r.k.Now() }))
+	r.nodes[0].WBEnqueue(b, false, sim.Func(func() { lastRetire = r.k.Now() }))
 	r.k.Run(nil)
 	if lastRetire >= 128 {
 		t.Errorf("two pipelined remote writes took %d cycles; expected < 2x64 due to overlap", lastRetire)
@@ -423,9 +423,9 @@ func TestDemandMergesWithInFlightPrefetch(t *testing.T) {
 	r.nodes[0].PFEnqueue(a, false)
 	var demandDone sim.Time
 	// Let the prefetch start, then issue the demand read mid-flight.
-	r.k.At(20, func() {
-		r.nodes[0].Read(a, func() { demandDone = r.k.Now() })
-	})
+	r.k.AtActor(20, sim.Func(func() {
+		r.nodes[0].Read(a, sim.Func(func() { demandDone = r.k.Now() }))
+	}))
 	r.k.Run(nil)
 	if demandDone == 0 {
 		t.Fatal("demand read never completed")
@@ -456,7 +456,7 @@ func TestPrefetchBufferCapacityAndSpace(t *testing.T) {
 		t.Fatal("third enqueue accepted by a 2-entry buffer")
 	}
 	spaced := false
-	r.nodes[0].PFOnSpace(func() { spaced = true })
+	r.nodes[0].PFOnSpace(sim.Func(func() { spaced = true }))
 	r.k.Run(nil)
 	if !spaced {
 		t.Error("prefetch space waiter never notified")
@@ -469,8 +469,8 @@ func TestInvalidationDuringReadMissInstallsThenInvalidates(t *testing.T) {
 	// Node 0 starts a read miss; node 2's write is processed at the home
 	// while the fill is still in flight.
 	var readDone bool
-	r.nodes[0].Read(a, func() { readDone = true })
-	r.k.At(30, func() { r.nodes[2].AcquireOwnership(a, func() {}) })
+	r.nodes[0].Read(a, sim.Func(func() { readDone = true }))
+	r.k.AtActor(30, sim.Func(func() { r.nodes[2].AcquireOwnership(a, sim.Func(func() {})) }))
 	r.k.Run(nil)
 	if !readDone {
 		t.Fatal("read never completed")
@@ -489,11 +489,11 @@ func TestContentionSerializesAtHome(t *testing.T) {
 	for i := 1; i < 8; i++ {
 		a := base + mem.Addr(i)*mem.LineSize
 		node := r.nodes[i]
-		node.Read(a, func() {
+		node.Read(a, sim.Func(func() {
 			if r.k.Now() > last {
 				last = r.k.Now()
 			}
-		})
+		}))
 	}
 	r.k.Run(nil)
 	if last <= 71 {
@@ -544,17 +544,17 @@ func TestProtocolRandomStressInvariants(t *testing.T) {
 			when := sim.Time(rng.Intn(20000))
 			switch rng.Intn(4) {
 			case 0:
-				r.k.At(when, func() {
+				r.k.AtActor(when, sim.Func(func() {
 					if node.ClassifyRead(a) != ClassPrimary {
-						node.Read(a, func() {})
+						node.Read(a, sim.Func(func() {}))
 					}
-				})
+				}))
 			case 1:
-				r.k.At(when, func() { node.WBEnqueue(a, false, nil) })
+				r.k.AtActor(when, sim.Func(func() { node.WBEnqueue(a, false, nil) }))
 			case 2:
-				r.k.At(when, func() { node.PFEnqueue(a, rng.Intn(2) == 0) })
+				r.k.AtActor(when, sim.Func(func() { node.PFEnqueue(a, rng.Intn(2) == 0) }))
 			case 3:
-				r.k.At(when, func() { node.AcquireOwnership(a, func() {}) })
+				r.k.AtActor(when, sim.Func(func() { node.AcquireOwnership(a, sim.Func(func() {})) }))
 			}
 		}
 		r.k.Run(nil)
@@ -579,13 +579,13 @@ func TestProtocolDeterminism(t *testing.T) {
 			a := base + mem.Addr(rng.Intn(32))*mem.LineSize
 			when := sim.Time(rng.Intn(5000))
 			if rng.Intn(2) == 0 {
-				r.k.At(when, func() {
+				r.k.AtActor(when, sim.Func(func() {
 					if node.ClassifyRead(a) != ClassPrimary {
-						node.Read(a, func() {})
+						node.Read(a, sim.Func(func() {}))
 					}
-				})
+				}))
 			} else {
-				r.k.At(when, func() { node.WBEnqueue(a, false, nil) })
+				r.k.AtActor(when, sim.Func(func() { node.WBEnqueue(a, false, nil) }))
 			}
 		}
 		r.k.Run(nil)

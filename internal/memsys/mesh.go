@@ -103,20 +103,20 @@ func (m *Mesh) nextHop(cur, to int) int {
 }
 
 // Route sends a message from one node to another, occupying each link on
-// the dimension-ordered path and paying the per-hop latency; fn runs at
+// the dimension-ordered path and paying the per-hop latency; done runs at
 // delivery. sp is the sending transaction's span (nil when untraced): each
 // link crossed opens one child span, so per-hop queueing is visible in the
 // trace.
-func (m *Mesh) Route(from, to int, sp *span.Span, fn func()) {
+func (m *Mesh) Route(from, to int, sp *span.Span, done sim.Actor) {
 	if from == to {
-		m.k.After(2, fn)
+		m.k.AfterActor(2, done)
 		return
 	}
 	cur := from
 	var step func()
 	step = func() {
 		if cur == to {
-			fn()
+			done.Act()
 			return
 		}
 		next := m.nextHop(cur, to)
@@ -128,13 +128,13 @@ func (m *Mesh) Route(from, to int, sp *span.Span, fn func()) {
 			m.rec.MeshHop(cur, next)
 		}
 		c := sp.Child(span.KSegLink, cur)
-		link.Acquire(sim.Time(m.occ), func() {
-			m.k.After(sim.Time(m.hop), func() {
+		link.AcquireActor(sim.Time(m.occ), sim.Func(func() {
+			m.k.AfterActor(sim.Time(m.hop), sim.Func(func() {
 				c.End()
 				cur = next
 				step()
-			})
-		})
+			}))
+		}))
 	}
 	step()
 }

@@ -55,7 +55,7 @@ func TestMeshRouteDeliversEverywhere(t *testing.T) {
 	delivered := 0
 	for from := 0; from < 16; from++ {
 		for to := 0; to < 16; to++ {
-			m.Route(from, to, nil, func() { delivered++ })
+			m.Route(from, to, nil, sim.Func(func() { delivered++ }))
 		}
 	}
 	k.Run(nil)
@@ -70,11 +70,11 @@ func TestMeshLinkContention(t *testing.T) {
 	// Many messages crossing the same first link (0->1) serialize.
 	var last sim.Time
 	for i := 0; i < 10; i++ {
-		m.Route(0, 1, nil, func() {
+		m.Route(0, 1, nil, sim.Func(func() {
 			if k.Now() > last {
 				last = k.Now()
 			}
-		})
+		}))
 	}
 	k.Run(nil)
 	// One message: occ 2 + hop 6 = 8; ten messages share the link:
@@ -93,13 +93,13 @@ func TestMeshProtocolInvariants(t *testing.T) {
 		a := base + mem.Addr((i*13%64)*mem.LineSize)
 		when := sim.Time(i * 17)
 		if i%3 == 0 {
-			r.k.At(when, func() { node.WBEnqueue(a, false, nil) })
+			r.k.AtActor(when, sim.Func(func() { node.WBEnqueue(a, false, nil) }))
 		} else {
-			r.k.At(when, func() {
+			r.k.AtActor(when, sim.Func(func() {
 				if node.ClassifyRead(a) != ClassPrimary {
-					node.Read(a, func() {})
+					node.Read(a, sim.Func(func() {}))
 				}
-			})
+			}))
 		}
 	}
 	r.k.Run(nil)
@@ -115,7 +115,7 @@ func TestMeshNonSquareCounts(t *testing.T) {
 		done := 0
 		for from := 0; from < n; from++ {
 			for to := 0; to < n; to++ {
-				m.Route(from, to, nil, func() { done++ })
+				m.Route(from, to, nil, sim.Func(func() { done++ }))
 			}
 		}
 		k.Run(nil)

@@ -84,7 +84,7 @@ type mshr struct {
 	excl        bool // completes with ownership (Dirty install)
 	stage       mshrStage
 	started     sim.Time
-	waiters     []sim.Task
+	waiters     []sim.Actor
 	queuedMsgs  []sim.Actor // forwards (fwdMsg) that arrived before the fill
 	invalidated bool        // an invalidation arrived while in flight
 
@@ -125,7 +125,7 @@ func (v *victimEntry) Act() {
 		h := v.n.home(mem.AddrOf(v.line))
 		v.stage = vbAtHome
 		v.span.Seg(span.KSegNet, v.n.id)
-		v.n.sendSpanTask(h, v.n.lat().Wire, sim.ActorTask(v), v.span)
+		v.n.sendSpanTask(h, v.n.lat().Wire, v, v.span)
 	case vbAtHome:
 		h := v.n.home(mem.AddrOf(v.line))
 		v.stage = vbDir
@@ -185,7 +185,7 @@ type Node struct {
 	niOut *sim.Resource
 
 	pendingAcks int
-	ackWaiters  []sim.Task
+	ackWaiters  []sim.Actor
 
 	primBusyUntil sim.Time
 	primBusyPF    bool
@@ -200,7 +200,7 @@ type Node struct {
 	// accesses through this node, so their sampled spans classify as
 	// sync transactions. spanAdopt hands a write-buffer entry's span to
 	// the ownership transaction it drains into (set and cleared around
-	// the acquireOwnTask call; see DESIGN.md's span lifecycle contract).
+	// the AcquireOwnership call; see DESIGN.md's span lifecycle contract).
 	syncDepth int
 	spanAdopt *span.Span
 
@@ -333,13 +333,13 @@ func (n *Node) newSharerSet() dirset.Set {
 
 // netMsg is one in-flight protocol message on the direct network: an Actor
 // that walks itself through NI-out occupancy, wire latency and NI-in
-// occupancy, then runs its delivery task.
+// occupancy, then runs its delivery completion.
 type netMsg struct {
 	n     *Node // sender
 	to    *Node
 	wire  int
 	stage msgStage
-	done  sim.Task
+	done  sim.Actor
 }
 
 // msgStage is the message's next step when its event fires.
@@ -362,9 +362,9 @@ func (m *netMsg) Act() {
 		m.to.niIn.AcquireActor(sim.Time(m.n.lat().NIHold), m)
 	case msgDeliver:
 		d := m.done
-		m.done = sim.Task{}
+		m.done = nil
 		m.n.msgs.Put(m)
-		d.Run()
+		d.Act()
 	}
 }
 
@@ -373,19 +373,19 @@ func (m *netMsg) Act() {
 // Messages between a node and itself take a short fixed local delay
 // instead. sp is the sending transaction's span (nil when untraced), so
 // the mesh can open one child per link crossed. The direct network
-// allocates nothing when done wraps an Actor; the mesh interconnect (an
-// ablation) keeps the closure route.
-func (n *Node) sendSpanTask(to *Node, wire int, done sim.Task, sp *span.Span) {
+// allocates nothing; the mesh interconnect (an ablation) routes through
+// closures.
+func (n *Node) sendSpanTask(to *Node, wire int, done sim.Actor, sp *span.Span) {
 	if to == n {
-		n.k.AfterTask(2, done)
+		n.k.AfterActor(2, done)
 		return
 	}
 	if n.mesh != nil {
-		n.niOut.Acquire(sim.Time(n.lat().NIHold), func() {
-			n.mesh.Route(n.id, to.id, sp, func() {
-				to.niIn.AcquireTask(sim.Time(n.lat().NIHold), done)
-			})
-		})
+		n.niOut.AcquireActor(sim.Time(n.lat().NIHold), sim.Func(func() {
+			n.mesh.Route(n.id, to.id, sp, sim.Func(func() {
+				to.niIn.AcquireActor(sim.Time(n.lat().NIHold), done)
+			}))
+		}))
 		return
 	}
 	m := n.msgs.Get()
@@ -445,14 +445,14 @@ func (n *Node) lockPrimary(t sim.Time, pf bool) {
 // node is still waiting for.
 func (n *Node) PendingAcks() int { return n.pendingAcks }
 
-// onAllAcked runs t once pendingAcks reaches zero (immediately if it
+// onAllAcked runs done once pendingAcks reaches zero (immediately if it
 // already is).
-func (n *Node) onAllAcked(t sim.Task) {
+func (n *Node) onAllAcked(done sim.Actor) {
 	if n.pendingAcks == 0 {
-		t.Run()
+		done.Act()
 		return
 	}
-	n.ackWaiters = append(n.ackWaiters, t)
+	n.ackWaiters = append(n.ackWaiters, done)
 }
 
 func (n *Node) addAcks(count int) { n.pendingAcks += count }
@@ -468,7 +468,7 @@ func (n *Node) ackArrived() {
 		ws := n.ackWaiters
 		n.ackWaiters = nil
 		for _, w := range ws {
-			w.Run()
+			w.Act()
 		}
 		if n.ackWaiters == nil {
 			clear(ws)

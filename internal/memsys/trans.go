@@ -33,8 +33,8 @@ import (
 // uncachedOp (an access to uncacheable shared data). A request that finds
 // its directory entry busy parks its own record on the home's list, and
 // the invalidation fan-out walks the sharer set with dirset's Next. So
-// the steady-state protocol paths schedule no closures and allocate
-// nothing; the mesh interconnect (an ablation) is the exception.
+// the steady-state protocol paths allocate nothing; the mesh interconnect
+// (an ablation) routes through closures.
 
 // mshrStage is the miss transaction's next step when its event fires.
 type mshrStage uint8
@@ -69,7 +69,7 @@ func (m *mshr) Act() {
 		}
 		m.stage = msAtHome
 		m.span.Seg(span.KSegNet, m.n.id)
-		m.n.sendSpanTask(h, m.n.lat().Wire, sim.ActorTask(m), m.span)
+		m.n.sendSpanTask(h, m.n.lat().Wire, m, m.span)
 	case msAtHome:
 		h := m.n.home(m.a)
 		m.stage = msDir
@@ -129,7 +129,7 @@ type secFill struct {
 	n     *Node
 	line  mem.Line
 	stage sfStage
-	done  sim.Task
+	done  sim.Actor // nil: no completion (a spin refetch)
 	span  *span.Span
 }
 
@@ -161,20 +161,19 @@ func (s *secFill) Act() {
 		s.span.End()
 		s.span = nil
 		d := s.done
-		s.done = sim.Task{}
+		s.done = nil
 		n.secFills.Put(s)
-		d.Run()
+		if d != nil {
+			d.Act()
+		}
 	}
 }
 
 // Read performs a demand read of shared data that missed the primary
-// cache; done runs when the read completes. The caller (the processor)
-// accounts the 1-cycle issue itself and must not call this for primary
-// hits.
-func (n *Node) Read(a mem.Addr, done func()) { n.ReadTask(a, sim.FuncTask(done)) }
-
-// ReadTask is Read with a Task completion (allocation-free for Actors).
-func (n *Node) ReadTask(a mem.Addr, done sim.Task) {
+// cache; done runs when the read completes (nil: no completion). The
+// caller (the processor) accounts the 1-cycle issue itself and must not
+// call this for primary hits.
+func (n *Node) Read(a mem.Addr, done sim.Actor) {
 	if !n.cfg.CacheShared {
 		n.uncachedRead(a, done)
 		return
@@ -222,11 +221,7 @@ func (n *Node) ReadTask(a mem.Addr, done sim.Task) {
 // (the write path: retiring a write from the write buffer). done runs when
 // ownership is granted — the write's retirement point per Table 1, which
 // does not include invalidation acknowledgements.
-func (n *Node) AcquireOwnership(a mem.Addr, done func()) {
-	n.acquireOwnTask(a, sim.FuncTask(done))
-}
-
-func (n *Node) acquireOwnTask(a mem.Addr, done sim.Task) {
+func (n *Node) AcquireOwnership(a mem.Addr, done sim.Actor) {
 	if !n.cfg.CacheShared {
 		n.uncachedWrite(a, done)
 		return
@@ -239,7 +234,7 @@ func (n *Node) acquireOwnTask(a mem.Addr, done sim.Task) {
 		if sp := n.spanAdopt; sp != nil {
 			sp.Seg(span.KSegLookup, n.id)
 		}
-		n.k.AfterTask(sim.Time(n.lat().SecCheckWrite), done)
+		n.k.AfterActor(sim.Time(n.lat().SecCheckWrite), done)
 		return
 	}
 	if v, ok := n.victims[l]; ok {
@@ -253,7 +248,7 @@ func (n *Node) acquireOwnTask(a mem.Addr, done sim.Task) {
 		// Wait for the in-flight fill, then reclassify: the fill may
 		// deliver ownership (write/pf-exclusive) or only a shared copy
 		// (then this becomes an upgrade).
-		m.waiters = append(m.waiters, sim.ActorTask(n.retry(a, true, done)))
+		m.waiters = append(m.waiters, n.retry(a, true, done))
 		return
 	}
 	n.st.WriteMisses++
@@ -270,11 +265,11 @@ type retryOp struct {
 	n     *Node
 	a     mem.Addr
 	write bool
-	done  sim.Task
+	done  sim.Actor
 }
 
 // retry draws a retry record for an access to a from the node's pool.
-func (n *Node) retry(a mem.Addr, write bool, done sim.Task) *retryOp {
+func (n *Node) retry(a mem.Addr, write bool, done sim.Actor) *retryOp {
 	r := n.retries.Get()
 	r.n, r.a, r.write, r.done = n, a, write, done
 	return r
@@ -283,12 +278,12 @@ func (n *Node) retry(a mem.Addr, write bool, done sim.Task) *retryOp {
 // Act implements sim.Actor: recycle the record, then re-issue the access.
 func (r *retryOp) Act() {
 	n, a, write, done := r.n, r.a, r.write, r.done
-	r.done = sim.Task{}
+	r.done = nil
 	n.retries.Put(r)
 	if write {
-		n.acquireOwnTask(a, done)
+		n.AcquireOwnership(a, done)
 	} else {
-		n.ReadTask(a, done)
+		n.Read(a, done)
 	}
 }
 
@@ -387,7 +382,7 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 			im.n, im.req, im.line = sharer, req, l
 			im.stage = invArrive
 			im.span = m.span.Child(span.KSegInval, id)
-			h.sendSpanTask(sharer, h.lat().Wire, sim.ActorTask(im), im.span)
+			h.sendSpanTask(sharer, h.lat().Wire, im, im.span)
 		}
 		e.state = DirDirty
 		e.owner = int32(req.id)
@@ -416,7 +411,7 @@ func (h *Node) replyFill(req *Node, m *mshr) {
 		h.k.AfterActor(0, m)
 		return
 	}
-	h.sendSpanTask(req, h.lat().Wire, sim.ActorTask(m), m.span)
+	h.sendSpanTask(req, h.lat().Wire, m, m.span)
 }
 
 // fwdMsg carries a request the home forwarded to the line's dirty owner.
@@ -454,7 +449,7 @@ func (h *Node) forward(owner *Node, m *mshr, write bool) {
 	f := h.fwds.Get()
 	f.home, f.owner, f.m, f.line, f.write = h, owner, m, m.line, write
 	f.stage = fwdArrive
-	h.sendSpanTask(owner, h.lat().WireForward, sim.ActorTask(f), m.span)
+	h.sendSpanTask(owner, h.lat().WireForward, f, m.span)
 }
 
 // Act implements sim.Actor.
@@ -496,11 +491,11 @@ func (f *fwdMsg) Act() {
 		m := f.m
 		m.stage = msFill
 		m.span.Seg(span.KSegReply, o.id)
-		o.sendSpanTask(m.n, lat.Wire, sim.ActorTask(m), m.span)
+		o.sendSpanTask(m.n, lat.Wire, m, m.span)
 		// Completion to home: carries the sharing writeback (read) or the
 		// ownership-transfer notice (write) and unblocks the entry.
 		f.stage = fwdAtHome
-		o.sendSpanTask(f.home, lat.Wire, sim.ActorTask(f), nil)
+		o.sendSpanTask(f.home, lat.Wire, f, nil)
 	case fwdAtHome:
 		f.stage = fwdUnbusy
 		f.home.memc.AcquireActor(sim.Time(lat.MemHold), f)
@@ -594,7 +589,7 @@ func (im *invalMsg) Act() {
 				n.chk.InvalApplied(n.id, l)
 			}
 			im.stage = invAck
-			n.sendSpanTask(im.req, n.lat().Wire, sim.ActorTask(im), im.span)
+			n.sendSpanTask(im.req, n.lat().Wire, im, im.span)
 			return
 		}
 		// An invalidation that finds no copy and no shared fill to kill
@@ -622,7 +617,7 @@ func (im *invalMsg) Act() {
 			n.chk.InvalApplied(n.id, l)
 		}
 		im.stage = invAck
-		n.sendSpanTask(im.req, n.lat().Wire, sim.ActorTask(im), im.span)
+		n.sendSpanTask(im.req, n.lat().Wire, im, im.span)
 	case invAck:
 		im.span.End()
 		im.span = nil
@@ -699,7 +694,9 @@ func (n *Node) completeFill(m *mshr) {
 	// this one is not recycled until they are done), then clear and free.
 	delete(n.mshrs, l)
 	for i := 0; i < len(m.waiters); i++ {
-		m.waiters[i].Run()
+		if w := m.waiters[i]; w != nil {
+			w.Act()
+		}
 	}
 	for i := 0; i < len(m.queuedMsgs); i++ {
 		m.queuedMsgs[i].Act()
@@ -755,7 +752,7 @@ func (h *Node) dirWriteback(v *victimEntry) {
 	h.dirEvent(l)
 	v.stage = vbAcked
 	v.span.Seg(span.KSegReply, h.id)
-	h.sendSpanTask(from, h.lat().Wire, sim.ActorTask(v), v.span)
+	h.sendSpanTask(from, h.lat().Wire, v, v.span)
 }
 
 // writebackAcked clears the victim buffer entry and retries accesses that
@@ -785,7 +782,7 @@ type uncachedOp struct {
 	started sim.Time
 	read    bool
 	stage   ucStage
-	done    sim.Task
+	done    sim.Actor // nil: no completion (a spin refetch)
 
 	// span traces the access when sampled; adopted spans belong to the
 	// write-buffer entry that drained into this access (see mshr).
@@ -817,7 +814,7 @@ func (u *uncachedOp) Act() {
 		}
 		u.stage = ucAtHome
 		u.span.Seg(span.KSegNet, n.id)
-		n.sendSpanTask(u.home, n.lat().Wire, sim.ActorTask(u), u.span)
+		n.sendSpanTask(u.home, n.lat().Wire, u, u.span)
 	case ucAtHome:
 		u.stage = ucPostMem
 		u.span.Seg(span.KSegMem, u.home.id)
@@ -830,7 +827,7 @@ func (u *uncachedOp) Act() {
 		}
 		u.stage = ucBack
 		u.span.Seg(span.KSegReply, u.home.id)
-		u.home.sendSpanTask(n, u.home.lat().Wire, sim.ActorTask(u), u.span)
+		u.home.sendSpanTask(n, u.home.lat().Wire, u, u.span)
 	case ucBack:
 		u.stage = ucFinish
 		u.span.Seg(span.KSegMem, n.id)
@@ -851,14 +848,16 @@ func (u *uncachedOp) Act() {
 		}
 		u.span, u.spanAdopted = nil, false
 		d := u.done
-		u.done = sim.Task{}
+		u.done = nil
 		n.uncachedPool.Put(u)
-		d.Run()
+		if d != nil {
+			d.Act()
+		}
 	}
 }
 
 // uncachedRead services a shared read without caching.
-func (n *Node) uncachedRead(a mem.Addr, done sim.Task) {
+func (n *Node) uncachedRead(a mem.Addr, done sim.Actor) {
 	n.st.ReadMisses++
 	lat := n.lat()
 	u := n.uncachedPool.Get()
@@ -875,7 +874,7 @@ func (n *Node) uncachedRead(a mem.Addr, done sim.Task) {
 }
 
 // uncachedWrite retires a shared write to home memory without caching.
-func (n *Node) uncachedWrite(a mem.Addr, done sim.Task) {
+func (n *Node) uncachedWrite(a mem.Addr, done sim.Actor) {
 	n.st.WriteMisses++
 	lat := n.lat()
 	u := n.uncachedPool.Get()

@@ -8,10 +8,10 @@ import (
 )
 
 // Releaser is a synchronization object whose release store is buffered: it
-// is notified when that store retires from the write buffer. *msync.Lock
-// implements it. Using an interface here (rather than a closure) lets the
-// processor enqueue an unlock without allocating even though the releasing
-// context moves on before the store retires.
+// is notified when that store retires from the write buffer, before the
+// entry's onRetire completions run. *msync.Lock implements it, so an
+// unlock passes the lock itself and allocates nothing, although the
+// releasing context moves on before the store retires.
 type Releaser interface {
 	ReleaseRetired()
 }
@@ -26,7 +26,7 @@ type wbEntry struct {
 	release  bool
 	issued   bool
 	rel      Releaser
-	onRetire []sim.Task
+	onRetire []sim.Actor
 
 	// span traces the write from enqueue to retirement when sampled; the
 	// ownership transaction the entry drains into adopts it (spanAdopt).
@@ -46,8 +46,8 @@ type writeBuffer struct {
 	entries      []*wbEntry
 	inflight     int
 	releaseArmed bool // the buffer is registered with onAllAcked for a blocked release
-	spaceWaiters []func()
-	drainWaiters []func() // fences waiting for the buffer to empty
+	spaceWaiters []sim.Actor
+	drainWaiters []sim.Actor // fences waiting for the buffer to empty
 	pool         sim.Pool[wbEntry]
 }
 
@@ -60,32 +60,23 @@ func (w *writeBuffer) Act() {
 	w.drain()
 }
 
-// WBEnqueue adds a write to the buffer; the callback runs when the write
-// retires (ownership acquired). Non-release writes coalesce into an
-// existing entry for the same line. Returns false if the buffer is full —
-// the processor must stall and retry via WBOnSpace.
-func (n *Node) WBEnqueue(a mem.Addr, release bool, onRetire func()) bool {
-	var t sim.Task
-	if onRetire != nil {
-		t = sim.FuncTask(onRetire)
-	}
-	return n.wb.enqueue(a, release, nil, t)
-}
-
-// WBEnqueueTask is WBEnqueue with a Task completion.
-func (n *Node) WBEnqueueTask(a mem.Addr, release bool, onRetire sim.Task) bool {
+// WBEnqueue adds a write to the buffer; onRetire (nil: none) runs when
+// the write retires (ownership acquired). Non-release writes coalesce into
+// an existing entry for the same line. Returns false if the buffer is
+// full — the processor must stall and retry via WBOnSpace.
+func (n *Node) WBEnqueue(a mem.Addr, release bool, onRetire sim.Actor) bool {
 	return n.wb.enqueue(a, release, nil, onRetire)
 }
 
 // WBEnqueueRelease buffers a release store (an unlock): rel is notified
 // when the store retires, before any onRetire completion runs.
-func (n *Node) WBEnqueueRelease(a mem.Addr, rel Releaser, onRetire sim.Task) bool {
+func (n *Node) WBEnqueueRelease(a mem.Addr, rel Releaser, onRetire sim.Actor) bool {
 	return n.wb.enqueue(a, true, rel, onRetire)
 }
 
-// WBOnSpace registers fn to run when a write-buffer slot frees.
-func (n *Node) WBOnSpace(fn func()) {
-	n.wb.spaceWaiters = append(n.wb.spaceWaiters, fn)
+// WBOnSpace registers done to run when a write-buffer slot frees.
+func (n *Node) WBOnSpace(done sim.Actor) {
+	n.wb.spaceWaiters = append(n.wb.spaceWaiters, done)
 }
 
 // WBPendingLine reports whether a write to the same line as a is still in
@@ -100,54 +91,41 @@ func (n *Node) WBPendingLine(a mem.Addr) bool {
 	return false
 }
 
-// WBOnLineRetireTask runs the task when the first write to a's line now in
-// the buffer retires. The caller must re-check WBPendingLine (another
-// write to the line may have been buffered meanwhile) and re-register if
-// needed; WBOnLineRetire wraps that loop for closure callers. Runs the
-// task immediately if no write to the line is buffered.
-func (n *Node) WBOnLineRetireTask(a mem.Addr, t sim.Task) {
+// WBOnLineRetire runs done when the first write to a's line now in the
+// buffer retires, or immediately if no write to the line is buffered.
+// Another write to the line may have been buffered meanwhile, so the
+// caller must re-check WBPendingLine and re-register if needed.
+func (n *Node) WBOnLineRetire(a mem.Addr, done sim.Actor) {
 	l := mem.LineOf(a)
 	for _, e := range n.wb.entries {
 		if e.line == l {
-			e.onRetire = append(e.onRetire, t)
+			e.onRetire = append(e.onRetire, done)
 			return
 		}
 	}
-	t.Run()
-}
-
-// WBOnLineRetire runs fn once no write to a's line remains in the buffer.
-func (n *Node) WBOnLineRetire(a mem.Addr, fn func()) {
-	l := mem.LineOf(a)
-	for _, e := range n.wb.entries {
-		if e.line == l {
-			e.onRetire = append(e.onRetire, sim.FuncTask(func() { n.WBOnLineRetire(a, fn) }))
-			return
-		}
-	}
-	fn()
+	done.Act()
 }
 
 // WBEmpty reports whether the write buffer has no entries at all.
 func (n *Node) WBEmpty() bool { return len(n.wb.entries) == 0 }
 
-// WBOnDrained runs fn once the write buffer is empty, nothing is in
+// WBOnDrained runs done once the write buffer is empty, nothing is in
 // flight, and all invalidation acknowledgements have arrived — a full
 // memory fence (weak consistency's synchronization condition).
-func (n *Node) WBOnDrained(fn func()) {
+func (n *Node) WBOnDrained(done sim.Actor) {
 	if len(n.wb.entries) == 0 && n.wb.inflight == 0 {
-		n.onAllAcked(sim.FuncTask(fn))
+		n.onAllAcked(done)
 		return
 	}
-	n.wb.drainWaiters = append(n.wb.drainWaiters, fn)
+	n.wb.drainWaiters = append(n.wb.drainWaiters, done)
 }
 
-func (w *writeBuffer) enqueue(a mem.Addr, release bool, rel Releaser, onRetire sim.Task) bool {
+func (w *writeBuffer) enqueue(a mem.Addr, release bool, rel Releaser, onRetire sim.Actor) bool {
 	l := mem.LineOf(a)
 	if !release {
 		for _, e := range w.entries {
 			if e.line == l && !e.release {
-				if !onRetire.Zero() {
+				if onRetire != nil {
 					e.onRetire = append(e.onRetire, onRetire)
 				}
 				return true
@@ -168,7 +146,7 @@ func (w *writeBuffer) enqueue(a mem.Addr, release bool, rel Releaser, onRetire s
 	}
 	e.span = w.n.spans().Start(kind, w.n.id)
 	e.span.Seg(span.KSegWB, w.n.id)
-	if !onRetire.Zero() {
+	if onRetire != nil {
 		e.onRetire = append(e.onRetire, onRetire)
 	}
 	w.entries = append(w.entries, e)
@@ -208,7 +186,7 @@ func (w *writeBuffer) drain() {
 			if w.n.cfg.Model != config.PC && w.n.pendingAcks > 0 {
 				if !w.releaseArmed {
 					w.releaseArmed = true
-					w.n.onAllAcked(sim.ActorTask(w))
+					w.n.onAllAcked(w)
 				}
 				return
 			}
@@ -219,7 +197,7 @@ func (w *writeBuffer) drain() {
 		// (created synchronously inside the call) so the miss path traces
 		// as part of the buffered write, then withdraw the offer.
 		w.n.spanAdopt = e.span
-		w.n.acquireOwnTask(e.addr, sim.ActorTask(e))
+		w.n.AcquireOwnership(e.addr, e)
 		w.n.spanAdopt = nil
 	}
 }
@@ -240,13 +218,14 @@ func (w *writeBuffer) retire(e *wbEntry) {
 	if w.n.rec != nil {
 		w.n.rec.WBDepth(w.n.id, len(w.entries))
 	}
-	// The release notification and retire tasks may enqueue new writes;
-	// the entry is unlinked already and recycled only after they run.
+	// The release notification and retire completions may enqueue new
+	// writes; the entry is unlinked already and recycled only after they
+	// run.
 	if e.rel != nil {
 		e.rel.ReleaseRetired()
 	}
 	for i := 0; i < len(e.onRetire); i++ {
-		e.onRetire[i].Run()
+		e.onRetire[i].Act()
 	}
 	e.onRetire = e.onRetire[:0]
 	e.rel = nil
@@ -254,15 +233,16 @@ func (w *writeBuffer) retire(e *wbEntry) {
 	e.span = nil
 	w.pool.Put(e)
 	if len(w.spaceWaiters) > 0 {
-		fn := w.spaceWaiters[0]
-		w.spaceWaiters = w.spaceWaiters[1:]
-		fn()
+		// Dequeue in place, so WBOnSpace keeps reusing the same storage.
+		done := w.spaceWaiters[0]
+		w.spaceWaiters = w.spaceWaiters[:copy(w.spaceWaiters, w.spaceWaiters[1:])]
+		done.Act()
 	}
 	if len(w.entries) == 0 && w.inflight == 0 && len(w.drainWaiters) > 0 {
 		ws := w.drainWaiters
 		w.drainWaiters = nil
-		for _, fn := range ws {
-			w.n.onAllAcked(sim.FuncTask(fn))
+		for _, done := range ws {
+			w.n.onAllAcked(done)
 		}
 	}
 	w.drain()
@@ -286,7 +266,7 @@ type prefetchBuffer struct {
 	draining     bool
 	cur          pfEntry
 	stage        pfStage
-	spaceWaiters []func()
+	spaceWaiters []sim.Actor
 }
 
 // pfStage is the prefetch buffer's next step when its event fires.
@@ -311,9 +291,9 @@ func (n *Node) PFEnqueue(a mem.Addr, excl bool) bool {
 	return n.pf.enqueue(a, excl)
 }
 
-// PFOnSpace registers fn to run when a prefetch-buffer slot frees.
-func (n *Node) PFOnSpace(fn func()) {
-	n.pf.spaceWaiters = append(n.pf.spaceWaiters, fn)
+// PFOnSpace registers done to run when a prefetch-buffer slot frees.
+func (n *Node) PFOnSpace(done sim.Actor) {
+	n.pf.spaceWaiters = append(n.pf.spaceWaiters, done)
 }
 
 func (p *prefetchBuffer) enqueue(a mem.Addr, excl bool) bool {
@@ -346,13 +326,13 @@ func (p *prefetchBuffer) step() {
 		return
 	}
 	// Dequeue in place (at most PrefetchBufferDepth entries shift), so
-	// enqueue keeps reusing the same storage.
+	// enqueue and PFOnSpace keep reusing the same storage.
 	p.cur = p.queue[0]
 	p.queue = p.queue[:copy(p.queue, p.queue[1:])]
 	if len(p.spaceWaiters) > 0 {
-		fn := p.spaceWaiters[0]
-		p.spaceWaiters = p.spaceWaiters[1:]
-		fn()
+		done := p.spaceWaiters[0]
+		p.spaceWaiters = p.spaceWaiters[:copy(p.spaceWaiters, p.spaceWaiters[1:])]
+		done.Act()
 	}
 	p.stage = pfCheck
 	p.n.k.AfterActor(sim.Time(p.n.lat().SecCheckWrite), p)

@@ -23,7 +23,7 @@ import (
 // waiter is a blocked acquirer: the node it runs on and its wakeup.
 type waiter struct {
 	n       *memsys.Node
-	granted func()
+	granted sim.Actor
 }
 
 // Lock is a simulated spin lock.
@@ -67,7 +67,7 @@ func (l *Lock) Holder() int {
 // lock is owned by n. A free lock costs a read-exclusive transaction on
 // the lock line (the test&set); a held lock fetches a shared copy once and
 // then spins locally until handoff.
-func (l *Lock) Acquire(n *memsys.Node, granted func()) {
+func (l *Lock) Acquire(n *memsys.Node, granted sim.Actor) {
 	// Memory accesses issued here are synchronization protocol traffic;
 	// the bracket makes their sampled spans trace as sync transactions.
 	n.BeginSyncSpans()
@@ -149,18 +149,18 @@ func (b *Barrier) Total() int { return b.total }
 // Arrive signals arrival from node n, performing the counter increment's
 // ownership transaction itself; released runs when all participants have
 // arrived.
-func (b *Barrier) Arrive(n *memsys.Node, released func()) {
+func (b *Barrier) Arrive(n *memsys.Node, released sim.Actor) {
 	n.BeginSyncSpans()
 	defer n.EndSyncSpans()
-	n.AcquireOwnership(b.counterAddr, func() {
+	n.AcquireOwnership(b.counterAddr, sim.Func(func() {
 		b.ArriveRetired(n, released)
-	})
+	}))
 }
 
 // ArriveRetired records an arrival whose counter increment has already
 // retired (the processor issued it as a release-marked store through the
 // write buffer). released runs when all participants have arrived.
-func (b *Barrier) ArriveRetired(n *memsys.Node, released func()) {
+func (b *Barrier) ArriveRetired(n *memsys.Node, released sim.Actor) {
 	n.BeginSyncSpans()
 	defer n.EndSyncSpans()
 	b.arrived++
@@ -174,15 +174,14 @@ func (b *Barrier) ArriveRetired(n *memsys.Node, released func()) {
 	b.arrived = 0
 	ws := b.waiters
 	b.waiters = nil
-	n.AcquireOwnership(b.flagAddr, func() {
+	n.AcquireOwnership(b.flagAddr, sim.Func(func() {
 		for _, w := range ws {
-			w := w
 			w.n.BeginSyncSpans()
 			refetchThen(w.n, b.flagAddr, w.granted)
 			w.n.EndSyncSpans()
 		}
-		released()
-	})
+		released.Act()
+	}))
 }
 
 // Arrived returns the number of processes currently waiting at the
@@ -193,15 +192,15 @@ func (b *Barrier) Arrived() int { return b.arrived }
 // (spin reads hit the primary cache and cost nothing extra).
 func refetch(n *memsys.Node, a mem.Addr) {
 	if n.ClassifyRead(a) != memsys.ClassPrimary {
-		n.ReadTask(a, sim.Task{})
+		n.Read(a, nil)
 	}
 }
 
-// refetchThen reads the spin line (if needed) and then runs fn.
-func refetchThen(n *memsys.Node, a mem.Addr, fn func()) {
+// refetchThen reads the spin line (if needed) and then runs done.
+func refetchThen(n *memsys.Node, a mem.Addr, done sim.Actor) {
 	if n.ClassifyRead(a) == memsys.ClassPrimary {
-		fn()
+		done.Act()
 		return
 	}
-	n.Read(a, fn)
+	n.Read(a, done)
 }

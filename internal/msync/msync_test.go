@@ -40,16 +40,16 @@ func TestLockGrantsInFIFOOrder(t *testing.T) {
 	lk := r.lock()
 	var order []int
 	// Node 0 takes the lock; nodes 1..3 queue in order.
-	lk.Acquire(r.nodes[0], func() {
+	lk.Acquire(r.nodes[0], sim.Func(func() {
 		for i := 1; i < 4; i++ {
 			i := i
-			lk.Acquire(r.nodes[i], func() {
+			lk.Acquire(r.nodes[i], sim.Func(func() {
 				order = append(order, i)
 				lk.ReleaseRetired()
-			})
+			}))
 		}
 		lk.ReleaseRetired()
-	})
+	}))
 	r.k.Run(nil)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("grant order = %v, want [1 2 3]", order)
@@ -63,7 +63,7 @@ func TestLockFreeAcquireCostsOwnership(t *testing.T) {
 	r := newRig(2)
 	lk := NewLock(r.alloc.AllocOnNode(mem.LineSize, 1))
 	var granted sim.Time
-	lk.Acquire(r.nodes[0], func() { granted = r.k.Now() })
+	lk.Acquire(r.nodes[0], sim.Func(func() { granted = r.k.Now() }))
 	r.k.Run(nil)
 	if granted != 64 {
 		t.Errorf("remote lock acquire latency = %d, want 64 (write-ownership)", granted)
@@ -77,9 +77,9 @@ func TestLockHandoffLatency(t *testing.T) {
 	r := newRig(2)
 	lk := NewLock(r.alloc.AllocOnNode(mem.LineSize, 0))
 	var granted sim.Time
-	lk.Acquire(r.nodes[0], func() {})
-	lk.Acquire(r.nodes[1], func() { granted = r.k.Now() })
-	r.k.At(1000, func() { lk.ReleaseRetired() })
+	lk.Acquire(r.nodes[0], sim.Func(func() {}))
+	lk.Acquire(r.nodes[1], sim.Func(func() { granted = r.k.Now() }))
+	r.k.AtActor(1000, sim.Func(func() { lk.ReleaseRetired() }))
 	r.k.Run(nil)
 	if granted <= 1000 {
 		t.Errorf("handoff at %d: must cost a fresh ownership transaction after the release", granted)
@@ -97,7 +97,7 @@ func TestSetHeldProducerConsumer(t *testing.T) {
 		t.Fatal("SetHeld did not mark the lock held/ownerless")
 	}
 	var granted bool
-	lk.Acquire(r.nodes[1], func() { granted = true })
+	lk.Acquire(r.nodes[1], sim.Func(func() { granted = true }))
 	r.k.Run(nil)
 	if granted {
 		t.Fatal("consumer acquired a pre-held lock before the producer released")
@@ -135,9 +135,9 @@ func TestBarrierReleasesAllTogether(t *testing.T) {
 	bar := NewBarrier(r.alloc.Alloc(mem.LineSize), r.alloc.Alloc(mem.LineSize), 4)
 	released := 0
 	arrive := func(i int, at sim.Time) {
-		r.k.At(at, func() {
-			bar.Arrive(r.nodes[i], func() { released++ })
-		})
+		r.k.AtActor(at, sim.Func(func() {
+			bar.Arrive(r.nodes[i], sim.Func(func() { released++ }))
+		}))
 	}
 	arrive(0, 0)
 	arrive(1, 100)
@@ -164,13 +164,13 @@ func TestBarrierReusableAcrossPhases(t *testing.T) {
 		}
 		done := 0
 		for i := 0; i < 2; i++ {
-			bar.Arrive(r.nodes[i], func() {
+			bar.Arrive(r.nodes[i], sim.Func(func() {
 				done++
 				if done == 2 {
 					phases++
 					phase()
 				}
-			})
+			}))
 		}
 	}
 	phase()
@@ -201,9 +201,9 @@ func TestBarrierZeroParticipantsPanics(t *testing.T) {
 func TestLockWaitersCount(t *testing.T) {
 	r := newRig(4)
 	lk := r.lock()
-	lk.Acquire(r.nodes[0], func() {})
-	lk.Acquire(r.nodes[1], func() {})
-	lk.Acquire(r.nodes[2], func() {})
+	lk.Acquire(r.nodes[0], sim.Func(func() {}))
+	lk.Acquire(r.nodes[1], sim.Func(func() {}))
+	lk.Acquire(r.nodes[2], sim.Func(func() {}))
 	r.k.Run(nil)
 	if lk.Waiters() != 2 {
 		t.Errorf("waiters = %d, want 2", lk.Waiters())

@@ -138,7 +138,7 @@ func TestKernelEventDeltas(t *testing.T) {
 	k := sim.NewKernel()
 	r := NewRecorder(k, 1, Options{Interval: 10})
 	for i := 0; i < 5; i++ {
-		k.After(sim.Time(i), func() {})
+		k.AfterActor(sim.Time(i), sim.Func(func() {}))
 	}
 	k.Run(nil)
 	r.Account(0, stats.Busy, 5) // samples events=5 into interval 0

@@ -45,7 +45,10 @@ import (
 // DirOrg/DirPointers/DirCoarseness, stats.Proc the
 // InvalsSent/DirOverflows/SpuriousInvals counters, and the obs report
 // the overflow/spurious_inval DirTxn kinds (obs.ReportSchema 5).
-const SchemaVersion = 7
+//
+// v8: sim.Stats (machine.Result.Kernel) dropped the Actor counter, which
+// always equals Scheduled now that every event is an Actor.
+const SchemaVersion = 8
 
 // Job names one deterministic simulation: an application, a data-set
 // scale, an optional workload seed override (0 keeps the paper's seeds),

@@ -13,10 +13,12 @@
 // one node arena shared by all slots, and one word records which slots are
 // occupied, so scheduling and firing a near-future event is O(1). Events 64
 // or more cycles ahead wait in a value-typed 4-ary min-heap and move into
-// their slot as soon as the clock comes within 64 cycles of them. The Actor
-// scheduling path carries a completion as an interface pointer rather than
-// a closure, so the simulator's hot paths schedule events without
-// allocating at all.
+// their slot as soon as the clock comes within 64 cycles of them.
+//
+// Every scheduled completion, in the kernel, Resource and the model
+// packages above them, is an Actor. Model objects are Actors themselves,
+// so the simulator's hot paths schedule events without allocating at all;
+// the few cold sites that build a closure schedule it as a Func.
 package sim
 
 import (
@@ -27,46 +29,28 @@ import (
 // Time is a point in simulated time, in processor clock cycles.
 type Time uint64
 
-// Actor is the allocation-free completion: scheduling an Actor stores one
-// interface word pair in the event slot instead of materializing a
-// closure. Model objects with multi-step lifecycles (a context, a miss
+// Actor is the completion type: a scheduled event, a resource grant or a
+// memory-system callback stores one interface word pair and calls Act when
+// it fires. Model objects with multi-step lifecycles (a context, a miss
 // record, a network message) implement Act as a small state machine and
-// reschedule themselves through their stages.
+// reschedule themselves through their stages. A nil Actor means no
+// completion where an API accepts one.
 type Actor interface {
 	Act()
 }
 
-// Task is a completion callback that is either a bare closure or an Actor.
-// It lets one code path serve both the legacy closure API and the
-// allocation-free Actor API. The zero Task is a no-op.
-type Task struct {
-	fn    func()
-	actor Actor
-}
+// Func adapts a closure to Actor. A func value is one pointer, so the
+// conversion allocates nothing beyond the closure itself.
+type Func func()
 
-// FuncTask wraps a closure as a Task.
-func FuncTask(fn func()) Task { return Task{fn: fn} }
-
-// ActorTask wraps an Actor as a Task without allocating.
-func ActorTask(a Actor) Task { return Task{actor: a} }
-
-// Run invokes the completion; a zero Task does nothing.
-func (t Task) Run() {
-	if t.actor != nil {
-		t.actor.Act()
-	} else if t.fn != nil {
-		t.fn()
-	}
-}
-
-// Zero reports whether the Task carries no completion.
-func (t Task) Zero() bool { return t.actor == nil && t.fn == nil }
+// Act implements Actor.
+func (f Func) Act() { f() }
 
 // event is a scheduled callback in the overflow heap, stored by value.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: schedule order
-	task Task
+	at  Time
+	seq uint64 // tie-breaker: schedule order
+	a   Actor
 }
 
 // before reports whether e fires before o in (time, sequence) order.
@@ -83,7 +67,7 @@ const slots = 64
 // node in its slot or in the free list; nilNode ends both lists. Its slot
 // gives its time and its place in the FIFO its sequence.
 type node struct {
-	task Task
+	a    Actor
 	next int32
 }
 
@@ -114,7 +98,6 @@ type Kernel struct {
 	// Counters, surfaced through machine results and runner metrics.
 	events    uint64 // events fired
 	scheduled uint64 // events pushed into the queue
-	actors    uint64 // events scheduled via the Actor path (no closure either)
 	advances  uint64 // clock advances without an event (sync fast-path completions)
 }
 
@@ -127,56 +110,36 @@ func (k *Kernel) Now() Time { return k.now }
 // Events returns the total number of events fired so far.
 func (k *Kernel) Events() uint64 { return k.events }
 
-// Pending returns the number of events still scheduled: every scheduled
-// event is pending until it fires.
-func (k *Kernel) Pending() int { return int(k.scheduled - k.events) }
-
 // Stats is a snapshot of the kernel's scheduling counters.
 type Stats struct {
 	Fired     uint64 // events executed
 	Scheduled uint64 // events pushed into the queue
-	Actor     uint64 // of Scheduled, how many used the allocation-free Actor path
 	Advances  uint64 // clock advances taken without firing an event
 }
 
 // KernelStats returns the scheduling counters.
 func (k *Kernel) KernelStats() Stats {
-	return Stats{Fired: k.events, Scheduled: k.scheduled, Actor: k.actors, Advances: k.advances}
+	return Stats{Fired: k.events, Scheduled: k.scheduled, Advances: k.advances}
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
+// AtActor schedules a.Act() at absolute time t. Scheduling in the past
 // (t < Now) panics: it always indicates a modeling bug.
-func (k *Kernel) At(t Time, fn func()) { k.AtTask(t, Task{fn: fn}) }
-
-// After schedules fn to run delay cycles from now.
-func (k *Kernel) After(delay Time, fn func()) { k.AtTask(k.now+delay, Task{fn: fn}) }
-
-// AtActor schedules a.Act() at absolute time t without allocating.
-func (k *Kernel) AtActor(t Time, a Actor) { k.AtTask(t, Task{actor: a}) }
-
-// AfterActor schedules a.Act() delay cycles from now without allocating.
-func (k *Kernel) AfterActor(delay Time, a Actor) { k.AtTask(k.now+delay, Task{actor: a}) }
-
-// AtTask schedules a Task at absolute time t.
-func (k *Kernel) AtTask(t Time, task Task) {
+func (k *Kernel) AtActor(t Time, a Actor) {
 	if t < k.now {
 		//hookpure:alloc failure path only; scheduling into the past aborts the run
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, k.now))
 	}
 	k.seq++
 	k.scheduled++
-	if task.actor != nil {
-		k.actors++
-	}
 	if t-k.now < slots {
-		k.pushNear(t, task)
+		k.pushNear(t, a)
 	} else {
-		k.pushFar(event{at: t, seq: k.seq, task: task})
+		k.pushFar(event{at: t, seq: k.seq, a: a})
 	}
 }
 
-// AfterTask schedules a Task delay cycles from now.
-func (k *Kernel) AfterTask(delay Time, task Task) { k.AtTask(k.now+delay, task) }
+// AfterActor schedules a.Act() delay cycles from now.
+func (k *Kernel) AfterActor(delay Time, a Actor) { k.AtActor(k.now+delay, a) }
 
 // NextAt returns the timestamp of the earliest pending event, if any.
 // Overflow events are all due after every calendar event.
@@ -212,13 +175,13 @@ func (k *Kernel) AdvanceTo(t Time) {
 // It reports whether an event was fired.
 func (k *Kernel) Step() bool {
 	var at Time
-	var task Task
+	var a Actor
 	switch {
 	case k.occupied != 0:
-		at, task = k.popNear()
+		at, a = k.popNear()
 	case len(k.far) > 0:
 		e := k.popFar()
-		at, task = e.at, e.task
+		at, a = e.at, e.a
 	default:
 		return false
 	}
@@ -226,11 +189,7 @@ func (k *Kernel) Step() bool {
 		k.setNow(at)
 	}
 	k.events++
-	if task.actor != nil {
-		task.actor.Act()
-	} else {
-		task.fn()
-	}
+	a.Act()
 	return true
 }
 
@@ -263,9 +222,9 @@ func (k *Kernel) nearOffset() Time {
 	return Time(bits.TrailingZeros64(bits.RotateLeft64(k.occupied, -int(k.now%slots))))
 }
 
-// pushNear appends task to the FIFO of the slot for cycle t, which must
-// be before now+slots.
-func (k *Kernel) pushNear(t Time, task Task) {
+// pushNear appends a to the FIFO of the slot for cycle t, which must be
+// before now+slots.
+func (k *Kernel) pushNear(t Time, a Actor) {
 	i := k.free
 	if i == nilNode {
 		i = int32(len(k.nodes))
@@ -274,7 +233,7 @@ func (k *Kernel) pushNear(t Time, task Task) {
 	} else {
 		k.free = k.nodes[i].next
 	}
-	k.nodes[i].task = task
+	k.nodes[i].a = a
 	k.nodes[i].next = nilNode
 	s := t % slots
 	if k.occupied&(1<<s) == 0 {
@@ -289,11 +248,11 @@ func (k *Kernel) pushNear(t Time, task Task) {
 // popNear removes the earliest calendar event, the head of the first
 // occupied slot at or after now's, returns its node to the free list and
 // returns the event's time and completion.
-func (k *Kernel) popNear() (Time, Task) {
+func (k *Kernel) popNear() (Time, Actor) {
 	at := k.now + k.nearOffset()
 	s := at % slots
 	i := k.head[s]
-	task := k.nodes[i].task
+	a := k.nodes[i].a
 	if next := k.nodes[i].next; next == nilNode {
 		k.occupied &^= 1 << s
 	} else {
@@ -301,7 +260,7 @@ func (k *Kernel) popNear() (Time, Task) {
 	}
 	k.nodes[i] = node{next: k.free} // release the completion to the GC
 	k.free = i
-	return at, task
+	return at, a
 }
 
 // setNow moves the clock forward to t and then the overflow events now
@@ -312,7 +271,7 @@ func (k *Kernel) setNow(t Time) {
 	k.now = t
 	for len(k.far) > 0 && k.far[0].at-k.now < slots {
 		e := k.popFar()
-		k.pushNear(e.at, e.task)
+		k.pushNear(e.at, e.a)
 	}
 }
 

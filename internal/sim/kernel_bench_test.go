@@ -8,19 +8,19 @@ import "testing"
 // benchmark module in bench/ measures the kernel's share of whole runs.
 
 // BenchmarkKernelScheduleFire schedules and fires one event per iteration
-// with a prebuilt callback: the steady-state cost of one event through the
-// queue.
+// with a prebuilt closure: the steady-state cost of one event through the
+// queue. It also pins that a Func converts to an Actor without allocating.
 func BenchmarkKernelScheduleFire(b *testing.B) {
 	k := NewKernel()
-	fn := func() {}
+	fn := Func(func() {})
 	// Warm the queue so slice growth is out of the measured region.
 	for i := 0; i < 64; i++ {
-		k.After(Time(i), fn)
+		k.AfterActor(Time(i), fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.After(8, fn)
+		k.AfterActor(8, fn)
 		k.Step()
 	}
 }
@@ -31,16 +31,16 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 // the calendar.
 func BenchmarkKernelHeapChurn(b *testing.B) {
 	k := NewKernel()
-	fn := func() {}
+	fn := Func(func() {})
 	const depth = 1024
 	for i := 0; i < depth; i++ {
 		// Spread timestamps so the heap actually reorders.
-		k.After(Time(i*7%255), fn)
+		k.AfterActor(Time(i*7%255), fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.After(Time(i*13%255+1), fn)
+		k.AfterActor(Time(i*13%255+1), fn)
 		k.Step()
 	}
 }
@@ -64,15 +64,16 @@ func BenchmarkKernelNearChurn(b *testing.B) {
 }
 
 // BenchmarkKernelResource measures a Resource acquire/complete cycle, the
-// building block of every contention point in the memory system.
+// building block of every contention point in the memory system, with a
+// prebuilt closure completion.
 func BenchmarkKernelResource(b *testing.B) {
 	k := NewKernel()
 	r := NewResource(k, "bus")
-	fn := func() {}
+	fn := Func(func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Acquire(2, fn)
+		r.AcquireActor(2, fn)
 		k.Step()
 	}
 }
@@ -82,9 +83,9 @@ type nopActor struct{}
 
 func (nopActor) Act() {}
 
-// BenchmarkKernelActorScheduleFire is ScheduleFire through the Actor path:
-// the event carries an interface pointer instead of a closure, the
-// scheduling pattern used by every hot model object after the refactor.
+// BenchmarkKernelActorScheduleFire is ScheduleFire with a model-object
+// Actor instead of a closure, the scheduling pattern of every hot model
+// object.
 func BenchmarkKernelActorScheduleFire(b *testing.B) {
 	k := NewKernel()
 	var a nopActor

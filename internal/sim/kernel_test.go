@@ -15,7 +15,7 @@ func TestKernelFiresInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, d := range []Time{50, 10, 30, 10, 0, 99} {
 		d := d
-		k.At(d, func() { got = append(got, d) })
+		k.AtActor(d, Func(func() { got = append(got, d) }))
 	}
 	k.Run(nil)
 	want := []Time{0, 10, 10, 30, 50, 99}
@@ -37,7 +37,7 @@ func TestKernelSameTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(5, func() { order = append(order, i) })
+		k.AtActor(5, Func(func() { order = append(order, i) }))
 	}
 	k.Run(nil)
 	for i, v := range order {
@@ -50,11 +50,11 @@ func TestKernelSameTimeFIFO(t *testing.T) {
 func TestKernelNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var trace []Time
-	k.At(10, func() {
+	k.AtActor(10, Func(func() {
 		trace = append(trace, k.Now())
-		k.After(5, func() { trace = append(trace, k.Now()) })
-		k.After(0, func() { trace = append(trace, k.Now()) })
-	})
+		k.AfterActor(5, Func(func() { trace = append(trace, k.Now()) }))
+		k.AfterActor(0, Func(func() { trace = append(trace, k.Now()) }))
+	}))
 	k.Run(nil)
 	want := []Time{10, 10, 15}
 	for i := range want {
@@ -66,14 +66,14 @@ func TestKernelNestedScheduling(t *testing.T) {
 
 func TestKernelSchedulingInPastPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(10, func() {
+	k.AtActor(10, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.At(5, func() {})
-	})
+		k.AtActor(5, Func(func() {}))
+	}))
 	k.Run(nil)
 }
 
@@ -81,7 +81,7 @@ func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	for _, d := range []Time{1, 2, 3, 10, 20} {
-		k.At(d, func() { fired++ })
+		k.AtActor(d, Func(func() { fired++ }))
 	}
 	k.RunUntil(5)
 	if fired != 3 {
@@ -111,7 +111,7 @@ func TestKernelRunUntilEmptyQueue(t *testing.T) {
 	}
 	// Events scheduled after the jump still fire at their own times.
 	var at Time
-	k.After(10, func() { at = k.Now() })
+	k.AfterActor(10, Func(func() { at = k.Now() }))
 	k.RunUntil(300)
 	if at != 260 {
 		t.Errorf("event fired at %d, want 260", at)
@@ -137,20 +137,19 @@ func TestKernelActorScheduling(t *testing.T) {
 	a := &countActor{k: k}
 	k.AtActor(5, a)
 	k.AfterActor(12, a)
-	k.AtTask(20, ActorTask(a))
 	k.Run(nil)
-	if a.fired != 3 {
-		t.Fatalf("actor fired %d times, want 3", a.fired)
+	if a.fired != 2 {
+		t.Fatalf("actor fired %d times, want 2", a.fired)
 	}
-	want := []Time{5, 12, 20}
+	want := []Time{5, 12}
 	for i := range want {
 		if a.at[i] != want[i] {
 			t.Errorf("actor firing %d at t=%d, want %d", i, a.at[i], want[i])
 		}
 	}
 	st := k.KernelStats()
-	if st.Fired != 3 || st.Scheduled != 3 || st.Actor != 3 {
-		t.Errorf("stats = %+v, want Fired=3 Scheduled=3 Actor=3", st)
+	if st.Fired != 2 || st.Scheduled != 2 {
+		t.Errorf("stats = %+v, want Fired=2 Scheduled=2", st)
 	}
 }
 
@@ -169,7 +168,7 @@ func TestKernelAdvanceTo(t *testing.T) {
 		t.Errorf("Advances = %d after no-op, want 1", st.Advances)
 	}
 	// Advancing past a pending event would fire it at the wrong time.
-	k.After(5, func() {})
+	k.AfterActor(5, Func(func() {}))
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -189,7 +188,7 @@ func TestKernelStop(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	for i := Time(0); i < 100; i++ {
-		k.At(i, func() { fired++ })
+		k.AtActor(i, Func(func() { fired++ }))
 	}
 	k.Run(func() bool { return fired >= 10 })
 	if fired != 10 {
@@ -236,7 +235,7 @@ func TestKernelOrderProperty(t *testing.T) {
 		schedule = func() {
 			r := rec{at: k.Now() + delay(), seq: len(scheduled)}
 			scheduled = append(scheduled, r)
-			k.At(r.at, func() {
+			k.AtActor(r.at, Func(func() {
 				if k.Now() != r.at {
 					ok = false
 				}
@@ -247,13 +246,13 @@ func TestKernelOrderProperty(t *testing.T) {
 				for n := rng.Intn(3); n > 0 && len(scheduled) < 1000; n-- {
 					schedule()
 				}
-			})
+			}))
 		}
 		for round := 0; round < 3; round++ {
 			for n := rng.Intn(64) + 1; n > 0; n-- {
 				schedule()
 			}
-			for k.Pending() > 0 {
+			for _, pending := k.NextAt(); pending; _, pending = k.NextAt() {
 				switch rng.Intn(6) {
 				case 0:
 					advance()
@@ -284,14 +283,14 @@ func TestKernelOverflowEventKeepsScheduleOrder(t *testing.T) {
 		name string
 		move func(k *Kernel, schedB func())
 	}{
-		{"Step", func(k *Kernel, schedB func()) { k.At(1, schedB) }},
+		{"Step", func(k *Kernel, schedB func()) { k.AtActor(1, Func(schedB)) }},
 		{"AdvanceTo", func(k *Kernel, schedB func()) { k.AdvanceTo(1); schedB() }},
 		{"RunUntil", func(k *Kernel, schedB func()) { k.RunUntil(1); schedB() }},
 	} {
 		k := NewKernel()
 		var order []string
-		k.At(slots, func() { order = append(order, "A") })
-		tc.move(k, func() { k.At(slots, func() { order = append(order, "B") }) })
+		k.AtActor(slots, Func(func() { order = append(order, "A") }))
+		tc.move(k, func() { k.AtActor(slots, Func(func() { order = append(order, "B") })) })
 		k.Run(nil)
 		if strings.Join(order, "") != "AB" {
 			t.Errorf("%s: fired %v, want [A B]", tc.name, order)
@@ -303,11 +302,11 @@ func TestResourceSerializesOverlappingRequests(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "bus")
 	var ends []Time
-	k.At(0, func() {
-		r.Acquire(10, func() { ends = append(ends, k.Now()) })
-		r.Acquire(10, func() { ends = append(ends, k.Now()) })
-		r.Acquire(5, func() { ends = append(ends, k.Now()) })
-	})
+	k.AtActor(0, Func(func() {
+		r.AcquireActor(10, Func(func() { ends = append(ends, k.Now()) }))
+		r.AcquireActor(10, Func(func() { ends = append(ends, k.Now()) }))
+		r.AcquireActor(5, Func(func() { ends = append(ends, k.Now()) }))
+	}))
 	k.Run(nil)
 	want := []Time{10, 20, 25}
 	for i := range want {
@@ -327,60 +326,13 @@ func TestResourceIdleGapThenAcquire(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "bus")
 	var end Time
-	k.At(0, func() { r.Acquire(5, nil) })
-	k.At(100, func() {
-		end = r.Acquire(5, nil)
-	})
+	k.AtActor(0, Func(func() { r.AcquireActor(5, nil) }))
+	k.AtActor(100, Func(func() {
+		end = r.AcquireActor(5, nil)
+	}))
 	k.Run(nil)
 	if end != 105 {
 		t.Errorf("second acquire completed at %d, want 105", end)
-	}
-	if r.WaitCycles() != 0 {
-		t.Errorf("WaitCycles = %d, want 0", r.WaitCycles())
-	}
-}
-
-func TestResourceAcquireAt(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "ni")
-	var done []Time
-	k.At(0, func() {
-		// Request arrives at t=20 in the pipeline; resource free: start 20.
-		r.AcquireAt(20, 4, func() { done = append(done, k.Now()) })
-		// Second request arrives at t=10 but queues behind first (FIFO).
-		r.AcquireAt(10, 4, func() { done = append(done, k.Now()) })
-	})
-	k.Run(nil)
-	if done[0] != 24 || done[1] != 28 {
-		t.Errorf("done = %v, want [24 28]", done)
-	}
-	// Wait accounting is relative to each request's own arrival time: the
-	// first request starts the moment it arrives (no wait); the second
-	// arrives at t=10 but cannot start until t=24, waiting 14 cycles.
-	if r.WaitCycles() != 14 {
-		t.Errorf("WaitCycles = %d, want 14", r.WaitCycles())
-	}
-	if r.BusyCycles() != 8 {
-		t.Errorf("BusyCycles = %d, want 8", r.BusyCycles())
-	}
-	if r.Requests() != 2 {
-		t.Errorf("Requests = %d, want 2", r.Requests())
-	}
-}
-
-func TestResourceAcquireAtBeforeNowClamps(t *testing.T) {
-	// An arrival time in the past is clamped to Now: the request cannot
-	// retroactively occupy the resource, and the wait it accrues is
-	// measured from Now, not from the stale arrival stamp.
-	k := NewKernel()
-	r := NewResource(k, "bus")
-	var end Time
-	k.At(50, func() {
-		end = r.AcquireAt(10, 4, nil)
-	})
-	k.Run(nil)
-	if end != 54 {
-		t.Errorf("completion = %d, want 54", end)
 	}
 	if r.WaitCycles() != 0 {
 		t.Errorf("WaitCycles = %d, want 0", r.WaitCycles())

@@ -23,51 +23,20 @@ func NewResource(k *Kernel, name string) *Resource {
 	return &Resource{k: k, name: name}
 }
 
-// Acquire occupies the resource for hold cycles, queueing behind earlier
-// requests, and calls done when the occupancy completes. It returns the
-// completion time. A zero hold passes through immediately (still FIFO
-// ordered after queued work).
-func (r *Resource) Acquire(hold Time, done func()) Time {
-	return r.acquire(r.k.Now(), hold, Task{fn: done})
-}
-
-// AcquireActor is Acquire with an allocation-free completion.
+// AcquireActor occupies the resource for hold cycles, queueing behind
+// earlier requests, and schedules a.Act() when the occupancy completes (a
+// nil a schedules nothing). It returns the completion time. A zero hold
+// passes through immediately (still FIFO ordered after queued work).
 func (r *Resource) AcquireActor(hold Time, a Actor) Time {
-	return r.acquire(r.k.Now(), hold, Task{actor: a})
-}
-
-// AcquireTask is Acquire with a Task completion.
-func (r *Resource) AcquireTask(hold Time, done Task) Time {
-	return r.acquire(r.k.Now(), hold, done)
-}
-
-// AcquireAt is like Acquire but the request arrives at time at (>= Now),
-// modeling a request that reaches this resource later in a transaction
-// pipeline. It returns the completion time and schedules done then.
-func (r *Resource) AcquireAt(at Time, hold Time, done func()) Time {
-	return r.acquire(at, hold, Task{fn: done})
-}
-
-// AcquireAtTask is AcquireAt with a Task completion.
-func (r *Resource) AcquireAtTask(at Time, hold Time, done Task) Time {
-	return r.acquire(at, hold, done)
-}
-
-func (r *Resource) acquire(at, hold Time, done Task) Time {
-	if now := r.k.Now(); at < now {
-		at = now
-	}
-	start := r.freeAt
-	if start < at {
-		start = at
-	}
-	r.waitCycles += start - at
+	now := r.k.Now()
+	start := max(r.freeAt, now)
+	r.waitCycles += start - now
 	r.busyCycles += hold
 	r.requests++
 	end := start + hold
 	r.freeAt = end
-	if !done.Zero() {
-		r.k.AtTask(end, done)
+	if a != nil {
+		r.k.AtActor(end, a)
 	}
 	return end
 }
@@ -81,7 +50,7 @@ func (r *Resource) BusyCycles() Time { return r.busyCycles }
 // WaitCycles returns total cycles requests spent waiting in the queue.
 func (r *Resource) WaitCycles() Time { return r.waitCycles }
 
-// Requests returns the number of Acquire calls.
+// Requests returns the number of AcquireActor calls.
 func (r *Resource) Requests() uint64 { return r.requests }
 
 // Utilization returns busy cycles divided by elapsed time, in [0,1].
