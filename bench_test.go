@@ -54,7 +54,7 @@ func BenchmarkTable2Stats(b *testing.B) {
 func BenchmarkFig2Caching(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		f, err := s.Figure2()
+		f, err := s.Figure("fig2")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func BenchmarkFig2Caching(b *testing.B) {
 func BenchmarkFig3Consistency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		f, err := s.Figure3()
+		f, err := s.Figure("fig3")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkFig3Consistency(b *testing.B) {
 func BenchmarkFig4Prefetch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		f, err := s.Figure4()
+		f, err := s.Figure("fig4")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func BenchmarkFig4Prefetch(b *testing.B) {
 func BenchmarkFig5Contexts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		f, err := s.Figure5()
+		f, err := s.Figure("fig5")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func BenchmarkFig5Contexts(b *testing.B) {
 func BenchmarkFig6Combined(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		f, err := s.Figure6()
+		f, err := s.Figure("fig6")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func BenchmarkSummarySpeedups(b *testing.B) {
 func BenchmarkFullCacheAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		a, err := s.FullCacheAblation()
+		a, err := s.Ablation("fullcache")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func BenchmarkFullCacheAblation(b *testing.B) {
 func BenchmarkAblationWriteBuffer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		if _, err := s.WriteBufferAblation(); err != nil {
+		if _, err := s.Ablation("wbuf"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -180,7 +180,7 @@ func BenchmarkAblationWriteBuffer(b *testing.B) {
 func BenchmarkAblationSwitchPenalty(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		if _, err := s.SwitchPenaltyAblation(); err != nil {
+		if _, err := s.Ablation("switch"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func BenchmarkAblationSwitchPenalty(b *testing.B) {
 func BenchmarkAblationNetworkLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		if _, err := s.NetworkAblation(); err != nil {
+		if _, err := s.Ablation("network"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func BenchmarkAblationNetworkLatency(b *testing.B) {
 func BenchmarkAblationWritePipelining(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		if _, err := s.PipeliningAblation(); err != nil {
+		if _, err := s.Ablation("owrites"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkConsistencySpectrum(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		f, err := s.ConsistencySpectrum()
+		f, err := s.Figure("spectrum")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func BenchmarkConsistencySpectrum(b *testing.B) {
 func BenchmarkAblationAssociativity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		if _, err := s.AssociativityAblation(); err != nil {
+		if _, err := s.Ablation("assoc"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func BenchmarkAblationAssociativity(b *testing.B) {
 func BenchmarkAblationExclusiveGrant(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		if _, err := s.ExclusiveGrantAblation(); err != nil {
+		if _, err := s.Ablation("egrant"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,7 +284,7 @@ func BenchmarkPrefetchCoverage(b *testing.B) {
 func BenchmarkAblationMeshTopology(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
-		if _, err := s.MeshAblation(); err != nil {
+		if _, err := s.Ablation("mesh"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -294,10 +294,8 @@ func BenchmarkAblationMeshTopology(b *testing.B) {
 // parallelizes the underlying jobs and dedups shared baselines).
 func regenFigures(b *testing.B, s *core.Session) {
 	b.Helper()
-	for _, fn := range []func() (*core.Figure, error){
-		s.Figure2, s.Figure3, s.Figure4, s.Figure5, s.Figure6,
-	} {
-		if _, err := fn(); err != nil {
+	for _, id := range []string{"fig2", "fig3", "fig4", "fig5", "fig6"} {
+		if _, err := s.Figure(id); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,7 +335,7 @@ func BenchmarkRunnerCacheCold(b *testing.B) {
 		b.StartTimer()
 		s := newSession()
 		s.CacheDir = dir
-		if _, err := s.Figure3(); err != nil {
+		if _, err := s.Figure("fig3"); err != nil {
 			b.Fatal(err)
 		}
 		s.Close()
@@ -350,7 +348,7 @@ func BenchmarkRunnerCacheWarm(b *testing.B) {
 	dir := b.TempDir()
 	seed := newSession()
 	seed.CacheDir = dir
-	if _, err := seed.Figure3(); err != nil {
+	if _, err := seed.Figure("fig3"); err != nil {
 		b.Fatal(err)
 	}
 	seed.Close()
@@ -358,7 +356,7 @@ func BenchmarkRunnerCacheWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSession()
 		s.CacheDir = dir
-		if _, err := s.Figure3(); err != nil {
+		if _, err := s.Figure("fig3"); err != nil {
 			b.Fatal(err)
 		}
 		if m := s.Metrics(); m.Executed != 0 {

@@ -42,7 +42,6 @@ import (
 	"latsim/internal/core"
 	"latsim/internal/obs"
 	"latsim/internal/runner"
-	"latsim/internal/twin"
 )
 
 // main delegates to realMain so deferred cleanups (profile flush, session
@@ -51,7 +50,8 @@ func main() { os.Exit(realMain()) }
 
 func realMain() int {
 	scaleFlag := flag.String("scale", "small", "data-set scale: small or paper")
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids (all, table1, table2, fig2..fig6, hitrates, summary, coverage, fullcache, spectrum, scaling, analytic, ablations; opt-in: dirscale)")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids (all, "+strings.Join(core.ExperimentIDs, ", ")+
+		"; opt-in: "+strings.Join(core.ExtraExperimentIDs, ", ")+")")
 	verbose := flag.Bool("v", false, "print per-run progress")
 	bars := flag.Bool("bars", false, "render figures as stacked bar charts")
 	asJSON := flag.Bool("json", false, "emit figures as JSON (for plotting tools)")
@@ -144,26 +144,15 @@ func realMain() int {
 		return nil
 	}
 
-	// twinChars lazily characterizes every benchmark for -twin overlays;
-	// the reference runs go through the session's engine, so they cache
-	// and dedup like any experiment.
-	var chars map[string]*twin.AppChar
-	twinChars := func() (map[string]*twin.AppChar, error) {
-		if chars == nil {
-			var err error
-			if chars, err = s.CharacterizeAll(); err != nil {
-				return nil, err
-			}
-		}
-		return chars, nil
-	}
 	// Rendering itself lives in core.RunExperiment (shared with every
 	// other front end, notably the sweep service, so outputs stay
 	// byte-identical); the CLI contributes only its option wiring and the
 	// blank separator line between experiments.
 	opt := &core.RenderOptions{JSON: *asJSON, Bars: *bars}
 	if *twinFlag {
-		opt.Twin = twinChars
+		// Each figure characterizes the benchmarks again; the engine
+		// memoizes the reference runs, so only the first one simulates.
+		opt.Twin = s.CharacterizeAll
 	}
 	if *obsFlag {
 		opt.Obs = writeObs

@@ -22,21 +22,18 @@ type HitRateRow struct {
 // cached SC machine). The paper reports 80/66/77% shared-read and
 // 75/97/47% shared-write hit rates for MP3D/LU/PTHOR.
 func (s *Session) HitRates() ([]HitRateRow, error) {
-	if err := s.warm(Base()); err != nil {
+	res, err := s.runAll(AppNames, baseOnly())
+	if err != nil {
 		return nil, err
 	}
 	paperRead := map[string]float64{"MP3D": 0.80, "LU": 0.66, "PTHOR": 0.77}
 	paperWrite := map[string]float64{"MP3D": 0.75, "LU": 0.97, "PTHOR": 0.47}
 	var rows []HitRateRow
-	for _, app := range AppNames {
-		res, err := s.Run(app, Base())
-		if err != nil {
-			return nil, err
-		}
+	for i, app := range AppNames {
 		rows = append(rows, HitRateRow{
 			App:          app,
-			ReadHitRate:  res.ReadHitRate(),
-			WriteHitRate: res.WriteHitRate(),
+			ReadHitRate:  res[i][0].ReadHitRate(),
+			WriteHitRate: res[i][0].WriteHitRate(),
 			PaperRead:    paperRead[app],
 			PaperWrite:   paperWrite[app],
 		})
@@ -78,94 +75,147 @@ func (a *Ablation) Render(w io.Writer) {
 	}
 }
 
-// sweep runs a config mutation sweep over all applications.
-func (s *Session) sweep(id, title string, settings []string, mut func(cfg *config.Config, i int)) (*Ablation, error) {
-	ab := &Ablation{ID: id, Title: title}
-	cfgs := make([]config.Config, len(settings))
-	for i := range settings {
-		cfgs[i] = Base()
-		mut(&cfgs[i], i)
+// ablationSpec declares a sweep over one design choice: setting i runs
+// the base machine with mutate(cfg, i) applied.
+type ablationSpec struct {
+	id, title string
+	settings  []string
+	mutate    func(cfg *config.Config, i int)
+}
+
+// ablationConfigs lists every setting's configuration of every spec, in
+// order.
+func ablationConfigs(specs []ablationSpec) []config.Config {
+	var cfgs []config.Config
+	for _, a := range specs {
+		for i := range a.settings {
+			cfg := Base()
+			a.mutate(&cfg, i)
+			cfgs = append(cfgs, cfg)
+		}
 	}
-	if err := s.warm(cfgs...); err != nil {
+	return cfgs
+}
+
+// ablations runs every spec's sweep over all benchmarks as one batch.
+func (s *Session) ablations(specs []ablationSpec) ([]*Ablation, error) {
+	res, err := s.runAll(AppNames, ablationConfigs(specs))
+	if err != nil {
 		return nil, err
 	}
-	for _, app := range AppNames {
-		for i, set := range settings {
-			cfg := Base()
-			mut(&cfg, i)
-			res, err := s.Run(app, cfg)
+	out := make([]*Ablation, len(specs))
+	first := 0 // column of the spec's first setting in res
+	for k, a := range specs {
+		ab := &Ablation{ID: a.id, Title: a.title}
+		for i, app := range AppNames {
+			for j, set := range a.settings {
+				r := res[i][first+j]
+				ab.Points = append(ab.Points, AblationPoint{
+					Setting: set,
+					App:     app,
+					Total:   r.Breakdown.Total(),
+					Busy:    r.Breakdown.Time[stats.Busy],
+				})
+			}
+		}
+		first += len(a.settings)
+		out[k] = ab
+	}
+	return out, nil
+}
+
+// Ablation runs the ablation sweep whose Ablation.ID is id.
+func (s *Session) Ablation(id string) (*Ablation, error) {
+	for _, a := range append(fullCacheAblations(), designAblations()...) {
+		if a.id == id {
+			abs, err := s.ablations([]ablationSpec{a})
 			if err != nil {
 				return nil, err
 			}
-			ab.Points = append(ab.Points, AblationPoint{
-				Setting: set,
-				App:     app,
-				Total:   res.Breakdown.Total(),
-				Busy:    res.Breakdown.Time[stats.Busy],
-			})
+			return abs[0], nil
 		}
 	}
-	return ab, nil
+	return nil, fmt.Errorf("core: unknown ablation %q", id)
 }
 
-// FullCacheAblation is the paper's Section 2.3 sensitivity check: rerun
+// ablationExperiment declares an experiment that runs specs' sweeps as
+// one batch and prints each followed by sep.
+func ablationExperiment(id string, specs func() []ablationSpec, sep string) experiment {
+	return experiment{
+		id:   id,
+		runs: onApps(func() []config.Config { return ablationConfigs(specs()) }),
+		render: func(s *Session, w io.Writer, _ *RenderOptions) error {
+			abs, err := s.ablations(specs())
+			if err != nil {
+				return err
+			}
+			for _, a := range abs {
+				a.Render(w)
+				io.WriteString(w, sep)
+			}
+			return nil
+		},
+	}
+}
+
+// fullCacheAblations is the paper's Section 2.3 sensitivity check: rerun
 // with the unscaled 64 KB / 256 KB caches; absolute times drop but the
 // relative gains from the techniques stay similar.
-func (s *Session) FullCacheAblation() (*Ablation, error) {
-	return s.sweep("fullcache", "Scaled (2KB/4KB) vs full (64KB/256KB) caches, SC",
+func fullCacheAblations() []ablationSpec {
+	return []ablationSpec{{"fullcache", "Scaled (2KB/4KB) vs full (64KB/256KB) caches, SC",
 		[]string{"scaled", "full"}, func(cfg *config.Config, i int) {
 			if i == 1 {
 				*cfg = cfg.FullCaches()
 			}
-		})
+		}}}
 }
 
-// WriteBufferAblation sweeps write-buffer depth under RC.
-func (s *Session) WriteBufferAblation() (*Ablation, error) {
+// designAblations are the design-choice sweeps of DESIGN.md §3, in the
+// order the ablations experiment renders them.
+func designAblations() []ablationSpec {
 	depths := []int{1, 4, 16, 64}
-	return s.sweep("wbuf", "Write-buffer depth under RC",
-		[]string{"wb=1", "wb=4", "wb=16", "wb=64"}, func(cfg *config.Config, i int) {
-			cfg.Model = config.RC
-			cfg.WriteBufferDepth = depths[i]
-		})
-}
-
-// SwitchPenaltyAblation sweeps the context-switch overhead (4 contexts).
-func (s *Session) SwitchPenaltyAblation() (*Ablation, error) {
 	pens := []int{1, 4, 8, 16, 32}
-	return s.sweep("switch", "Context-switch penalty (4 contexts, SC)",
-		[]string{"sw=1", "sw=4", "sw=8", "sw=16", "sw=32"}, func(cfg *config.Config, i int) {
-			cfg.Contexts = 4
-			cfg.SwitchPenalty = pens[i]
-		})
-}
-
-// NetworkAblation sweeps the network hop wire latency (remote:local
-// latency ratio).
-func (s *Session) NetworkAblation() (*Ablation, error) {
 	wires := []int{5, 15, 45, 90}
-	return s.sweep("network", "Network hop wire latency, SC",
-		[]string{"wire=5", "wire=15", "wire=45", "wire=90"}, func(cfg *config.Config, i int) {
-			cfg.Lat.Wire = wires[i]
-		})
-}
-
-// MeshAblation compares the direct constant-latency network with the
-// 2-D wormhole mesh (the real DASH topology).
-func (s *Session) MeshAblation() (*Ablation, error) {
-	return s.sweep("mesh", "Interconnect topology: direct vs 2-D mesh, SC",
-		[]string{"direct", "mesh"}, func(cfg *config.Config, i int) {
-			cfg.MeshNetwork = i == 1
-		})
-}
-
-// PipeliningAblation sweeps the number of outstanding writes under RC
-// (the lockup-free cache's write MSHRs).
-func (s *Session) PipeliningAblation() (*Ablation, error) {
 	ows := []int{1, 2, 4, 8}
-	return s.sweep("owrites", "Outstanding writes under RC",
-		[]string{"ow=1", "ow=2", "ow=4", "ow=8"}, func(cfg *config.Config, i int) {
-			cfg.Model = config.RC
-			cfg.MaxOutstandingWrites = ows[i]
-		})
+	ways := []int{1, 2, 4}
+	return []ablationSpec{
+		{"wbuf", "Write-buffer depth under RC",
+			[]string{"wb=1", "wb=4", "wb=16", "wb=64"}, func(cfg *config.Config, i int) {
+				cfg.Model = config.RC
+				cfg.WriteBufferDepth = depths[i]
+			}},
+		{"switch", "Context-switch penalty (4 contexts, SC)",
+			[]string{"sw=1", "sw=4", "sw=8", "sw=16", "sw=32"}, func(cfg *config.Config, i int) {
+				cfg.Contexts = 4
+				cfg.SwitchPenalty = pens[i]
+			}},
+		// The wire latency sets the remote:local latency ratio.
+		{"network", "Network hop wire latency, SC",
+			[]string{"wire=5", "wire=15", "wire=45", "wire=90"}, func(cfg *config.Config, i int) {
+				cfg.Lat.Wire = wires[i]
+			}},
+		// Outstanding writes are the lockup-free cache's write MSHRs.
+		{"owrites", "Outstanding writes under RC",
+			[]string{"ow=1", "ow=2", "ow=4", "ow=8"}, func(cfg *config.Config, i int) {
+				cfg.Model = config.RC
+				cfg.MaxOutstandingWrites = ows[i]
+			}},
+		// The paper's machine is direct-mapped; conflict misses matter
+		// most for LU's column pairs.
+		{"assoc", "Secondary cache associativity (SC)",
+			[]string{"1-way", "2-way", "4-way"}, func(cfg *config.Config, i int) {
+				cfg.SecondaryWays = ways[i]
+			}},
+		// The paper's protocol grants reads a shared copy.
+		{"egrant", "Exclusive grant on read misses (MESI E-state) vs paper protocol",
+			[]string{"shared-grant", "exclusive-grant"}, func(cfg *config.Config, i int) {
+				cfg.ExclusiveGrant = i == 1
+			}},
+		// The direct network has constant latency; the 2-D wormhole
+		// mesh is the real DASH topology.
+		{"mesh", "Interconnect topology: direct vs 2-D mesh, SC",
+			[]string{"direct", "mesh"}, func(cfg *config.Config, i int) {
+				cfg.MeshNetwork = i == 1
+			}},
+	}
 }

@@ -260,18 +260,19 @@ func (s *Session) RunBatch(reqs []Request) ([]*machine.Result, error) {
 	return eng.RunAll(s.ctx(), jobs)
 }
 
-// warm submits every application x configuration pair so the workers
-// simulate them in parallel; the figure-assembly code that follows then
-// reads completed results in its original deterministic order.
-func (s *Session) warm(cfgs ...config.Config) error {
-	reqs := make([]Request, 0, len(AppNames)*len(cfgs))
-	for _, app := range AppNames {
-		for _, cfg := range cfgs {
-			reqs = append(reqs, Request{App: app, Cfg: cfg})
-		}
+// runAll runs every app on every configuration as one batch, in
+// requests' app-major order, and returns the results indexed
+// [app][config].
+func (s *Session) runAll(apps []string, cfgs []config.Config) ([][]*machine.Result, error) {
+	flat, err := s.RunBatch(requests(apps, cfgs))
+	if err != nil {
+		return nil, err
 	}
-	_, err := s.RunBatch(reqs)
-	return err
+	out := make([][]*machine.Result, len(apps))
+	for i := range out {
+		out[i] = flat[i*len(cfgs) : (i+1)*len(cfgs)]
+	}
+	return out, nil
 }
 
 // Metrics snapshots the job engine's progress counters. With a shared
@@ -367,190 +368,120 @@ var mcLegend = []stats.Bucket{
 	stats.SyncStall, stats.PrefetchOverhead,
 }
 
-// Figure2 reproduces "Effect of caching shared data": per application,
+// figureSpec declares a normalized-breakdown figure: one bar per
+// configuration, each normalized to the first bar's total.
+type figureSpec struct {
+	name, title string
+	legend      []stats.Bucket
+	bars        []barSpec
+}
+
+// barSpec is one labeled configuration.
+type barSpec struct {
+	label string
+	cfg   config.Config
+}
+
+func barConfigs(bars []barSpec) []config.Config {
+	cfgs := make([]config.Config, len(bars))
+	for i, b := range bars {
+		cfgs[i] = b.cfg
+	}
+	return cfgs
+}
+
+// figure runs spec's bars on every benchmark as one batch and
+// normalizes each benchmark's bars to its first.
+func (s *Session) figure(spec figureSpec) (*Figure, error) {
+	res, err := s.runAll(AppNames, barConfigs(spec.bars))
+	if err != nil {
+		return nil, err
+	}
+	f := &Figure{ID: spec.name, Title: spec.title, Apps: AppNames, Bars: map[string][]Bar{}, Legend: spec.legend}
+	for i, app := range AppNames {
+		base := res[i][0].Breakdown.Total()
+		bars := make([]Bar, len(spec.bars))
+		for j, b := range spec.bars {
+			bars[j] = barFor(b.label, res[i][j], base)
+		}
+		f.Bars[app] = bars
+	}
+	return f, nil
+}
+
+// fig2 reproduces "Effect of caching shared data": per application,
 // normalized breakdowns without and with hardware-coherent caching of
 // shared data, under sequential consistency.
-func (s *Session) Figure2() (*Figure, error) {
-	f := &Figure{
-		ID:     "Figure 2",
-		Title:  "Effect of caching shared data (SC)",
-		Apps:   AppNames,
-		Bars:   map[string][]Bar{},
-		Legend: singleCtxLegend,
-	}
-	if err := s.warm(fig2Configs()...); err != nil {
-		return nil, err
-	}
-	for _, app := range AppNames {
-		nocache := Base()
-		nocache.CacheShared = false
-		rn, err := s.Run(app, nocache)
-		if err != nil {
-			return nil, err
-		}
-		rc, err := s.Run(app, Base())
-		if err != nil {
-			return nil, err
-		}
-		base := rn.Breakdown.Total()
-		f.Bars[app] = []Bar{
-			barFor("No Cache", rn, base),
-			barFor("Cache", rc, base),
-		}
-	}
-	return f, nil
+func fig2() figureSpec {
+	nocache := Base()
+	nocache.CacheShared = false
+	return figureSpec{"Figure 2", "Effect of caching shared data (SC)", singleCtxLegend,
+		[]barSpec{{"No Cache", nocache}, {"Cache", Base()}}}
 }
 
-// Figure3 reproduces "Effect of relaxing the consistency model": SC vs RC
+// fig3 reproduces "Effect of relaxing the consistency model": SC vs RC
 // with coherent caches, normalized to SC.
-func (s *Session) Figure3() (*Figure, error) {
-	f := &Figure{
-		ID:     "Figure 3",
-		Title:  "Effect of relaxing the consistency model",
-		Apps:   AppNames,
-		Bars:   map[string][]Bar{},
-		Legend: singleCtxLegend,
-	}
-	if err := s.warm(fig3Configs()...); err != nil {
-		return nil, err
-	}
-	for _, app := range AppNames {
-		sc, err := s.Run(app, Base())
-		if err != nil {
-			return nil, err
-		}
-		rcCfg := Base()
-		rcCfg.Model = config.RC
-		rc, err := s.Run(app, rcCfg)
-		if err != nil {
-			return nil, err
-		}
-		base := sc.Breakdown.Total()
-		f.Bars[app] = []Bar{
-			barFor("SC", sc, base),
-			barFor("RC", rc, base),
-		}
-	}
-	return f, nil
+func fig3() figureSpec {
+	rc := Base()
+	rc.Model = config.RC
+	return figureSpec{"Figure 3", "Effect of relaxing the consistency model", singleCtxLegend,
+		[]barSpec{{"SC", Base()}, {"RC", rc}}}
 }
 
-// Figure4 reproduces "Effect of prefetching": {SC, RC} x {no prefetch,
+// fig4 reproduces "Effect of prefetching": {SC, RC} x {no prefetch,
 // prefetch}, normalized to SC without prefetching.
-func (s *Session) Figure4() (*Figure, error) {
-	f := &Figure{
-		ID:     "Figure 4",
-		Title:  "Effect of software-controlled prefetching",
-		Apps:   AppNames,
-		Bars:   map[string][]Bar{},
-		Legend: singleCtxLegend,
-	}
-	if err := s.warm(fig4Configs()...); err != nil {
-		return nil, err
-	}
-	for _, app := range AppNames {
-		var bars []Bar
-		var base sim.Time
-		for _, mdl := range []config.Consistency{config.SC, config.RC} {
-			for _, pf := range []bool{false, true} {
-				cfg := Base()
-				cfg.Model = mdl
-				cfg.Prefetch = pf
-				res, err := s.Run(app, cfg)
-				if err != nil {
-					return nil, err
-				}
-				if base == 0 {
-					base = res.Breakdown.Total()
-				}
-				label := mdl.String()
-				if pf {
-					label += " Prefetch"
-				} else {
-					label += " Normal"
-				}
-				bars = append(bars, barFor(label, res, base))
+func fig4() figureSpec {
+	var bars []barSpec
+	for _, mdl := range []config.Consistency{config.SC, config.RC} {
+		for _, pf := range []bool{false, true} {
+			cfg := Base()
+			cfg.Model = mdl
+			cfg.Prefetch = pf
+			label := mdl.String() + " Normal"
+			if pf {
+				label = mdl.String() + " Prefetch"
 			}
+			bars = append(bars, barSpec{label, cfg})
 		}
-		f.Bars[app] = bars
 	}
-	return f, nil
+	return figureSpec{"Figure 4", "Effect of software-controlled prefetching", singleCtxLegend, bars}
 }
 
-// Figure5 reproduces "Effect of multiple contexts" under SC: 1, 2 and 4
+// fig5 reproduces "Effect of multiple contexts" under SC: 1, 2 and 4
 // contexts with context-switch penalties of 16 and 4 cycles.
-func (s *Session) Figure5() (*Figure, error) {
-	f := &Figure{
-		ID:     "Figure 5",
-		Title:  "Effect of multiple contexts (SC)",
-		Apps:   AppNames,
-		Bars:   map[string][]Bar{},
-		Legend: mcLegend,
-	}
-	if err := s.warm(fig5Configs()...); err != nil {
-		return nil, err
-	}
-	for _, app := range AppNames {
-		single, err := s.Run(app, Base())
-		if err != nil {
-			return nil, err
+func fig5() figureSpec {
+	bars := []barSpec{{"1 ctx", Base()}}
+	for _, pen := range []int{16, 4} {
+		for _, ctxs := range []int{2, 4} {
+			cfg := Base()
+			cfg.Contexts = ctxs
+			cfg.SwitchPenalty = pen
+			bars = append(bars, barSpec{fmt.Sprintf("%d ctx/sw %d", ctxs, pen), cfg})
 		}
-		base := single.Breakdown.Total()
-		bars := []Bar{barFor("1 ctx", single, base)}
-		for _, pen := range []int{16, 4} {
-			for _, ctxs := range []int{2, 4} {
-				cfg := Base()
-				cfg.Contexts = ctxs
-				cfg.SwitchPenalty = pen
-				res, err := s.Run(app, cfg)
-				if err != nil {
-					return nil, err
-				}
-				bars = append(bars, barFor(fmt.Sprintf("%d ctx/sw %d", ctxs, pen), res, base))
-			}
-		}
-		f.Bars[app] = bars
 	}
-	return f, nil
+	return figureSpec{"Figure 5", "Effect of multiple contexts (SC)", mcLegend, bars}
 }
 
-// Figure6 reproduces "Effect of combining the schemes": {SC, RC} x {1, 2,
+// fig6 reproduces "Effect of combining the schemes": {SC, RC} x {1, 2,
 // 4 contexts} without prefetching plus RC x {1, 2, 4 contexts} with
 // prefetching, all with a 4-cycle switch penalty, normalized to SC/1ctx.
-func (s *Session) Figure6() (*Figure, error) {
-	f := &Figure{
-		ID:     "Figure 6",
-		Title:  "Effect of combining the schemes (switch penalty 4)",
-		Apps:   AppNames,
-		Bars:   map[string][]Bar{},
-		Legend: mcLegend,
-	}
-	groups := fig6Groups()
-	if err := s.warm(fig6Configs()...); err != nil {
-		return nil, err
-	}
-	for _, app := range AppNames {
-		var bars []Bar
-		var base sim.Time
-		for _, g := range groups {
-			for _, ctxs := range []int{1, 2, 4} {
-				cfg := Base()
-				cfg.Model = g.mdl
-				cfg.Prefetch = g.pf
-				cfg.Contexts = ctxs
-				cfg.SwitchPenalty = 4
-				res, err := s.Run(app, cfg)
-				if err != nil {
-					return nil, err
-				}
-				if base == 0 {
-					base = res.Breakdown.Total()
-				}
-				bars = append(bars, barFor(fmt.Sprintf("%s %d ctx", g.tag, ctxs), res, base))
-			}
+func fig6() figureSpec {
+	var bars []barSpec
+	for _, g := range []struct {
+		tag string
+		mdl config.Consistency
+		pf  bool
+	}{{"SC", config.SC, false}, {"RC", config.RC, false}, {"RC+pf", config.RC, true}} {
+		for _, ctxs := range []int{1, 2, 4} {
+			cfg := Base()
+			cfg.Model = g.mdl
+			cfg.Prefetch = g.pf
+			cfg.Contexts = ctxs
+			cfg.SwitchPenalty = 4
+			bars = append(bars, barSpec{fmt.Sprintf("%s %d ctx", g.tag, ctxs), cfg})
 		}
-		f.Bars[app] = bars
 	}
-	return f, nil
+	return figureSpec{"Figure 6", "Effect of combining the schemes (switch penalty 4)", mcLegend, bars}
 }
 
 // Table1Row is one latency row: configured vs measured service time.
@@ -578,27 +509,25 @@ type Table2Row struct {
 // Table2 reproduces the benchmark statistics table (under the cached-SC
 // base machine).
 func (s *Session) Table2() ([]Table2Row, error) {
-	if err := s.warm(Base()); err != nil {
+	res, err := s.runAll(AppNames, baseOnly())
+	if err != nil {
 		return nil, err
 	}
 	var rows []Table2Row
-	for _, app := range AppNames {
-		res, err := s.Run(app, Base())
-		if err != nil {
-			return nil, err
-		}
+	for i, app := range AppNames {
+		r := res[i][0]
 		rows = append(rows, Table2Row{
 			App:           app,
-			UsefulKCyc:    res.UsefulCycles() / 1000,
-			SharedReadsK:  res.SharedReads() / 1000,
-			SharedWritesK: res.SharedWrites() / 1000,
-			Locks:         res.Locks(),
-			Barriers:      res.Barriers(),
-			SharedKB:      res.SharedBytes / 1024,
-			ReadHitRate:   res.ReadHitRate(),
-			WriteHitRate:  res.WriteHitRate(),
-			Utilization:   res.ProcessorUtilization(),
-			MedianRun:     res.MedianRunLength(),
+			UsefulKCyc:    r.UsefulCycles() / 1000,
+			SharedReadsK:  r.SharedReads() / 1000,
+			SharedWritesK: r.SharedWrites() / 1000,
+			Locks:         r.Locks(),
+			Barriers:      r.Barriers(),
+			SharedKB:      r.SharedBytes / 1024,
+			ReadHitRate:   r.ReadHitRate(),
+			WriteHitRate:  r.WriteHitRate(),
+			Utilization:   r.ProcessorUtilization(),
+			MedianRun:     r.MedianRunLength(),
 		})
 	}
 	return rows, nil
@@ -625,54 +554,39 @@ type SpeedupRow struct {
 	Speedup float64
 }
 
+// summaryBars are the headline technique combinations, after the
+// uncached sequentially consistent baseline they are measured against.
+func summaryBars() []barSpec {
+	nocache := Base()
+	nocache.CacheShared = false
+	rc := Base()
+	rc.Model = config.RC
+	pf := rc
+	pf.Prefetch = true
+	mc := rc
+	mc.Contexts = 4
+	mc.SwitchPenalty = 4
+	return []barSpec{{"nocache", nocache}, {"cache", Base()}, {"cache+RC", rc}, {"cache+RC+pf", pf}, {"cache+RC+4ctx", mc}}
+}
+
 // Summary computes the paper's headline speedups: each combination versus
 // the uncached sequentially consistent baseline, and the best overall
 // (the paper reports 4x to 7x).
 func (s *Session) Summary() ([]SpeedupRow, error) {
-	if err := s.warm(summaryConfigs()...); err != nil {
+	bars := summaryBars()
+	res, err := s.runAll(AppNames, barConfigs(bars))
+	if err != nil {
 		return nil, err
 	}
 	var rows []SpeedupRow
-	for _, app := range AppNames {
-		nocache := Base()
-		nocache.CacheShared = false
-		baseRes, err := s.Run(app, nocache)
-		if err != nil {
-			return nil, err
-		}
-		base := float64(baseRes.Breakdown.Total())
-
-		add := func(label string, cfg config.Config) error {
-			res, err := s.Run(app, cfg)
-			if err != nil {
-				return err
-			}
+	for i, app := range AppNames {
+		base := float64(res[i][0].Breakdown.Total())
+		for j := 1; j < len(bars); j++ {
 			rows = append(rows, SpeedupRow{
 				App:     app,
-				Label:   label,
-				Speedup: base / float64(res.Breakdown.Total()),
+				Label:   bars[j].label,
+				Speedup: base / float64(res[i][j].Breakdown.Total()),
 			})
-			return nil
-		}
-		cache := Base()
-		if err := add("cache", cache); err != nil {
-			return nil, err
-		}
-		rcCfg := Base()
-		rcCfg.Model = config.RC
-		if err := add("cache+RC", rcCfg); err != nil {
-			return nil, err
-		}
-		pfCfg := rcCfg
-		pfCfg.Prefetch = true
-		if err := add("cache+RC+pf", pfCfg); err != nil {
-			return nil, err
-		}
-		mcCfg := rcCfg
-		mcCfg.Contexts = 4
-		mcCfg.SwitchPenalty = 4
-		if err := add("cache+RC+4ctx", mcCfg); err != nil {
-			return nil, err
 		}
 	}
 	return rows, nil

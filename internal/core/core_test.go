@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"latsim/internal/config"
@@ -13,9 +14,13 @@ import (
 // small scale, not absolute numbers. Each corresponds to a claim in the
 // paper's text.
 
+// sharedSession memoizes every simulation across the shape tests: they
+// only read results, so each configuration runs once per test binary.
+var sharedSession = sync.OnceValue(func() *Session { return NewSession(ScaleSmall) })
+
 func session(t *testing.T) *Session {
 	t.Helper()
-	return NewSession(ScaleSmall)
+	return sharedSession()
 }
 
 func TestTable1MatchesPaperExactly(t *testing.T) {
@@ -32,7 +37,7 @@ func TestTable1MatchesPaperExactly(t *testing.T) {
 
 func TestFigure2CachingImprovesAllApps(t *testing.T) {
 	s := session(t)
-	f, err := s.Figure2()
+	f, err := s.Figure("fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +67,7 @@ func TestFigure2CachingImprovesAllApps(t *testing.T) {
 
 func TestFigure3RCUniformlyImproves(t *testing.T) {
 	s := session(t)
-	f, err := s.Figure3()
+	f, err := s.Figure("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +92,7 @@ func TestFigure3RCUniformlyImproves(t *testing.T) {
 
 func TestFigure4PrefetchingReducesReadStalls(t *testing.T) {
 	s := session(t)
-	f, err := s.Figure4()
+	f, err := s.Figure("fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +122,7 @@ func TestFigure4PrefetchingReducesReadStalls(t *testing.T) {
 
 func TestFigure5ContextsHelpMP3DHurtWithSlowSwitch(t *testing.T) {
 	s := session(t)
-	f, err := s.Figure5()
+	f, err := s.Figure("fig5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +152,7 @@ func TestFigure5ContextsHelpMP3DHurtWithSlowSwitch(t *testing.T) {
 
 func TestFigure6CombinationsAndBasesConsistent(t *testing.T) {
 	s := session(t)
-	f, err := s.Figure6()
+	f, err := s.Figure("fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +210,7 @@ func TestHitRatesReported(t *testing.T) {
 
 func TestFullCacheAblationImprovesAbsoluteTime(t *testing.T) {
 	s := session(t)
-	a, err := s.FullCacheAblation()
+	a, err := s.Ablation("fullcache")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +282,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 	}
 	RenderTable2(&buf, rows2)
 
-	f, err := s.Figure2()
+	f, err := s.Figure("fig2")
 	if err != nil {
 		t.Fatal(err)
 	}

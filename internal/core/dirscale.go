@@ -24,11 +24,29 @@ import (
 // ceiling, 4x past the old 64-bit checker cap, and 16x past it.
 var DirScaleProcs = []int{64, 256, 1024}
 
-// dirScaleOrgs configures one sweep variant per directory organization,
-// with the default pointer/coarseness parameters.
-func dirScaleOrgs() []dirset.Org {
-	return []dirset.Org{dirset.FullMap, dirset.LimitedPtr, dirset.CoarseVector}
+// dirScaleApp is the sweep's one benchmark: LU's read-shared column
+// blocks put several readers on a line before each pivot write
+// invalidates them, which is exactly the access pattern that separates
+// the representations.
+const dirScaleApp = "LU"
+
+// dirScaleConfigs crosses DirScaleProcs with every directory
+// organization (full map first), each with the default
+// pointer/coarseness parameters.
+func dirScaleConfigs() []config.Config {
+	var cfgs []config.Config
+	for _, procs := range DirScaleProcs {
+		for _, org := range []dirset.Org{dirset.FullMap, dirset.LimitedPtr, dirset.CoarseVector} {
+			cfg := Base()
+			cfg.Procs = procs
+			cfg.DirOrg = org
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return cfgs
 }
+
+func dirScaleRuns() []Request { return requests([]string{dirScaleApp}, dirScaleConfigs()) }
 
 // DirScalePoint is one (application, organization, processor count) cell.
 type DirScalePoint struct {
@@ -49,55 +67,56 @@ type DirScalePoint struct {
 }
 
 // DirScaleSweep runs LU under every directory organization at every
-// DirScaleProcs count. LU's read-shared column blocks put several
-// readers on a line before each pivot write invalidates them, which is
-// exactly the access pattern that separates the representations.
+// DirScaleProcs count.
 func (s *Session) DirScaleSweep() ([]DirScalePoint, error) {
-	cfgFor := func(org dirset.Org, procs int) config.Config {
-		cfg := Base()
-		cfg.Procs = procs
-		cfg.DirOrg = org
-		return cfg
-	}
-	{
-		reqs, err := s.ExperimentRequests("dirscale")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := s.RunBatch(reqs); err != nil {
-			return nil, err
-		}
+	cfgs := dirScaleConfigs()
+	res, err := s.runAll([]string{dirScaleApp}, cfgs)
+	if err != nil {
+		return nil, err
 	}
 	var out []DirScalePoint
-	for _, procs := range DirScaleProcs {
-		var exact sim.Time
-		for _, org := range dirScaleOrgs() {
-			cfg := cfgFor(org, procs)
-			res, err := s.Run("LU", cfg)
-			if err != nil {
-				return nil, err
-			}
-			if org == dirset.FullMap {
-				exact = res.Elapsed
-			}
-			slow := 1.0
-			if exact > 0 {
-				slow = float64(res.Elapsed) / float64(exact)
-			}
-			out = append(out, DirScalePoint{
-				App:             "LU",
-				Org:             org.String(),
-				Procs:           procs,
-				Elapsed:         res.Elapsed,
-				InvalsSent:      res.InvalsSent(),
-				DirOverflows:    res.DirOverflows(),
-				SpuriousInvals:  res.SpuriousInvals(),
-				EntryBits:       dirset.New(org, procs, cfg.DirPointers, cfg.DirCoarseness).Bits(),
-				SlowdownVsExact: slow,
-			})
+	var exact sim.Time
+	for i, cfg := range cfgs {
+		r := res[0][i]
+		if cfg.DirOrg == dirset.FullMap {
+			exact = r.Elapsed
 		}
+		slow := 1.0
+		if exact > 0 {
+			slow = float64(r.Elapsed) / float64(exact)
+		}
+		out = append(out, DirScalePoint{
+			App:             dirScaleApp,
+			Org:             cfg.DirOrg.String(),
+			Procs:           cfg.Procs,
+			Elapsed:         r.Elapsed,
+			InvalsSent:      r.InvalsSent(),
+			DirOverflows:    r.DirOverflows(),
+			SpuriousInvals:  r.SpuriousInvals(),
+			EntryBits:       dirset.New(cfg.DirOrg, cfg.Procs, cfg.DirPointers, cfg.DirCoarseness).Bits(),
+			SlowdownVsExact: slow,
+		})
 	}
 	return out, nil
+}
+
+// renderDirScale writes the sweep as a table, or as the BENCH_dir.json
+// document with opt.JSON.
+func (s *Session) renderDirScale(w io.Writer, opt *RenderOptions) error {
+	pts, err := s.DirScaleSweep()
+	if err != nil {
+		return err
+	}
+	if !opt.JSON {
+		RenderDirScale(w, pts)
+		return nil
+	}
+	b, err := DirScaleJSON(pts)
+	if err != nil {
+		return err
+	}
+	w.Write(append(b, '\n'))
+	return nil
 }
 
 // RenderDirScale prints the sweep.

@@ -1,11 +1,13 @@
 // Experiments-as-a-library: every experiment id cmd/figures accepts is
-// enumerated, expandable to its simulation requests, and renderable
-// here, so any front end — the CLI, tests, the sweep service's HTTP API
-// — produces identical bytes from one code path. The sweep service
-// leans on all three pieces: the registry to validate untrusted ids,
-// ExperimentRequests to submit a sweep's jobs individually (per-job
-// status and cancellation), and RunExperiment to assemble the final
-// artifact from the memoized results.
+// declared once, in the ordered experiments table below. An entry names
+// the simulations the experiment needs and how it renders them, and
+// every front end reads the table: the CLI's -exp ids and help, tests,
+// and the sweep service, which validates untrusted ids against it,
+// submits ExperimentRequests as individually tracked jobs (per-job
+// status and cancellation) and assembles the artifact from the memoized
+// results through RunExperiment. Each experiment runs its simulations
+// as one batch and builds its output from that batch's results, so any
+// front end produces identical bytes from one code path.
 package core
 
 import (
@@ -17,182 +19,88 @@ import (
 	"latsim/internal/twin"
 )
 
+// experiment is one entry of the experiment table.
+type experiment struct {
+	id string
+	// optIn excludes the experiment from "all" (see ExtraExperimentIDs).
+	optIn bool
+	// runs lists the simulations render reads, in the order its batch
+	// submits them; nil when the experiment runs nothing on the engine.
+	runs func() []Request
+	// render runs the experiment's batch and writes its output.
+	render func(s *Session, w io.Writer, opt *RenderOptions) error
+	// figure declares a figure experiment's bars (nil for the others).
+	figure func() figureSpec
+}
+
+// experiments lists every experiment in the canonical order. Entries
+// build their configuration lists on demand and never hold one: a
+// package-level list would sit on the heap of every program that
+// imports core.
+var experiments = []experiment{
+	{id: "table1", render: rows(func(*Session) ([]Table1Row, error) { return Table1() }, RenderTable1)},
+	{id: "table2", runs: onApps(baseOnly), render: rows((*Session).Table2, RenderTable2)},
+	{id: "hitrates", runs: onApps(baseOnly), render: rows((*Session).HitRates, RenderHitRates)},
+	figureExperiment("fig2", fig2),
+	figureExperiment("fig3", fig3),
+	figureExperiment("fig4", fig4),
+	figureExperiment("fig5", fig5),
+	figureExperiment("fig6", fig6),
+	{id: "summary", runs: onApps(func() []config.Config { return barConfigs(summaryBars()) }),
+		render: rows((*Session).Summary, RenderSummary)},
+	{id: "coverage", runs: onApps(coverageConfigs), render: rows((*Session).PrefetchCoverage, RenderCoverage)},
+	ablationExperiment("fullcache", fullCacheAblations, ""),
+	figureExperiment("spectrum", spectrum),
+	{id: "scaling", runs: onApps(scalingConfigs), render: rows((*Session).ScalingSweep, RenderScaling)},
+	{id: "analytic", runs: onApps(analyticConfigs), render: rows((*Session).AnalyticContexts, RenderAnalytic)},
+	ablationExperiment("ablations", designAblations, "\n"),
+	{id: "dirscale", optIn: true, runs: dirScaleRuns, render: (*Session).renderDirScale},
+}
+
 // ExperimentIDs lists every experiment id "all" runs, in the canonical
 // order.
-var ExperimentIDs = []string{"table1", "table2", "hitrates", "fig2", "fig3", "fig4", "fig5", "fig6",
-	"summary", "coverage", "fullcache", "spectrum", "scaling", "analytic", "ablations"}
+var ExperimentIDs = experimentIDs(false)
 
 // ExtraExperimentIDs are opt-in ids that "all" deliberately excludes:
 // dirscale simulates up to 1024 processors, and the -exp all output is
 // a byte-identity regression gate that must not change when opt-in
 // experiments are added.
-var ExtraExperimentIDs = []string{"dirscale"}
+var ExtraExperimentIDs = experimentIDs(true)
+
+func experimentIDs(optIn bool) []string {
+	var ids []string
+	for _, e := range experiments {
+		if e.optIn == optIn {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
+}
+
+// lookupExperiment returns id's table entry, or the canonical bad-id
+// error.
+func lookupExperiment(id string) (*experiment, error) {
+	for i := range experiments {
+		if experiments[i].id == id {
+			return &experiments[i], nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (valid: all, %s, %s)",
+		id, strings.Join(ExperimentIDs, ", "), strings.Join(ExtraExperimentIDs, ", "))
+}
 
 // KnownExperiment reports whether id names an experiment ("all" is not
 // an experiment; front ends expand it over ExperimentIDs).
 func KnownExperiment(id string) bool {
-	for _, e := range ExperimentIDs {
-		if e == id {
-			return true
-		}
-	}
-	for _, e := range ExtraExperimentIDs {
-		if e == id {
-			return true
-		}
-	}
-	return false
+	_, err := lookupExperiment(id)
+	return err == nil
 }
 
-// unknownExperiment renders the canonical bad-id error.
-func unknownExperiment(id string) error {
-	return fmt.Errorf("unknown experiment %q (valid: all, %s, %s)",
-		id, strings.Join(ExperimentIDs, ", "), strings.Join(ExtraExperimentIDs, ", "))
-}
-
-// ---- Per-experiment configuration sets ----
-//
-// Each figure/sweep function warms exactly these sets before assembling
-// its output, and ExperimentRequests exposes them to schedulers that
-// want to run the underlying simulations as individually tracked jobs.
-
-func fig2Configs() []config.Config {
-	nocache := Base()
-	nocache.CacheShared = false
-	return []config.Config{nocache, Base()}
-}
-
-func fig3Configs() []config.Config {
-	rcCfg := Base()
-	rcCfg.Model = config.RC
-	return []config.Config{Base(), rcCfg}
-}
-
-func fig4Configs() []config.Config {
-	var cfgs []config.Config
-	for _, mdl := range []config.Consistency{config.SC, config.RC} {
-		for _, pf := range []bool{false, true} {
-			cfg := Base()
-			cfg.Model = mdl
-			cfg.Prefetch = pf
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	return cfgs
-}
-
-func fig5Configs() []config.Config {
-	cfgs := []config.Config{Base()}
-	for _, pen := range []int{16, 4} {
-		for _, ctxs := range []int{2, 4} {
-			cfg := Base()
-			cfg.Contexts = ctxs
-			cfg.SwitchPenalty = pen
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	return cfgs
-}
-
-// fig6Groups are Figure 6's technique combinations in render order.
-type fig6Group struct {
-	mdl config.Consistency
-	pf  bool
-	tag string
-}
-
-func fig6Groups() []fig6Group {
-	return []fig6Group{
-		{config.SC, false, "SC"},
-		{config.RC, false, "RC"},
-		{config.RC, true, "RC+pf"},
-	}
-}
-
-func fig6Configs() []config.Config {
-	var cfgs []config.Config
-	for _, g := range fig6Groups() {
-		for _, ctxs := range []int{1, 2, 4} {
-			cfg := Base()
-			cfg.Model = g.mdl
-			cfg.Prefetch = g.pf
-			cfg.Contexts = ctxs
-			cfg.SwitchPenalty = 4
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	return cfgs
-}
-
-func spectrumConfigs() []config.Config {
-	var cfgs []config.Config
-	for _, mdl := range []config.Consistency{config.SC, config.PC, config.WC, config.RC} {
-		cfg := Base()
-		cfg.Model = mdl
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs
-}
-
-func scalingConfigs() []config.Config {
-	var cfgs []config.Config
-	for _, procs := range []int{4, 8, 16, 32} {
-		cfg := Base()
-		cfg.Procs = procs
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs
-}
-
-func coverageConfigs() []config.Config {
-	cfg := Base()
-	cfg.Model = config.RC
-	pfCfg := cfg
-	pfCfg.Prefetch = true
-	return []config.Config{cfg, pfCfg}
-}
-
-func analyticConfigs() []config.Config {
-	cfgs := []config.Config{Base()}
-	for _, ctxs := range []int{1, 2, 4} {
-		cfg := Base()
-		cfg.Contexts = ctxs
-		cfg.SwitchPenalty = 4
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs
-}
-
-func summaryConfigs() []config.Config {
-	nocache := Base()
-	nocache.CacheShared = false
-	rcCfg := Base()
-	rcCfg.Model = config.RC
-	pfCfg := rcCfg
-	pfCfg.Prefetch = true
-	mcCfg := rcCfg
-	mcCfg.Contexts = 4
-	mcCfg.SwitchPenalty = 4
-	return []config.Config{nocache, Base(), rcCfg, pfCfg, mcCfg}
-}
-
-func dirScaleConfigs() []config.Config {
-	var cfgs []config.Config
-	for _, procs := range DirScaleProcs {
-		for _, org := range dirScaleOrgs() {
-			cfg := Base()
-			cfg.Procs = procs
-			cfg.DirOrg = org
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	return cfgs
-}
-
-// allApps crosses every benchmark with every configuration.
-func allApps(cfgs []config.Config) []Request {
-	reqs := make([]Request, 0, len(AppNames)*len(cfgs))
-	for _, app := range AppNames {
+// requests crosses apps with configurations, app-major: the order of
+// every experiment's batch.
+func requests(apps []string, cfgs []config.Config) []Request {
+	reqs := make([]Request, 0, len(apps)*len(cfgs))
+	for _, app := range apps {
 		for _, cfg := range cfgs {
 			reqs = append(reqs, Request{App: app, Cfg: cfg})
 		}
@@ -200,49 +108,68 @@ func allApps(cfgs []config.Config) []Request {
 	return reqs
 }
 
-// ExperimentRequests returns the simulation requests the experiment is
-// known to need ahead of render time, so a control plane can run them
-// as individually tracked jobs (per-job status and cancellation) and
-// let RunExperiment assemble the output from the memoized results.
-// Some experiments (table1's latency probes, the ablation sweeps whose
-// configuration sets live in their closures) return no requests; they
-// still execute through the session's engine — with dedup and caching —
-// but only at render time. Unknown ids error.
-func (s *Session) ExperimentRequests(id string) ([]Request, error) {
-	switch id {
-	case "table2", "hitrates":
-		return allApps([]config.Config{Base()}), nil
-	case "fig2":
-		return allApps(fig2Configs()), nil
-	case "fig3":
-		return allApps(fig3Configs()), nil
-	case "fig4":
-		return allApps(fig4Configs()), nil
-	case "fig5":
-		return allApps(fig5Configs()), nil
-	case "fig6":
-		return allApps(fig6Configs()), nil
-	case "summary":
-		return allApps(summaryConfigs()), nil
-	case "coverage":
-		return allApps(coverageConfigs()), nil
-	case "spectrum":
-		return allApps(spectrumConfigs()), nil
-	case "scaling":
-		return allApps(scalingConfigs()), nil
-	case "analytic":
-		return allApps(analyticConfigs()), nil
-	case "dirscale":
-		cfgs := dirScaleConfigs()
-		reqs := make([]Request, 0, len(cfgs))
-		for _, cfg := range cfgs {
-			reqs = append(reqs, Request{App: "LU", Cfg: cfg})
+// onApps declares an experiment's runs: every benchmark on each
+// configuration cfgs builds.
+func onApps(cfgs func() []config.Config) func() []Request {
+	return func() []Request { return requests(AppNames, cfgs()) }
+}
+
+// baseOnly is the configuration list of the experiments that read the
+// base machine alone.
+func baseOnly() []config.Config { return []config.Config{Base()} }
+
+// rows declares the render of an experiment that builds a value and
+// prints it with one renderer.
+func rows[T any](build func(*Session) (T, error), render func(io.Writer, T)) func(*Session, io.Writer, *RenderOptions) error {
+	return func(s *Session, w io.Writer, _ *RenderOptions) error {
+		v, err := build(s)
+		if err != nil {
+			return err
 		}
-		return reqs, nil
-	case "table1", "fullcache", "ablations":
-		return nil, nil
+		render(w, v)
+		return nil
 	}
-	return nil, unknownExperiment(id)
+}
+
+// figureExperiment declares a normalized-breakdown figure: its runs are
+// every bar on every benchmark.
+func figureExperiment(id string, spec func() figureSpec) experiment {
+	return experiment{
+		id:     id,
+		figure: spec,
+		runs:   onApps(func() []config.Config { return barConfigs(spec().bars) }),
+		render: func(s *Session, w io.Writer, opt *RenderOptions) error {
+			return s.renderFigure(w, spec(), opt)
+		},
+	}
+}
+
+// Figure runs a figure experiment (fig2 to fig6, or spectrum) as one
+// batch: every bar on every benchmark, normalized to the benchmark's
+// first bar.
+func (s *Session) Figure(id string) (*Figure, error) {
+	e, err := lookupExperiment(id)
+	if err != nil {
+		return nil, err
+	}
+	if e.figure == nil {
+		return nil, fmt.Errorf("core: experiment %q is not a figure", id)
+	}
+	return s.figure(e.figure())
+}
+
+// ExperimentRequests returns the simulation requests the experiment
+// renders from, in the order its batch submits them, so a control plane
+// can run them as individually tracked jobs (per-job status and
+// cancellation) and let RunExperiment assemble the output from the
+// memoized results. table1 returns none: its latency probes run on a
+// machine of their own, not on the engine. Unknown ids error.
+func (s *Session) ExperimentRequests(id string) ([]Request, error) {
+	e, err := lookupExperiment(id)
+	if err != nil || e.runs == nil {
+		return nil, err
+	}
+	return e.runs(), nil
 }
 
 // RenderOptions tune RunExperiment's output. The zero value (or nil)
@@ -252,10 +179,8 @@ type RenderOptions struct {
 	// JSON emits figures (and the dirscale sweep) as JSON documents
 	// instead of tables.
 	JSON bool
-	// Bars renders figures as stacked bar charts of BarWidth columns
-	// (0 = 60).
-	Bars     bool
-	BarWidth int
+	// Bars renders figures as stacked bar charts.
+	Bars bool
 	// Twin, when non-nil, overlays the analytical twin's predicted
 	// totals on figures (plain renderer only). It is called lazily, at
 	// most once per figure render, so characterization runs only touch
@@ -267,8 +192,15 @@ type RenderOptions struct {
 	Obs func(*Figure) error
 }
 
-// renderFigure applies the option set to one figure.
-func (s *Session) renderFigure(w io.Writer, f *Figure, opt *RenderOptions) error {
+// barChartWidth is the width of a bar chart's 100% bar, in characters.
+const barChartWidth = 60
+
+// renderFigure runs the figure spec declares and writes it as opt asks.
+func (s *Session) renderFigure(w io.Writer, spec figureSpec, opt *RenderOptions) error {
+	f, err := s.figure(spec)
+	if err != nil {
+		return err
+	}
 	if opt.Obs != nil {
 		if err := opt.Obs(f); err != nil {
 			return err
@@ -279,16 +211,11 @@ func (s *Session) renderFigure(w io.Writer, f *Figure, opt *RenderOptions) error
 		if err != nil {
 			return err
 		}
-		w.Write(b)
-		fmt.Fprintln(w)
+		w.Write(append(b, '\n'))
 		return nil
 	}
 	if opt.Bars {
-		width := opt.BarWidth
-		if width <= 0 {
-			width = 60
-		}
-		f.RenderBars(w, width)
+		f.RenderBars(w, barChartWidth)
 		return nil
 	}
 	if opt.Twin != nil {
@@ -311,106 +238,12 @@ func (s *Session) renderFigure(w io.Writer, f *Figure, opt *RenderOptions) error
 // session's engine, so results dedup, cache and parallelize exactly as
 // they do for any other caller.
 func (s *Session) RunExperiment(w io.Writer, id string, opt *RenderOptions) error {
+	e, err := lookupExperiment(id)
+	if err != nil {
+		return err
+	}
 	if opt == nil {
 		opt = &RenderOptions{}
 	}
-	figure := func(f *Figure, err error) error {
-		if err != nil {
-			return err
-		}
-		return s.renderFigure(w, f, opt)
-	}
-	switch id {
-	case "table1":
-		rows, err := Table1()
-		if err != nil {
-			return err
-		}
-		RenderTable1(w, rows)
-	case "table2":
-		rows, err := s.Table2()
-		if err != nil {
-			return err
-		}
-		RenderTable2(w, rows)
-	case "fig2":
-		return figure(s.Figure2())
-	case "fig3":
-		return figure(s.Figure3())
-	case "fig4":
-		return figure(s.Figure4())
-	case "fig5":
-		return figure(s.Figure5())
-	case "fig6":
-		return figure(s.Figure6())
-	case "hitrates":
-		rows, err := s.HitRates()
-		if err != nil {
-			return err
-		}
-		RenderHitRates(w, rows)
-	case "summary":
-		rows, err := s.Summary()
-		if err != nil {
-			return err
-		}
-		RenderSummary(w, rows)
-	case "fullcache":
-		a, err := s.FullCacheAblation()
-		if err != nil {
-			return err
-		}
-		a.Render(w)
-	case "ablations":
-		for _, fn := range []func() (*Ablation, error){
-			s.WriteBufferAblation, s.SwitchPenaltyAblation,
-			s.NetworkAblation, s.PipeliningAblation,
-			s.AssociativityAblation, s.ExclusiveGrantAblation, s.MeshAblation,
-		} {
-			a, err := fn()
-			if err != nil {
-				return err
-			}
-			a.Render(w)
-			fmt.Fprintln(w)
-		}
-	case "spectrum":
-		return figure(s.ConsistencySpectrum())
-	case "scaling":
-		pts, err := s.ScalingSweep()
-		if err != nil {
-			return err
-		}
-		RenderScaling(w, pts)
-	case "coverage":
-		rows, err := s.PrefetchCoverage()
-		if err != nil {
-			return err
-		}
-		RenderCoverage(w, rows)
-	case "analytic":
-		pts, err := s.AnalyticContexts()
-		if err != nil {
-			return err
-		}
-		RenderAnalytic(w, pts)
-	case "dirscale":
-		pts, err := s.DirScaleSweep()
-		if err != nil {
-			return err
-		}
-		if opt.JSON {
-			b, err := DirScaleJSON(pts)
-			if err != nil {
-				return err
-			}
-			w.Write(b)
-			fmt.Fprintln(w)
-		} else {
-			RenderDirScale(w, pts)
-		}
-	default:
-		return unknownExperiment(id)
-	}
-	return nil
+	return e.render(s, w, opt)
 }

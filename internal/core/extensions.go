@@ -5,67 +5,27 @@ import (
 	"io"
 
 	"latsim/internal/config"
+	"latsim/internal/machine"
 	"latsim/internal/sim"
 	"latsim/internal/stats"
 )
 
 // This file holds experiments beyond the paper's figures: the consistency
 // spectrum the paper only cites (PC and WC "fall between sequential and
-// release consistency"), protocol/cache design ablations, a
-// processor-count scaling sweep, the prefetch coverage factors of Section
-// 5.2, and an analytical multiple-context model cross-validation
-// (Saavedra-Barrera et al., cited as [24]).
+// release consistency"), a processor-count scaling sweep, the prefetch
+// coverage factors of Section 5.2, and an analytical multiple-context
+// model cross-validation (Saavedra-Barrera et al., cited as [24]).
 
-// ConsistencySpectrum runs all four memory consistency models per app.
-func (s *Session) ConsistencySpectrum() (*Figure, error) {
-	f := &Figure{
-		ID:     "Spectrum",
-		Title:  "Consistency spectrum: SC, PC, WC, RC (paper Section 4 cites PC/WC as intermediate)",
-		Apps:   AppNames,
-		Bars:   map[string][]Bar{},
-		Legend: singleCtxLegend,
+// spectrum compares all four memory consistency models per app.
+func spectrum() figureSpec {
+	var bars []barSpec
+	for _, mdl := range []config.Consistency{config.SC, config.PC, config.WC, config.RC} {
+		cfg := Base()
+		cfg.Model = mdl
+		bars = append(bars, barSpec{mdl.String(), cfg})
 	}
-	if err := s.warm(spectrumConfigs()...); err != nil {
-		return nil, err
-	}
-	for _, app := range AppNames {
-		var bars []Bar
-		var base sim.Time
-		for _, mdl := range []config.Consistency{config.SC, config.PC, config.WC, config.RC} {
-			cfg := Base()
-			cfg.Model = mdl
-			res, err := s.Run(app, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if base == 0 {
-				base = res.Breakdown.Total()
-			}
-			bars = append(bars, barFor(mdl.String(), res, base))
-		}
-		f.Bars[app] = bars
-	}
-	return f, nil
-}
-
-// AssociativityAblation sweeps secondary-cache associativity (the paper's
-// machine is direct-mapped; conflict misses matter most for LU's column
-// pairs).
-func (s *Session) AssociativityAblation() (*Ablation, error) {
-	ways := []int{1, 2, 4}
-	return s.sweep("assoc", "Secondary cache associativity (SC)",
-		[]string{"1-way", "2-way", "4-way"}, func(cfg *config.Config, i int) {
-			cfg.SecondaryWays = ways[i]
-		})
-}
-
-// ExclusiveGrantAblation compares the paper's protocol (shared grant on
-// read) with a MESI-style exclusive grant.
-func (s *Session) ExclusiveGrantAblation() (*Ablation, error) {
-	return s.sweep("egrant", "Exclusive grant on read misses (MESI E-state) vs paper protocol",
-		[]string{"shared-grant", "exclusive-grant"}, func(cfg *config.Config, i int) {
-			cfg.ExclusiveGrant = i == 1
-		})
+	return figureSpec{"Spectrum", "Consistency spectrum: SC, PC, WC, RC (paper Section 4 cites PC/WC as intermediate)",
+		singleCtxLegend, bars}
 }
 
 // ScalingPoint is one processor count in the scaling sweep.
@@ -76,31 +36,34 @@ type ScalingPoint struct {
 	Speedup float64 // vs the 4-processor run of the same app
 }
 
+func scalingConfigs() []config.Config {
+	var cfgs []config.Config
+	for _, procs := range []int{4, 8, 16, 32} {
+		cfg := Base()
+		cfg.Procs = procs
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
+
 // ScalingSweep varies the processor count (the paper fixes 16; this shows
 // where each application's parallelism runs out, e.g. PTHOR's limited
 // concurrency).
 func (s *Session) ScalingSweep() ([]ScalingPoint, error) {
-	if err := s.warm(scalingConfigs()...); err != nil {
+	cfgs := scalingConfigs()
+	res, err := s.runAll(AppNames, cfgs)
+	if err != nil {
 		return nil, err
 	}
 	var out []ScalingPoint
-	for _, app := range AppNames {
-		var base sim.Time
-		for _, procs := range []int{4, 8, 16, 32} {
-			cfg := Base()
-			cfg.Procs = procs
-			res, err := s.Run(app, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if procs == 4 {
-				base = res.Elapsed
-			}
+	for i, app := range AppNames {
+		base := res[i][0].Elapsed
+		for j, cfg := range cfgs {
 			out = append(out, ScalingPoint{
 				App:     app,
-				Procs:   procs,
-				Elapsed: res.Elapsed,
-				Speedup: float64(base) / float64(res.Elapsed),
+				Procs:   cfg.Procs,
+				Elapsed: res[i][j].Elapsed,
+				Speedup: float64(base) / float64(res[i][j].Elapsed),
 			})
 		}
 	}
@@ -132,34 +95,24 @@ type CoverageRow struct {
 	PaperCoverage  float64
 }
 
+func coverageConfigs() []config.Config {
+	cfg := Base()
+	cfg.Model = config.RC
+	pfCfg := cfg
+	pfCfg.Prefetch = true
+	return []config.Config{cfg, pfCfg}
+}
+
 // PrefetchCoverage measures coverage factors under RC.
 func (s *Session) PrefetchCoverage() ([]CoverageRow, error) {
-	if err := s.warm(coverageConfigs()...); err != nil {
+	res, err := s.runAll(AppNames, coverageConfigs())
+	if err != nil {
 		return nil, err
 	}
 	paper := map[string]float64{"MP3D": 0.87, "LU": 0.89, "PTHOR": 0.56}
 	var rows []CoverageRow
-	for _, app := range AppNames {
-		cfg := Base()
-		cfg.Model = config.RC
-		baseRes, err := s.Run(app, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pfCfg := cfg
-		pfCfg.Prefetch = true
-		pfRes, err := s.Run(app, pfCfg)
-		if err != nil {
-			return nil, err
-		}
-		demandMisses := func(r resultLike) uint64 {
-			reads := r.SharedReads()
-			hits := r.Totals(func(p *stats.Proc) uint64 { return p.ReadPrimaryHit + p.ReadSecHit })
-			if hits > reads {
-				return 0
-			}
-			return reads - hits
-		}
+	for i, app := range AppNames {
+		baseRes, pfRes := res[i][0], res[i][1]
 		bm := demandMisses(baseRes)
 		pm := demandMisses(pfRes)
 		issued := pfRes.Prefetches()
@@ -187,10 +140,14 @@ func (s *Session) PrefetchCoverage() ([]CoverageRow, error) {
 	return rows, nil
 }
 
-// resultLike is the slice of machine.Result the coverage computation uses.
-type resultLike interface {
-	SharedReads() uint64
-	Totals(func(*stats.Proc) uint64) uint64
+// demandMisses counts a run's shared reads that missed both caches.
+func demandMisses(r *machine.Result) uint64 {
+	reads := r.SharedReads()
+	hits := r.Totals(func(p *stats.Proc) uint64 { return p.ReadPrimaryHit + p.ReadSecHit })
+	if hits > reads {
+		return 0
+	}
+	return reads - hits
 }
 
 // RenderCoverage prints the coverage factors.
@@ -217,19 +174,31 @@ type AnalyticPoint struct {
 	Model     float64
 }
 
+// analyticConfigs are the single-context run the model takes its
+// parameters from, then 1, 2 and 4 contexts with a 4-cycle switch.
+func analyticConfigs() []config.Config {
+	cfgs := []config.Config{Base()}
+	for _, ctxs := range []int{1, 2, 4} {
+		cfg := Base()
+		cfg.Contexts = ctxs
+		cfg.SwitchPenalty = 4
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
+
 // AnalyticContexts evaluates the model against simulation for 1, 2 and 4
 // contexts under SC with a 4-cycle switch.
 func (s *Session) AnalyticContexts() ([]AnalyticPoint, error) {
-	if err := s.warm(analyticConfigs()...); err != nil {
+	cfgs := analyticConfigs()
+	res, err := s.runAll(AppNames, cfgs)
+	if err != nil {
 		return nil, err
 	}
 	var out []AnalyticPoint
-	for _, app := range AppNames {
+	for i, app := range AppNames {
 		// Parameters from the single-context run.
-		single, err := s.Run(app, Base())
-		if err != nil {
-			return nil, err
-		}
+		single := res[i][0]
 		r := single.MeanRunLength()
 		if r < 1 {
 			r = 1
@@ -245,14 +214,8 @@ func (s *Session) AnalyticContexts() ([]AnalyticPoint, error) {
 			l = float64(missCycles) / float64(misses)
 		}
 		c := 4.0
-		for _, ctxs := range []int{1, 2, 4} {
-			cfg := Base()
-			cfg.Contexts = ctxs
-			cfg.SwitchPenalty = 4
-			res, err := s.Run(app, cfg)
-			if err != nil {
-				return nil, err
-			}
+		for j := 1; j < len(cfgs); j++ {
+			ctxs := cfgs[j].Contexts
 			model := float64(ctxs) * r / (r + c + l)
 			if sat := r / (r + c); model > sat {
 				model = sat
@@ -260,7 +223,7 @@ func (s *Session) AnalyticContexts() ([]AnalyticPoint, error) {
 			out = append(out, AnalyticPoint{
 				App:       app,
 				Contexts:  ctxs,
-				Simulated: res.ProcessorUtilization(),
+				Simulated: res[i][j].ProcessorUtilization(),
 				Model:     model,
 			})
 		}

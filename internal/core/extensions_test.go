@@ -10,7 +10,7 @@ import (
 
 func TestConsistencySpectrumOrdering(t *testing.T) {
 	s := session(t)
-	f, err := s.ConsistencySpectrum()
+	f, err := s.Figure("spectrum")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestAssociativityHelpsLU(t *testing.T) {
 	// LU's pivot/owned column pairs conflict in the direct-mapped
 	// secondary; 4-way associativity must cut its time.
 	s := session(t)
-	a, err := s.AssociativityAblation()
+	a, err := s.Ablation("assoc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestAssociativityHelpsLU(t *testing.T) {
 
 func TestExclusiveGrantAblationHelpsMP3D(t *testing.T) {
 	s := session(t)
-	a, err := s.ExclusiveGrantAblation()
+	a, err := s.Ablation("egrant")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPCAndWCConfigsRunAllApps(t *testing.T) {
 
 func TestRenderBars(t *testing.T) {
 	s := session(t)
-	f, err := s.Figure3()
+	f, err := s.Figure("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestRenderBars(t *testing.T) {
 
 func TestMeshAblationRuns(t *testing.T) {
 	s := session(t)
-	a, err := s.MeshAblation()
+	a, err := s.Ablation("mesh")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestMeshAblationRuns(t *testing.T) {
 
 func TestFigureJSON(t *testing.T) {
 	s := session(t)
-	f, err := s.Figure3()
+	f, err := s.Figure("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}

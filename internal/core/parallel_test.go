@@ -68,7 +68,7 @@ func TestParallelFigureMatchesSequential(t *testing.T) {
 		s := NewSession(ScaleSmall)
 		s.Jobs = jobs
 		defer s.Close()
-		f, err := s.Figure3()
+		f, err := s.Figure("fig3")
 		if err != nil {
 			t.Fatal(err)
 		}

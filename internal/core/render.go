@@ -26,9 +26,6 @@ var segGlyphs = map[stats.Bucket]rune{
 // RenderBars draws the figure as horizontal stacked bars, 100 percentage
 // points = barWidth characters, so the baseline bar spans the full width.
 func (f *Figure) RenderBars(w io.Writer, barWidth int) {
-	if barWidth <= 0 {
-		barWidth = 60
-	}
 	fmt.Fprintf(w, "%s: %s\n", f.ID, f.Title)
 	fmt.Fprint(w, "  legend:")
 	for _, b := range f.Legend {

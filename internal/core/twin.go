@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"latsim/internal/machine"
 	"latsim/internal/obs"
@@ -22,37 +23,17 @@ var charObs = obs.Options{Interval: 1 << 16}
 // reference configurations with observability enabled. The references
 // derive from the session's base machine via twin.ReferenceConfigs.
 func (s *Session) Characterize(app string) (*twin.AppChar, error) {
-	refs, err := twin.ReferenceConfigs(Base())
-	if err != nil {
-		return nil, err
-	}
-	eng, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
-	var results [twin.NumRefs]*machine.Result
-	jobs := make([]runner.Job, twin.NumRefs)
-	for k := range refs {
-		j := s.job(app, refs[k])
-		j.Obs = &charObs
-		jobs[k] = j
-	}
-	all, err := eng.RunAll(s.ctx(), jobs)
-	if err != nil {
-		return nil, fmt.Errorf("core: characterizing %s: %w", app, err)
-	}
-	copy(results[:], all)
-	char, err := twin.Characterize(results)
-	if err != nil {
-		return nil, fmt.Errorf("core: characterizing %s: %w", app, err)
-	}
-	return char, nil
+	chars, err := s.characterize([]string{app})
+	return chars[app], err
 }
 
-// CharacterizeAll characterizes every benchmark, submitting all
-// reference runs to the job engine up front so they simulate in
-// parallel.
+// CharacterizeAll characterizes every benchmark from one batch of
+// reference runs, so they simulate in parallel.
 func (s *Session) CharacterizeAll() (map[string]*twin.AppChar, error) {
+	return s.characterize(AppNames)
+}
+
+func (s *Session) characterize(apps []string) (map[string]*twin.AppChar, error) {
 	refs, err := twin.ReferenceConfigs(Base())
 	if err != nil {
 		return nil, err
@@ -61,18 +42,25 @@ func (s *Session) CharacterizeAll() (map[string]*twin.AppChar, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, app := range AppNames {
+	jobs := make([]runner.Job, 0, len(apps)*len(refs))
+	for _, app := range apps {
 		for k := range refs {
 			j := s.job(app, refs[k])
 			j.Obs = &charObs
-			eng.Submit(s.ctx(), j)
+			jobs = append(jobs, j)
 		}
 	}
-	out := make(map[string]*twin.AppChar, len(AppNames))
-	for _, app := range AppNames {
-		char, err := s.Characterize(app)
+	all, err := eng.RunAll(s.ctx(), jobs)
+	if err != nil {
+		return nil, fmt.Errorf("core: characterizing %s: %w", strings.Join(apps, ", "), err)
+	}
+	out := make(map[string]*twin.AppChar, len(apps))
+	for i, app := range apps {
+		var results [twin.NumRefs]*machine.Result
+		copy(results[:], all[i*len(refs):])
+		char, err := twin.Characterize(results)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: characterizing %s: %w", app, err)
 		}
 		out[app] = char
 	}

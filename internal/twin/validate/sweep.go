@@ -179,25 +179,22 @@ func Sweep(s *core.Session) (*SweepReport, error) {
 			reqs = append(reqs, core.Request{App: app, Cfg: p.Cfg})
 		}
 	}
-	if _, err := s.RunBatch(reqs); err != nil {
+	res, err := s.RunBatch(reqs)
+	if err != nil {
 		return nil, err
 	}
-	for _, p := range verify {
+	for i, p := range verify {
 		v := SweepVerification{
 			Name: p.Name, Cost: p.Cost, PredMean: p.MeanTotal,
 			PerApp:    map[string]float64{},
 			PerAppSim: map[string]float64{},
 		}
-		for _, app := range core.AppNames {
-			res, err := s.Run(app, p.Cfg)
-			if err != nil {
-				return nil, err
-			}
+		for k, app := range core.AppNames {
 			pred, err := models[app].Predict(p.Cfg)
 			if err != nil {
 				return nil, err
 			}
-			simTot := 100 * float64(res.Breakdown.Total()) / baseTotals[app]
+			simTot := 100 * float64(res[i*len(core.AppNames)+k].Breakdown.Total()) / baseTotals[app]
 			v.PerApp[app] = 100 * pred.Total / baseTotals[app]
 			v.PerAppSim[app] = simTot
 			v.SimMean += simTot / float64(len(core.AppNames))

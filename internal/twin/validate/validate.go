@@ -176,7 +176,8 @@ func Run(s *core.Session, name string, entries []Entry) (*Report, error) {
 			reqs = append(reqs, core.Request{App: app, Cfg: e.Cfg})
 		}
 	}
-	if _, err := s.RunBatch(reqs); err != nil {
+	res, err := s.RunBatch(reqs)
+	if err != nil {
 		return nil, err
 	}
 
@@ -186,18 +187,12 @@ func Run(s *core.Session, name string, entries []Entry) (*Report, error) {
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		Gates:     DefaultGates(),
 	}
-	for _, app := range core.AppNames {
+	for i, app := range core.AppNames {
 		model := twin.New(chars[app])
-		baseRes, err := s.Run(app, core.Base())
-		if err != nil {
-			return nil, err
-		}
-		baseTotal := baseRes.Breakdown.Total()
-		for _, e := range entries {
-			truthRes, err := s.Run(app, e.Cfg)
-			if err != nil {
-				return nil, fmt.Errorf("validate: %s %s: %w", app, e.Label, err)
-			}
+		appRes := res[i*(len(entries)+1):] // the base run, then every entry
+		baseTotal := appRes[0].Breakdown.Total()
+		for k, e := range entries {
+			truthRes := appRes[1+k]
 			pred, twinNS, err := timedPredict(model, e.Cfg)
 			if err != nil {
 				return nil, fmt.Errorf("validate: %s %s: %w", app, e.Label, err)
