@@ -173,6 +173,11 @@ func (a *App) apply(e *cpu.Env, k, j int) {
 	pcol := a.a[k]
 	col := a.a[j]
 
+	// A region (cpu.Env.Queue): the native code below writes only this
+	// process's own column j, which no other process reads before its
+	// lock is released, and reads pivot column k, final since its lock
+	// was released.
+	e.Queue()
 	e.Read(a.addr(k, j)) // the multiplier element a[k][j]
 	mult := col[k]
 	e.Compute(4)
@@ -202,6 +207,7 @@ func (a *App) apply(e *cpu.Env, k, j int) {
 		e.Write(a.addr(i, j))
 		e.Compute(4)
 	}
+	e.Wait()
 }
 
 // normalize divides column j below the diagonal by its pivot element,
@@ -209,6 +215,9 @@ func (a *App) apply(e *cpu.Env, k, j int) {
 func (a *App) normalize(e *cpu.Env, j int) {
 	n := a.p.N
 	col := a.a[j]
+	// A region: the native code reads and writes only this process's own
+	// column j, which no other process reads before its lock is released.
+	e.Queue()
 	e.Read(a.addr(j, j))
 	piv := col[j]
 	e.Compute(8)
@@ -218,6 +227,7 @@ func (a *App) normalize(e *cpu.Env, j int) {
 		e.Write(a.addr(i, j))
 		e.Compute(4)
 	}
+	e.Wait()
 }
 
 // Verify checks L*U against the original matrix; returns the max absolute

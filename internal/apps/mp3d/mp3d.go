@@ -256,10 +256,15 @@ func (a *App) moveParticle(e *cpu.Env, i int, rng *rand.Rand) {
 	pt := &a.parts[i]
 
 	// Read the full particle record (position, velocity, energy, cell).
+	// A region (cpu.Env.Queue): no native code runs between the reads.
+	// It ends before pt's velocity is read, because a colliding process
+	// may write pt.vx.
+	e.Queue()
 	for f := 0; f < 9; f++ {
 		e.Read(a.partAddr(i, f))
 	}
 	e.Compute(24) // advance position, timestep arithmetic
+	e.Wait()
 
 	const dt = 0.1
 	pt.x += pt.vx * dt
@@ -295,6 +300,10 @@ func (a *App) moveParticle(e *cpu.Env, i int, rng *rand.Rand) {
 	c := &a.cells[ci]
 
 	// Boundary-condition and flow-property tables (hot read-only data).
+	// A region: only address arithmetic runs between these reads. It ends
+	// before the cell's object flag and occupancy are read, because other
+	// processes update the cell.
+	e.Queue()
 	for f := 0; f < 4; f++ {
 		e.Read(a.globals + mem.Addr(f*4))
 	}
@@ -308,6 +317,7 @@ func (a *App) moveParticle(e *cpu.Env, i int, rng *rand.Rand) {
 		e.Read(a.cellAddr(ni, 0))
 	}
 	e.Compute(20)
+	e.Wait()
 
 	// Collision with the object: specular reflection.
 	if c.isObject {
@@ -339,6 +349,9 @@ func (a *App) moveParticle(e *cpu.Env, i int, rng *rand.Rand) {
 	// Update the cell: occupancy and last occupant.
 	c.count++
 	c.lastPart = i
+	// A region: the cell update above happens before it opens, and no
+	// native code runs between the writes.
+	e.Queue()
 	e.Write(a.cellAddr(ci, 0))
 	e.Write(a.cellAddr(ci, 1))
 
@@ -347,6 +360,7 @@ func (a *App) moveParticle(e *cpu.Env, i int, rng *rand.Rand) {
 		e.Write(a.partAddr(i, f))
 	}
 	e.Compute(26)
+	e.Wait()
 }
 
 // cellPhase updates collision statistics on this process's slice of cells.

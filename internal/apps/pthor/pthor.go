@@ -353,9 +353,9 @@ func (a *App) runOwn(e *cpu.Env, pid, cyc int) bool {
 }
 
 // popBatch takes up to max tasks from one of owner's step queues (the
-// caller may be stealing from another process's queue). Every Env call
-// yields to the simulator, so the queue must be re-examined after the
-// lock is held: peers push to this queue while we wait, and a pre-lock
+// caller may be stealing from another process's queue). Lock yields to
+// the simulator, so the queue must be re-examined after the lock is
+// held: peers push to this queue while we wait, and a pre-lock
 // snapshot would drop their entries.
 func (a *App) popBatch(e *cpu.Env, owner, step, max int) []task {
 	if len(a.queues[owner][step]) == 0 {
@@ -420,6 +420,10 @@ func (a *App) evaluate(e *cpu.Env, pid, cyc, step, g int) {
 	// Read the element record: type, state, input pointers, input
 	// value/time pairs, output, fanout pointer, scheduling fields — with
 	// the address computation and branching between field accesses.
+	// A region (cpu.Env.Queue): its native code only reads the immutable
+	// netlist and computes addresses. It ends before the input's value is
+	// read, because other processes write gate values.
+	e.Queue()
 	for i, off := range []int{0, 4, 8, 16, 24, 32, 48, 52, 64, 80, 96, 112, 116, 124} {
 		e.Read(base + mem.Addr(off))
 		if i%2 == 1 {
@@ -431,16 +435,23 @@ func (a *App) evaluate(e *cpu.Env, pid, cyc, step, g int) {
 	e.Read(a.elemAddr[gt.In[0]] + 3*mem.LineSize)
 	e.Read(a.elemAddr[gt.In[0]] + 3*mem.LineSize + 4)
 	e.Read(a.elemAddr[gt.In[0]] + 5*mem.LineSize)
+	e.Wait()
 	va := a.val[gt.In[0]]
 	vb := false
 	if gt.In[1] >= 0 {
+		// A region: three reads with no native code between them.
+		e.Queue()
 		e.Read(a.elemAddr[gt.In[1]] + 3*mem.LineSize)
 		e.Read(a.elemAddr[gt.In[1]] + 3*mem.LineSize + 4)
 		e.Read(a.elemAddr[gt.In[1]] + 5*mem.LineSize)
+		e.Wait()
 		vb = a.val[gt.In[1]]
 	}
 	// The element state machine walks the record again (net pointers,
 	// scheduling fields) — these re-reads hit the freshly filled lines.
+	// A region: its only native code, Eval, works on the values already
+	// read.
+	e.Queue()
 	for _, off := range []int{0, 16, 48, 64, 80, 96, 112, 124} {
 		e.Read(base + mem.Addr(off))
 	}
@@ -453,15 +464,20 @@ func (a *App) evaluate(e *cpu.Env, pid, cyc, step, g int) {
 	e.Write(base + 64)
 	e.Write(base + 96)
 	e.Write(base + 116)
+	e.Wait()
 	if out == a.val[g] {
 		e.Compute(30)
 		a.finishTask(e, step)
 		return
 	}
 	a.val[g] = out
+	// A region: the value was published above, before it opens, and no
+	// native code runs between these operations.
+	e.Queue()
 	e.Write(base + 3*mem.LineSize) // output value field
 	e.Write(base + 4)              // state
 	e.Compute(40)
+	e.Wait()
 
 	// Schedule newly activated elements: fanouts grouped by owner so
 	// each target queue is locked once.

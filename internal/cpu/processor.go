@@ -16,34 +16,17 @@ import (
 	"latsim/internal/stats"
 )
 
-// opKind enumerates the operations a process can submit to the simulator.
-type opKind int
-
-const (
-	opNone opKind = iota
-	opCompute
-	opPFCompute
-	opSpin
-	opRead
-	opWrite
-	opPrefetch
-	opLock
-	opUnlock
-	opBarrier
-)
-
-// op is one submitted operation.
+// op is one submitted operation, an entry of a context's queue. It holds
+// no pointers and takes 16 bytes: a synchronization operation's lock or
+// barrier rides on the Context, since it is always alone in the queue.
 type op struct {
-	kind   opKind
 	addr   mem.Addr
-	cycles int
-	excl   bool
-	lock   *msync.Lock
-	bar    *msync.Barrier
+	cycles int32
+	kind   TraceKind
 }
 
 // ctxState is the scheduling state of a hardware context.
-type ctxState int
+type ctxState uint8
 
 const (
 	ctxReady ctxState = iota
@@ -60,7 +43,7 @@ type contKind uint8
 
 const (
 	contNone         contKind = iota
-	contResume                // compute block elapsed: resume the process
+	contResume                // compute block elapsed: run the next operation
 	contPort                  // primary-port lockout over: re-check the port
 	contReadClassify          // read issue cycle over: classify and route
 	contWriteModel            // write issue cycle over: apply the consistency model
@@ -82,11 +65,21 @@ type Context struct {
 	p     *Processor
 	co    *sim.Coroutine
 	env   *Env
-	state ctxState
-	cur   op
 	cause stats.Bucket // why it blocked (single-context idle attribution)
+	state ctxState
+	cont  contKind // continuation of the in-flight operation
 
-	cont       contKind
+	// The operation being simulated, and those the process has submitted
+	// behind it (q[qhead:qlen]). The processor empties the queue before
+	// it resumes the process, so the process always appends to an empty
+	// queue and every yield leaves at least one entry. (state, cont,
+	// qhead and qlen share one word: the queue makes a Context large.)
+	qhead, qlen uint8
+	cur         op
+	q           [queueCap]op
+	lock        *msync.Lock    // lock of the current Lock or Unlock
+	bar         *msync.Barrier // barrier of the current Barrier
+
 	stallStart sim.Time     // start of a short no-switch stall
 	stallCause stats.Bucket // its bucket before inline attribution
 	blockStart sim.Time     // when the context last blocked (obs latency)
@@ -186,8 +179,11 @@ func (p *Processor) AddWorker(pid, nprocs int, body func(*Env)) {
 	c.evt.c = c
 	c.env = &Env{c: c, pid: pid, nprocs: nprocs}
 	c.wakeFn = func() { p.wake(c) }
-	c.barrierFn = func() { c.cur.bar.ArriveRetired(p.node, c.wakeFn) }
-	c.co = sim.NewCoroutine(func() { body(c.env) })
+	c.barrierFn = func() { c.bar.ArriveRetired(p.node, c.wakeFn) }
+	c.co = sim.NewCoroutine(func() {
+		body(c.env)
+		c.env.drain()
+	})
 	p.ctxs = append(p.ctxs, c)
 }
 
@@ -386,18 +382,23 @@ func (p *Processor) pickReady() *Context {
 	return nil
 }
 
-// exec resumes a context's process: it runs native code until it submits
-// its next operation (or returns), then the operation is simulated.
+// exec simulates a context's next operation: the next queued one, or, when
+// the queue is empty, the first one the process submits once resumed (it
+// runs native code until it yields or returns).
 func (p *Processor) exec(c *Context) {
 	c.state = ctxRunning
 	p.lastRun = c
-	if !c.co.Resume() {
+	if c.qlen == 0 && !c.co.Resume() {
 		c.state = ctxDone
 		p.finished++
 		p.recordRun()
 		p.closeWriteRun()
 		p.dispatch()
 		return
+	}
+	c.cur = c.q[c.qhead]
+	if c.qhead++; c.qhead == c.qlen {
+		c.qhead, c.qlen = 0, 0
 	}
 	p.handleOp(c)
 }
@@ -428,11 +429,11 @@ func (p *Processor) wake(c *Context) {
 		// operation's observed latency; locality keys off the home of the
 		// synchronization variable itself.
 		local := true
-		switch {
-		case c.cur.lock != nil:
-			local = p.node.IsLocal(c.cur.lock.Addr())
-		case c.cur.bar != nil:
-			local = p.node.IsLocal(c.cur.bar.CounterAddr())
+		switch c.cur.kind {
+		case TLock, TUnlock:
+			local = p.node.IsLocal(c.lock.Addr())
+		case TBarrier:
+			local = p.node.IsLocal(c.bar.CounterAddr())
 		}
 		p.rec.Miss(obs.SyncOp, local, p.k.Now()-c.blockStart)
 	}
@@ -451,19 +452,19 @@ func (p *Processor) wake(c *Context) {
 // handleOp simulates the operation the context just submitted.
 func (p *Processor) handleOp(c *Context) {
 	switch c.cur.kind {
-	case opCompute:
+	case TCompute:
 		// Computation on private data: the processor is busy for the
 		// block's duration, then the process resumes. Usually completes
 		// through delayThen's synchronous fast path — no kernel event.
 		d := sim.Time(c.cur.cycles)
 		p.busy(d)
 		p.delayThen(c, d, contResume)
-	case opPFCompute:
+	case TPFCompute:
 		// Prefetch address computation: pure overhead, not useful work.
 		d := sim.Time(c.cur.cycles)
 		p.account(stats.PrefetchOverhead, d)
 		p.delayThen(c, d, contResume)
-	case opSpin:
+	case TSpin:
 		// A software spin-wait: the polling instructions are busy time
 		// (the paper counts PTHOR's task-queue spinning as busy), and on
 		// a multiple-context processor the loop contains an explicit
@@ -471,31 +472,31 @@ func (p *Processor) handleOp(c *Context) {
 		// its siblings, which hold the work it is waiting for.
 		p.busy(sim.Time(c.cur.cycles))
 		p.delayThen(c, sim.Time(c.cur.cycles), contSpinEnd)
-	case opRead:
+	case TRead:
 		p.st.SharedReads++
 		p.closeWriteRun()
 		p.withPort(c)
-	case opWrite:
+	case TWrite:
 		p.st.SharedWrites++
 		p.writeRun++
 		p.withPort(c)
-	case opPrefetch:
+	case TPrefetch, TPrefetchExcl:
 		p.st.Prefetches++
 		// The prefetch instruction itself (plus implicit address
 		// computation) is overhead, not useful work.
 		d := sim.Time(p.cfg.PrefetchIssueCycles)
 		p.account(stats.PrefetchOverhead, d)
 		p.delayThen(c, d, contPrefetchIssue)
-	case opLock:
+	case TLock:
 		p.st.Locks++
 		p.closeWriteRun()
 		p.busy(1)
 		p.delayThen(c, 1, contLockIssue)
-	case opUnlock:
+	case TUnlock:
 		p.closeWriteRun()
 		p.busy(1)
 		p.delayThen(c, 1, contUnlockIssue)
-	case opBarrier:
+	case TBarrier:
 		p.st.Barriers++
 		p.closeWriteRun()
 		p.busy(1)
@@ -522,7 +523,7 @@ func (p *Processor) withPort(c *Context) {
 		p.delayThen(c, d, contPort)
 		return
 	}
-	if c.cur.kind == opRead {
+	if c.cur.kind == TRead {
 		p.doRead(c)
 	} else {
 		p.doWrite(c)
@@ -638,7 +639,7 @@ func (p *Processor) rcWrite(c *Context, a mem.Addr) {
 }
 
 func (p *Processor) issuePrefetch(c *Context) {
-	a, excl := c.cur.addr, c.cur.excl
+	a, excl := c.cur.addr, c.cur.kind == TPrefetchExcl
 	if p.node.PFEnqueue(a, excl) {
 		p.exec(c)
 		return
@@ -659,7 +660,7 @@ func (p *Processor) issuePrefetch(c *Context) {
 }
 
 func (p *Processor) issueLock(c *Context) {
-	lk := c.cur.lock
+	lk := c.lock
 	p.blockOn(c, stats.SyncStall)
 	if p.cfg.Model == config.WC {
 		// Weak consistency: a synchronization access is a full fence —
@@ -674,7 +675,7 @@ func (p *Processor) issueLock(c *Context) {
 }
 
 func (p *Processor) issueUnlock(c *Context) {
-	lk := c.cur.lock
+	lk := c.lock
 	if p.cfg.Model == config.RC || p.cfg.Model == config.PC {
 		// RC: the unlock store is a release — it retires from the write
 		// buffer only after all previous writes complete and their
@@ -730,7 +731,7 @@ func (p *Processor) issueUnlock(c *Context) {
 }
 
 func (p *Processor) issueBarrier(c *Context) {
-	b := c.cur.bar
+	b := c.bar
 	p.blockOn(c, stats.SyncStall)
 	// The arrival increment is a release-marked write on the barrier
 	// counter: it waits for all previous writes and acks (the barrier's

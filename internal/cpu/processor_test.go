@@ -1,12 +1,14 @@
 package cpu_test
 
 import (
+	"reflect"
 	"testing"
 
 	"latsim/internal/config"
 	"latsim/internal/cpu"
 	"latsim/internal/machine"
 	"latsim/internal/mem"
+	"latsim/internal/msync"
 	"latsim/internal/sim"
 )
 
@@ -45,24 +47,31 @@ func run(t *testing.T, procs int, a *app) *machine.Result {
 // TestComputeTakesFastPath: on a lone processor nothing else is pending,
 // so compute blocks complete by advancing the clock inline, and only the
 // depth bound turns every (MaxInlineDepth+1)-th one into a kernel event.
+// The same holds when the blocks come from a region's queue.
 func TestComputeTakesFastPath(t *testing.T) {
-	for _, n := range []int{1, 32, 33, 1000} {
-		res := run(t, 1, &app{worker: func(e *cpu.Env, pid int) {
-			for i := 0; i < n; i++ {
-				e.Compute(5)
+	for _, queued := range []bool{false, true} {
+		for _, n := range []int{1, 32, 33, 1000} {
+			res := run(t, 1, &app{worker: func(e *cpu.Env, pid int) {
+				if queued {
+					e.Queue()
+				}
+				for i := 0; i < n; i++ {
+					e.Compute(5)
+				}
+				e.Wait()
+			}})
+			k := res.Kernel
+			if want := 5 * n; res.Elapsed != sim.Time(want) {
+				t.Errorf("queued=%v n=%d: Elapsed = %d, want %d", queued, n, res.Elapsed, want)
 			}
-		}})
-		k := res.Kernel
-		if want := 5 * n; res.Elapsed != sim.Time(want) {
-			t.Errorf("n=%d: Elapsed = %d, want %d", n, res.Elapsed, want)
-		}
-		// The start event, then one event per exhausted inline budget.
-		if want := uint64(1 + n/(cpu.MaxInlineDepth+1)); k.Fired != want {
-			t.Errorf("n=%d: Fired = %d, want %d", n, k.Fired, want)
-		}
-		// Every compute block ends in an event or an advance.
-		if k.Fired+k.Advances != uint64(n+1) {
-			t.Errorf("n=%d: Fired+Advances = %d+%d, want %d", n, k.Fired, k.Advances, n+1)
+			// The start event, then one event per exhausted inline budget.
+			if want := uint64(1 + n/(cpu.MaxInlineDepth+1)); k.Fired != want {
+				t.Errorf("queued=%v n=%d: Fired = %d, want %d", queued, n, k.Fired, want)
+			}
+			// Every compute block ends in an event or an advance.
+			if k.Fired+k.Advances != uint64(n+1) {
+				t.Errorf("queued=%v n=%d: Fired+Advances = %d+%d, want %d", queued, n, k.Fired, k.Advances, n+1)
+			}
 		}
 	}
 }
@@ -92,4 +101,168 @@ func TestCompletionDoesNotAdvanceClock(t *testing.T) {
 	if res.Kernel.Advances != 3 {
 		t.Errorf("Advances = %d, want 3", res.Kernel.Advances)
 	}
+}
+
+// issueTimes runs worker on a 2-processor machine and returns, per
+// operation process 0 submits, the simulated time its trace hook ran.
+func issueTimes(t *testing.T, setup func(m *machine.Machine), worker func(e *cpu.Env, pid int)) ([]cpu.TraceKind, []sim.Time, *machine.Result) {
+	t.Helper()
+	var kinds []cpu.TraceKind
+	var times []sim.Time
+	res := run(t, 2, &app{
+		setup: func(m *machine.Machine) {
+			if setup != nil {
+				setup(m)
+			}
+			m.Processors()[0].SetTrace(func(pid int, k cpu.TraceKind, _ mem.Addr, _ int, _ *msync.Lock, _ *msync.Barrier) {
+				kinds = append(kinds, k)
+				times = append(times, m.Kernel().Now())
+			})
+		},
+		worker: func(e *cpu.Env, pid int) {
+			if pid == 0 {
+				worker(e, pid)
+			}
+		},
+	})
+	return kinds, times, res
+}
+
+// TestRegionRunsQueueWithoutResuming: the operations of a region are all
+// submitted at the cycle the region starts, because the processor runs
+// them from the queue without resuming the process; only a full queue
+// yields, so QueueCap+1 operations are submitted at exactly two cycles.
+func TestRegionRunsQueueWithoutResuming(t *testing.T) {
+	for _, tc := range []struct{ n, cycles int }{{cpu.QueueCap, 1}, {cpu.QueueCap + 1, 2}} {
+		n := tc.n
+		_, times, res := issueTimes(t, nil, func(e *cpu.Env, pid int) {
+			e.Compute(7)
+			e.Queue()
+			for i := 0; i < n; i++ {
+				e.Compute(5)
+			}
+			e.Wait()
+		})
+		if want := sim.Time(7 + 5*n); res.Elapsed != want {
+			t.Errorf("n=%d: Elapsed = %d, want %d", n, res.Elapsed, want)
+		}
+		distinct := map[sim.Time]bool{}
+		for _, at := range times[1:] {
+			distinct[at] = true
+		}
+		if len(distinct) != tc.cycles || !distinct[7] {
+			t.Errorf("n=%d: region ops submitted at %v, want %d distinct cycles starting at 7", n, times[1:], tc.cycles)
+		}
+	}
+}
+
+// TestNowInsideRegion: Now waits for the queued operations, so a region
+// reads the same times as the unqueued program.
+func TestNowInsideRegion(t *testing.T) {
+	var remote mem.Addr
+	setup := func(m *machine.Machine) { remote = m.AllocOnNode(4*mem.LineSize, 1) }
+	program := func(queued bool) []sim.Time {
+		var seen []sim.Time
+		run(t, 2, &app{setup: setup, worker: func(e *cpu.Env, pid int) {
+			if pid != 0 {
+				return
+			}
+			if queued {
+				e.Queue()
+			}
+			for i := 0; i < 4; i++ {
+				e.Read(remote + mem.Addr(i*mem.LineSize))
+				e.Compute(3)
+				e.Write(remote)
+				seen = append(seen, e.Now())
+				e.Compute(2)
+			}
+			e.Wait()
+			seen = append(seen, e.Now())
+		}})
+		return seen
+	}
+	plain, queued := program(false), program(true)
+	if !reflect.DeepEqual(plain, queued) {
+		t.Errorf("Now: unqueued %v, queued %v", plain, queued)
+	}
+}
+
+// TestSyncOpsNeverQueued: Lock, Unlock, SpinWait and Barrier inside a
+// region wait for the queue, are submitted where the unqueued program
+// submits them, and return to the process at their completion, so the
+// operation after each is submitted where the unqueued program submits
+// it too.
+func TestSyncOpsNeverQueued(t *testing.T) {
+	var remote mem.Addr
+	var lk *msync.Lock
+	var bar *msync.Barrier
+	setup := func(m *machine.Machine) {
+		remote = m.AllocOnNode(2*mem.LineSize, 1)
+		lk = m.NewLockOnNode(1)
+		bar = m.NewBarrier(1)
+	}
+	program := func(queued bool) ([]cpu.TraceKind, []sim.Time, *machine.Result) {
+		return issueTimes(t, setup, func(e *cpu.Env, pid int) {
+			if queued {
+				e.Queue()
+			}
+			e.Read(remote)
+			e.Lock(lk)
+			e.Read(remote + mem.LineSize)
+			e.Unlock(lk)
+			e.SpinWait(4)
+			e.Read(remote)
+			e.Barrier(bar)
+			e.Write(remote)
+			e.Wait()
+		})
+	}
+	pk, pt, plain := program(false)
+	qk, qt, queued := program(true)
+	if !reflect.DeepEqual(pk, qk) {
+		t.Fatalf("kinds: unqueued %v, queued %v", pk, qk)
+	}
+	for i := range pk {
+		if pt[i] != qt[i] && (isSync(pk[i]) || i > 0 && isSync(pk[i-1])) {
+			t.Errorf("op %d (kind %d) submitted at %d queued, %d unqueued", i, pk[i], qt[i], pt[i])
+		}
+	}
+	if plain.Elapsed != queued.Elapsed || !reflect.DeepEqual(plain.Procs, queued.Procs) {
+		t.Errorf("queued run differs: Elapsed %d vs %d, procs %+v vs %+v",
+			queued.Elapsed, plain.Elapsed, queued.Procs[0], plain.Procs[0])
+	}
+}
+
+// TestReturnInsideRegion: a worker that returns with its region open still
+// has its queued operations simulated.
+func TestReturnInsideRegion(t *testing.T) {
+	var remote mem.Addr
+	setup := func(m *machine.Machine) { remote = m.AllocOnNode(mem.LineSize, 1) }
+	program := func(wait bool) *machine.Result {
+		return run(t, 2, &app{setup: setup, worker: func(e *cpu.Env, pid int) {
+			if pid != 0 {
+				return
+			}
+			e.Queue()
+			e.Compute(5)
+			e.Read(remote)
+			e.Write(remote)
+			e.Compute(5)
+			if wait {
+				e.Wait()
+			}
+		}})
+	}
+	waited, returned := program(true), program(false)
+	if waited.Elapsed != returned.Elapsed || !reflect.DeepEqual(waited.Procs, returned.Procs) {
+		t.Errorf("return inside region: Elapsed %d, want %d", returned.Elapsed, waited.Elapsed)
+	}
+	if returned.Procs[0].SharedWrites != 1 {
+		t.Errorf("SharedWrites = %d, want 1", returned.Procs[0].SharedWrites)
+	}
+}
+
+func isSync(k cpu.TraceKind) bool {
+	return k == cpu.TLock || k == cpu.TUnlock || k == cpu.TSpin || k == cpu.TBarrier
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"latsim/internal/config"
@@ -19,6 +20,11 @@ type randomApp struct {
 	seed   int64
 	phases int
 	ops    int
+	// queued runs each phase inside one cpu.Env region, so its locks,
+	// spins and barrier drain the queue in the middle of the region. The
+	// only native state is the private rng, which meets the region
+	// contract.
+	queued bool
 
 	base  mem.Addr
 	locks []*msync.Lock
@@ -39,6 +45,9 @@ func (a *randomApp) Setup(m *Machine) error {
 func (a *randomApp) Worker(e *cpu.Env, pid, nprocs int) {
 	rng := rand.New(rand.NewSource(a.seed + int64(pid)*7919))
 	for ph := 0; ph < a.phases; ph++ {
+		if a.queued {
+			e.Queue()
+		}
 		for op := 0; op < a.ops; op++ {
 			addr := a.base + mem.Addr(rng.Intn(512)*mem.LineSize)
 			switch rng.Intn(10) {
@@ -66,7 +75,56 @@ func (a *randomApp) Worker(e *cpu.Env, pid, nprocs int) {
 			}
 		}
 		e.Barrier(a.bar)
+		if a.queued {
+			e.Wait()
+		}
 	}
+}
+
+// configMatrix is the technique combinations the random programs run
+// under.
+var configMatrix = []struct {
+	name string
+	mut  func(*config.Config)
+}{
+	{"SC", func(c *config.Config) {}},
+	{"RC", func(c *config.Config) { c.Model = config.RC }},
+	{"nocache", func(c *config.Config) { c.CacheShared = false }},
+	{"SC-2ctx", func(c *config.Config) { c.Contexts = 2 }},
+	{"RC-4ctx16", func(c *config.Config) { c.Model = config.RC; c.Contexts = 4; c.SwitchPenalty = 16 }},
+	{"RC-egrant", func(c *config.Config) { c.Model = config.RC; c.ExclusiveGrant = true }},
+	{"SC-tinybuf", func(c *config.Config) { c.WriteBufferDepth = 1; c.PrefetchBufferDepth = 1 }},
+	{"RC-fullcache", func(c *config.Config) { c.Model = config.RC; *c = c.FullCaches() }},
+	{"SC-mesh", func(c *config.Config) { c.MeshNetwork = true }},
+	{"PC-assoc", func(c *config.Config) { c.Model = config.PC; c.SecondaryWays = 2 }},
+	{"WC", func(c *config.Config) { c.Model = config.WC }},
+}
+
+// runRandom runs app on a 4-processor machine under mut and checks that
+// every processor's buckets sum to its finish time.
+func runRandom(t *testing.T, mut func(*config.Config), app *randomApp) *Result {
+	t.Helper()
+	cfg := config.Default()
+	cfg.Procs = 4
+	cfg.MaxCycles = 50_000_000
+	mut(&cfg)
+	if !cfg.CacheShared {
+		cfg.Prefetch = false
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range m.Processors() {
+		if got, want := res.Procs[i].Total(), p.DoneAt(); got != want {
+			t.Errorf("proc %d: bucket sum %d != finish %d", i, got, want)
+		}
+	}
+	return res
 }
 
 // TestRandomProgramsAcrossConfigMatrix runs random programs under every
@@ -75,56 +133,44 @@ func (a *randomApp) Worker(e *cpu.Env, pid, nprocs int) {
 // processor's buckets sum to its finish time, and the run is
 // deterministic.
 func TestRandomProgramsAcrossConfigMatrix(t *testing.T) {
-	type cfgMut struct {
-		name string
-		mut  func(*config.Config)
-	}
-	muts := []cfgMut{
-		{"SC", func(c *config.Config) {}},
-		{"RC", func(c *config.Config) { c.Model = config.RC }},
-		{"nocache", func(c *config.Config) { c.CacheShared = false }},
-		{"SC-2ctx", func(c *config.Config) { c.Contexts = 2 }},
-		{"RC-4ctx16", func(c *config.Config) { c.Model = config.RC; c.Contexts = 4; c.SwitchPenalty = 16 }},
-		{"RC-egrant", func(c *config.Config) { c.Model = config.RC; c.ExclusiveGrant = true }},
-		{"SC-tinybuf", func(c *config.Config) { c.WriteBufferDepth = 1; c.PrefetchBufferDepth = 1 }},
-		{"RC-fullcache", func(c *config.Config) { c.Model = config.RC; *c = c.FullCaches() }},
-		{"SC-mesh", func(c *config.Config) { c.MeshNetwork = true }},
-		{"PC-assoc", func(c *config.Config) { c.Model = config.PC; c.SecondaryWays = 2 }},
-		{"WC", func(c *config.Config) { c.Model = config.WC }},
-	}
 	for _, seed := range []int64{3, 17} {
-		for _, mc := range muts {
+		for _, mc := range configMatrix {
 			name := fmt.Sprintf("%s/seed%d", mc.name, seed)
 			t.Run(name, func(t *testing.T) {
 				run := func() *Result {
-					cfg := config.Default()
-					cfg.Procs = 4
-					cfg.MaxCycles = 50_000_000
-					mc.mut(&cfg)
-					if !cfg.CacheShared {
-						cfg.Prefetch = false
-					}
-					m, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					app := &randomApp{seed: seed, phases: 3, ops: 120}
-					res, err := m.Run(app)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i, p := range m.Processors() {
-						if got, want := res.Procs[i].Total(), p.DoneAt(); got != want {
-							t.Errorf("proc %d: bucket sum %d != finish %d", i, got, want)
-						}
-					}
-					return res
+					return runRandom(t, mc.mut, &randomApp{seed: seed, phases: 3, ops: 120})
 				}
 				r1 := run()
 				r2 := run()
 				if r1.Elapsed != r2.Elapsed || r1.Events != r2.Events {
 					t.Errorf("nondeterministic: (%d,%d) vs (%d,%d)",
 						r1.Elapsed, r1.Events, r2.Elapsed, r2.Events)
+				}
+			})
+		}
+	}
+}
+
+// TestQueuedMatchesUnqueued: a region changes no simulated result. The
+// random programs, run with each phase inside one region, must match
+// their unqueued runs exactly under every technique combination.
+func TestQueuedMatchesUnqueued(t *testing.T) {
+	for _, seed := range []int64{3, 17} {
+		for _, mc := range configMatrix {
+			t.Run(fmt.Sprintf("%s/seed%d", mc.name, seed), func(t *testing.T) {
+				plain := runRandom(t, mc.mut, &randomApp{seed: seed, phases: 3, ops: 120})
+				queued := runRandom(t, mc.mut, &randomApp{seed: seed, phases: 3, ops: 120, queued: true})
+				if plain.Elapsed != queued.Elapsed {
+					t.Errorf("Elapsed: unqueued %d, queued %d", plain.Elapsed, queued.Elapsed)
+				}
+				if !reflect.DeepEqual(plain.Breakdown, queued.Breakdown) {
+					t.Errorf("Breakdown: unqueued %+v, queued %+v", plain.Breakdown, queued.Breakdown)
+				}
+				if !reflect.DeepEqual(plain.Procs, queued.Procs) {
+					t.Errorf("Procs differ:\nunqueued %+v\nqueued   %+v", plain.Procs, queued.Procs)
+				}
+				if plain.Kernel != queued.Kernel {
+					t.Errorf("Kernel: unqueued %+v, queued %+v", plain.Kernel, queued.Kernel)
 				}
 			})
 		}

@@ -221,8 +221,11 @@ func (p *Replayer) Setup(m *machine.Machine) error {
 	return nil
 }
 
-// Worker replays one process's stream.
+// Worker replays one process's stream. The whole stream is one region
+// (cpu.Env.Queue): a replay runs no application code, and its
+// synchronization operations and spins wait for the queue themselves.
 func (p *Replayer) Worker(e *cpu.Env, pid, nprocs int) {
+	e.Queue()
 	for _, ev := range p.T.Streams[pid] {
 		switch ev.Kind {
 		case cpu.TCompute:
@@ -247,6 +250,7 @@ func (p *Replayer) Worker(e *cpu.Env, pid, nprocs int) {
 			e.Barrier(p.bars[ev.Obj])
 		}
 	}
+	e.Wait()
 }
 
 func (p *Replayer) remap(a mem.Addr) mem.Addr { return p.base + (a - p.lo) }

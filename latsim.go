@@ -28,7 +28,8 @@
 //
 // Custom workloads implement the App interface and use the Env API
 // (Compute, Read, Write, Prefetch, Lock, Unlock, Barrier) from each
-// worker process.
+// worker process; Env.Queue and Env.Wait bracket stretches that observe
+// nothing, so their operations skip the per-operation process switch.
 package latsim
 
 import (
