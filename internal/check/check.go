@@ -77,10 +77,10 @@ type Inspector interface {
 	// HomeOf returns the home node of a line.
 	HomeOf(line mem.Line) int
 	// Dir returns the directory entry for a line at its home (a line
-	// with no entry yet is DirUncached with dirset.None). The sharer
-	// view is the directory's own representation — a superset of the
-	// true sharers for imprecise organizations — so the checker works
-	// unmodified at any machine size and any dirset.Org.
+	// with no entry yet is DirUncached with the empty dirset.View). The
+	// sharer view is the directory's own representation — a superset of
+	// the true sharers for imprecise organizations — so the checker
+	// works unmodified at any machine size and any dirset.Org.
 	Dir(home int, line mem.Line) (state DirState, sharers dirset.View, owner int, busy bool)
 	// CacheState returns node's secondary-cache state for a line.
 	CacheState(node int, line mem.Line) CacheState
@@ -246,7 +246,7 @@ func (c *Checker) WBRetire(node int, pos int) {
 // directory state change. The scan is O(nodes) but cheap per node:
 // invalid lines (the overwhelming majority at scale) fall through with
 // one cache-state peek, and the in-flight-invalidation and MSHR/victim
-// map lookups only run for nodes that actually hold a copy or own the
+// lookups only run for nodes that actually hold a copy or own the
 // line. The per-node MSHR/victim exclusivity invariant lives in
 // checkNode (the node whose buffers changed) and the quiescent
 // memsys.CheckInvariants sweep, not here.

@@ -15,6 +15,7 @@ import (
 type fakeInsp struct {
 	nodes   int
 	state   DirState
+	layout  dirset.Layout
 	sharers dirset.Set
 	owner   int
 	busy    bool
@@ -26,19 +27,22 @@ type fakeInsp struct {
 func (f *fakeInsp) NumNodes() int         { return f.nodes }
 func (f *fakeInsp) HomeOf(l mem.Line) int { return 0 }
 func (f *fakeInsp) Dir(home int, l mem.Line) (DirState, dirset.View, int, bool) {
-	return f.state, f.sharers, f.owner, f.busy
+	return f.state, f.layout.View(f.sharers), f.owner, f.busy
 }
 func (f *fakeInsp) CacheState(node int, l mem.Line) CacheState { return f.cache[node] }
 func (f *fakeInsp) HasMSHR(node int, l mem.Line) bool          { return f.mshr[node] }
 func (f *fakeInsp) HasVictim(node int, l mem.Line) bool        { return f.victim[node] }
 
+// add puts node id in the directory's sharer set.
+func (f *fakeInsp) add(id int) { f.layout.Add(&f.sharers, id) }
+
 func newFake() *fakeInsp {
 	return &fakeInsp{
-		nodes:   4,
-		sharers: dirset.New(dirset.FullMap, 4, 0, 0),
-		cache:   map[int]CacheState{},
-		mshr:    map[int]bool{},
-		victim:  map[int]bool{},
+		nodes:  4,
+		layout: dirset.NewLayout(dirset.FullMap, 4, 0, 0),
+		cache:  map[int]CacheState{},
+		mshr:   map[int]bool{},
+		victim: map[int]bool{},
 	}
 }
 
@@ -75,8 +79,8 @@ func wantViolation(t *testing.T, c *Checker, substr string) {
 func TestCleanSharedState(t *testing.T) {
 	f := newFake()
 	f.state = DirShared
-	f.sharers.Add(1)
-	f.sharers.Add(3)
+	f.add(1)
+	f.add(3)
 	f.cache[1] = CacheShared
 	f.cache[3] = CacheShared
 	c := newChecker(f, true)
@@ -92,7 +96,7 @@ func TestStaleSharerBitIsLegal(t *testing.T) {
 	// gone. DASH tolerates this (the next invalidation is stale).
 	f := newFake()
 	f.state = DirShared
-	f.sharers.Add(2)
+	f.add(2)
 	c := newChecker(f, true)
 	c.DirEvent(0, line)
 	wantClean(t, c)
@@ -116,7 +120,7 @@ func TestSingleDirtyOwner(t *testing.T) {
 func TestSharedCopyNotInSharerSet(t *testing.T) {
 	f := newFake()
 	f.state = DirShared
-	f.sharers.Add(1)
+	f.add(1)
 	f.cache[1] = CacheShared
 	f.cache[2] = CacheShared // unaccounted copy
 	c := newChecker(f, true)
@@ -130,14 +134,14 @@ func TestImpreciseSupersetExcusesCopy(t *testing.T) {
 	// the superset rule in action.
 	f := newFake()
 	f.state = DirShared
-	f.sharers = dirset.New(dirset.LimitedPtr, 4, 1, 0)
-	f.sharers.Add(0)
-	f.sharers.Add(1) // overflow → broadcast mode
+	f.layout = dirset.NewLayout(dirset.LimitedPtr, 4, 1, 0)
+	f.add(0)
+	f.add(1) // overflow → broadcast mode
 	f.cache[2] = CacheShared
 	c := newChecker(f, true)
 	c.DirEvent(0, line)
 	wantClean(t, c)
-	if f.sharers.Precise() {
+	if f.layout.View(f.sharers).Precise() {
 		t.Fatal("test premise broken: the set must be imprecise")
 	}
 }
@@ -147,8 +151,8 @@ func TestCoarseGroupExcusesCopy(t *testing.T) {
 	// accounted for by node 2's membership (same 2-node group).
 	f := newFake()
 	f.state = DirShared
-	f.sharers = dirset.New(dirset.CoarseVector, 4, 0, 2)
-	f.sharers.Add(2)
+	f.layout = dirset.NewLayout(dirset.CoarseVector, 4, 0, 2)
+	f.add(2)
 	f.cache[2] = CacheShared
 	f.cache[3] = CacheShared
 	c := newChecker(f, true)
@@ -166,7 +170,7 @@ func TestInFlightInvalidationExcusesCopy(t *testing.T) {
 	// invalidation; until it lands, the copy is legal.
 	f := newFake()
 	f.state = DirShared
-	f.sharers.Add(1)
+	f.add(1)
 	f.cache[1] = CacheShared
 	f.cache[2] = CacheShared
 	c := newChecker(f, true)
@@ -205,7 +209,7 @@ func TestUncachedWithCopy(t *testing.T) {
 func TestDirtyUnderShared(t *testing.T) {
 	f := newFake()
 	f.state = DirShared
-	f.sharers.Add(1)
+	f.add(1)
 	f.cache[1] = CacheDirty
 	c := newChecker(f, true)
 	c.DirEvent(0, line)
@@ -271,7 +275,7 @@ func TestFillAppliedChecksAgreement(t *testing.T) {
 	// caught by the node-local hook itself.
 	f := newFake()
 	f.state = DirShared
-	f.sharers.Add(1)
+	f.add(1)
 	f.cache[2] = CacheShared
 	c := newChecker(f, true)
 	c.FillApplied(2, line)

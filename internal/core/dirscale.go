@@ -93,7 +93,7 @@ func (s *Session) DirScaleSweep() ([]DirScalePoint, error) {
 			InvalsSent:      r.InvalsSent(),
 			DirOverflows:    r.DirOverflows(),
 			SpuriousInvals:  r.SpuriousInvals(),
-			EntryBits:       dirset.New(cfg.DirOrg, cfg.Procs, cfg.DirPointers, cfg.DirCoarseness).Bits(),
+			EntryBits:       dirset.NewLayout(cfg.DirOrg, cfg.Procs, cfg.DirPointers, cfg.DirCoarseness).Bits(),
 			SlowdownVsExact: slow,
 		})
 	}

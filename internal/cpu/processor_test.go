@@ -10,10 +10,13 @@ import (
 	"latsim/internal/mem"
 	"latsim/internal/msync"
 	"latsim/internal/sim"
+	"latsim/internal/stats"
 )
 
-// app adapts a setup and a worker closure to machine.App.
+// app adapts a setup and a worker closure to machine.App. cfg, if set,
+// adjusts the default machine configuration before the run.
 type app struct {
+	cfg    func(c *config.Config)
 	setup  func(m *machine.Machine)
 	worker func(e *cpu.Env, pid int)
 }
@@ -33,6 +36,9 @@ func run(t *testing.T, procs int, a *app) *machine.Result {
 	t.Helper()
 	cfg := config.Default()
 	cfg.Procs = procs
+	if a.cfg != nil {
+		a.cfg(&cfg)
+	}
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -265,4 +271,72 @@ func TestReturnInsideRegion(t *testing.T) {
 
 func isSync(k cpu.TraceKind) bool {
 	return k == cpu.TLock || k == cpu.TUnlock || k == cpu.TSpin || k == cpu.TBarrier
+}
+
+// TestRCWriteBufferFullStalls: under RC a write that finds the write
+// buffer full blocks in WriteStall until a slot frees and WBOnSpace
+// retries it. With one slot, the second of two remote writes finds the
+// first still buffered: the first enters the buffer after its 1-cycle
+// issue (cycle 1) and retires when its ownership arrives 64 cycles later
+// (Table 1's remote write), so the second, issued at cycle 2, waits
+// until cycle 65. Both issues and the closing compute block are busy.
+func TestRCWriteBufferFullStalls(t *testing.T) {
+	var remote mem.Addr
+	res := run(t, 2, &app{
+		cfg:   func(c *config.Config) { c.Model = config.RC; c.WriteBufferDepth = 1 },
+		setup: func(m *machine.Machine) { remote = m.AllocOnNode(2*mem.LineSize, 1) },
+		worker: func(e *cpu.Env, pid int) {
+			if pid != 0 {
+				return
+			}
+			e.Write(remote)
+			e.Write(remote + mem.LineSize)
+			e.Compute(5)
+		},
+	})
+	st := res.Procs[0]
+	if res.Elapsed != 70 || st.Time[stats.Busy] != 7 || st.Time[stats.WriteStall] != 63 {
+		t.Errorf("Elapsed %d, Busy %d, WriteStall %d; want 70, 7, 63",
+			res.Elapsed, st.Time[stats.Busy], st.Time[stats.WriteStall])
+	}
+	if st.Total() != res.Elapsed || st.WriteMisses != 2 {
+		t.Errorf("buckets sum to %d of %d cycles, %d write misses; want all cycles and 2",
+			st.Total(), res.Elapsed, st.WriteMisses)
+	}
+}
+
+// TestPrefetchBufferFullStalls: a prefetch that finds the prefetch
+// buffer full stalls the processor until a slot frees, and the wait is
+// prefetch overhead, like the issue cycles. The processor issues one
+// prefetch per cycle; the buffer takes the head entry out of its one
+// slot to check it, one check per 2 cycles (SecCheckWrite). The first
+// prefetch enters at cycle 1 and is checked at once, the second waits in
+// the slot from cycle 2, and the third finds the slot just freed at
+// cycle 3. The fourth, issued at cycle 4, finds the third there until
+// the check of the second ends at cycle 5. So the four prefetches cost
+// 4 issue cycles and 1 stall, and the compute block ends at cycle 10.
+func TestPrefetchBufferFullStalls(t *testing.T) {
+	var remote mem.Addr
+	res := run(t, 2, &app{
+		cfg:   func(c *config.Config) { c.PrefetchBufferDepth = 1; c.PrefetchIssueCycles = 1 },
+		setup: func(m *machine.Machine) { remote = m.AllocOnNode(4*mem.LineSize, 1) },
+		worker: func(e *cpu.Env, pid int) {
+			if pid != 0 {
+				return
+			}
+			for i := 0; i < 4; i++ {
+				e.Prefetch(remote + mem.Addr(i*mem.LineSize))
+			}
+			e.Compute(5)
+		},
+	})
+	st := res.Procs[0]
+	if res.Elapsed != 10 || st.Time[stats.Busy] != 5 || st.Time[stats.PrefetchOverhead] != 5 {
+		t.Errorf("Elapsed %d, Busy %d, PrefetchOverhead %d; want 10, 5, 5",
+			res.Elapsed, st.Time[stats.Busy], st.Time[stats.PrefetchOverhead])
+	}
+	if st.Total() != res.Elapsed || st.Prefetches != 4 || st.PrefetchUseless != 0 {
+		t.Errorf("buckets sum to %d of %d cycles, %d prefetches, %d useless; want all cycles, 4 and 0",
+			st.Total(), res.Elapsed, st.Prefetches, st.PrefetchUseless)
+	}
 }

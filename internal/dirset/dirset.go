@@ -1,19 +1,27 @@
-// Package dirset implements the directory's sharer-set representations:
-// the per-line record of which nodes may hold a cached copy. The classic
+// Package dirset implements the directory's sharer sets: the per-line
+// record of which nodes may hold a cached copy. The classic
 // full-bit-vector directory stores one presence bit per node and is
-// exact, but its per-entry storage grows linearly with the machine and
-// hard-caps a uint64-based implementation at 64 nodes. The scalable
-// organizations trade precision for bounded storage:
+// exact, but its per-entry storage grows linearly with the machine. The
+// scalable organizations trade precision for bounded storage:
 //
-//   - full-map: one bit per node, chunked into 64-bit words, unbounded
-//     width. Exact.
+//   - full-map: one bit per node. Exact.
 //   - limited-pointer (Dir_i B): i node pointers; when an (i+1)-th
 //     sharer arrives the entry overflows to broadcast mode and a later
 //     write must invalidate every node (Agarwal et al.'s Dir_i B).
 //   - coarse-vector: one bit per group of k consecutive nodes; a write
 //     invalidates every node of every marked group.
 //
-// Every implementation obeys the superset contract: the represented set
+// A sharer set is a plain value (Set) stored inside its directory entry.
+// The organization and its parameters (Layout) are held once per
+// directory, and every set is read and written through them. Each
+// organization keeps a bit vector: full-map and limited-pointer one bit
+// per node (a limited-pointer set records its pointers as a node mask),
+// coarse-vector one bit per group. A vector of at most 64 bits lives in
+// the Set itself, so on machines of 64 nodes or fewer no organization
+// allocates; a wider vector is one word slice, allocated the first time
+// a node is added to the set.
+//
+// Every organization obeys the superset contract: the represented set
 // always contains every true sharer, and may contain more (the imprecise
 // organizations, and — in every organization — nodes that silently
 // evicted their copy). Invalidations sent to non-sharers are spurious
@@ -27,6 +35,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"unsafe"
 )
 
 // Org selects a directory organization.
@@ -100,278 +109,216 @@ func (o *Org) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// View is the read-only side of a sharer set: what the invariant checker
-// (and any other observer) may see. Contains and Next report the
-// represented superset, not ground truth — for an imprecise organization
-// a node can be "in" the set without holding a copy.
-type View interface {
-	// Contains reports whether the representation includes node id.
-	Contains(id int) bool
-	// Len is the number of nodes the representation includes.
-	Len() int
-	// Next returns the lowest included node >= id, or -1 if there is
-	// none. The walk for id := v.Next(0); id >= 0; id = v.Next(id+1)
-	// visits every included node in ascending order without allocating.
-	Next(id int) int
-	// Precise reports whether the set currently equals the exact set of
-	// nodes that were added (and not removed): full-map always,
-	// limited-pointer until it overflows, coarse-vector only at k = 1.
-	Precise() bool
-	// Overflowed reports whether a limited-pointer set has fallen back
-	// to broadcast mode.
-	Overflowed() bool
-	// Bits is the organization's per-entry storage cost in bits (a
-	// constant per configuration; the directory-footprint metric).
-	Bits() int
-}
-
-// Set is a mutable sharer set. Remove is best-effort and must preserve
-// the superset contract: an implementation that cannot excise one node
-// (an overflowed limited-pointer set, a shared coarse group) leaves the
-// set unchanged rather than dropping other potential sharers.
-type Set interface {
-	View
-	// Add includes node id. It returns true when this call pushed a
-	// limited-pointer set into broadcast mode (the overflow event the
-	// directory counts); every other call returns false.
-	Add(id int) (overflowed bool)
-	// Remove excises node id where the representation allows it.
-	Remove(id int)
-	// Clear empties the set (and resets any overflow state).
-	Clear()
-}
-
-// New builds an empty sharer set for a machine of procs nodes. pointers
-// and coarseness are the LimitedPtr i and CoarseVector k parameters;
-// they are ignored by the organizations that do not use them. Invalid
-// parameters (validated upstream by config.Validate) are clamped to 1.
-func New(org Org, procs, pointers, coarseness int) Set {
-	switch org {
-	case LimitedPtr:
-		if pointers < 1 {
-			pointers = 1
-		}
-		return &ptrSet{max: pointers, procs: procs}
-	case CoarseVector:
-		if coarseness < 1 {
-			coarseness = 1
-		}
-		groups := (procs + coarseness - 1) / coarseness
-		return &coarseSet{
-			words: make([]uint64, (groups+63)/64),
-			k:     coarseness,
-			procs: procs,
-		}
-	default:
-		return &bitSet{words: make([]uint64, (procs+63)/64), procs: procs}
-	}
-}
-
-// None is the empty, immutable view returned for lines with no
-// directory entry.
-var None View = noneView{}
-
-type noneView struct{}
-
-func (noneView) Contains(int) bool { return false }
-func (noneView) Len() int          { return 0 }
-func (noneView) Next(int) int      { return -1 }
-func (noneView) Precise() bool     { return true }
-func (noneView) Overflowed() bool  { return false }
-func (noneView) Bits() int         { return 0 }
-
-// bitSet is the exact full-map organization: one presence bit per node,
-// in 64-bit chunks.
-type bitSet struct {
-	words []uint64
+// Layout is a directory organization with its parameters, for a machine
+// of a given size. A directory holds one Layout and reads and writes all
+// of its entries' sets through it.
+type Layout struct {
+	org   Org
 	procs int
+	ptrs  int // limited-pointer: the number of pointers i
+	k     int // coarse-vector: nodes per group
+	width int // bits in a set's vector: procs, or the number of groups
 }
 
-func (s *bitSet) Add(id int) bool {
-	s.words[id>>6] |= 1 << uint(id&63)
+// NewLayout returns the layout of org on a machine of procs nodes.
+// pointers and coarseness are the LimitedPtr i and CoarseVector k
+// parameters; the organizations that do not use them ignore them.
+// Invalid parameters (validated upstream by config.Validate) are clamped
+// to 1.
+func NewLayout(org Org, procs, pointers, coarseness int) Layout {
+	l := Layout{org: org, procs: procs, ptrs: max(pointers, 1), k: max(coarseness, 1), width: procs}
+	if org == CoarseVector {
+		l.width = (procs + l.k - 1) / l.k
+	}
+	return l
+}
+
+// Bits is the organization's per-entry storage cost in bits (a constant
+// per configuration; the directory-footprint metric): P for full-map,
+// i pointers of ceil(log2 P) bits plus the broadcast bit for
+// limited-pointer, and ceil(P/k) for coarse-vector.
+func (l Layout) Bits() int {
+	switch l.org {
+	case LimitedPtr:
+		return l.ptrs*ceilLog2(l.procs) + 1
+	case CoarseVector:
+		return l.width
+	}
+	return l.procs
+}
+
+// Set is one line's sharer set. The zero Set is empty. A Set must be
+// used with a single Layout; copies of a Set wider than 64 bits share
+// their words.
+type Set struct {
+	w   [1]uint64 // the vector, when the layout is at most 64 bits wide
+	ext *uint64   // first word of a wider vector (nil until the first Add)
+}
+
+// words returns s's bit vector: the inline word, or the wide vector
+// (nil before its first Add).
+func (l Layout) words(s *Set) []uint64 {
+	if l.width <= 64 {
+		return s.w[:]
+	}
+	if s.ext == nil {
+		return nil
+	}
+	// ext is the first element of a slice of exactly this many words
+	// (see Add), so this rebuilds that slice.
+	return unsafe.Slice(s.ext, (l.width+63)/64)
+}
+
+// Add includes node id in s. It returns true when this call pushed a
+// limited-pointer set into broadcast mode (the overflow event the
+// directory counts); every other call returns false.
+func (l Layout) Add(s *Set, id int) (overflowed bool) {
+	if l.width > 64 && s.ext == nil {
+		s.ext = &make([]uint64, (l.width+63)/64)[0]
+	}
+	ws := l.words(s)
+	b := id
+	switch l.org {
+	case LimitedPtr:
+		// A node already in the mask takes no pointer. A broadcast set
+		// holds every node's bit, so it never takes one.
+		if has(ws, id) {
+			return false
+		}
+		if count(ws) == l.ptrs {
+			// Overflow: drop the pointers, remember everyone.
+			fill(ws, l.procs)
+			return true
+		}
+	case CoarseVector:
+		b = id / l.k
+	}
+	ws[b>>6] |= 1 << uint(b&63)
 	return false
 }
 
-func (s *bitSet) Remove(id int) { s.words[id>>6] &^= 1 << uint(id&63) }
-
-func (s *bitSet) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
+// Remove excises node id where the representation allows it, and
+// otherwise leaves s unchanged: an overflowed limited-pointer set and a
+// coarse group of k > 1 nodes keep the node, so that no other potential
+// sharer is dropped.
+func (l Layout) Remove(s *Set, id int) {
+	ws := l.words(s)
+	switch l.org {
+	case LimitedPtr:
+		if count(ws) > l.ptrs {
+			return // broadcast mode has no per-node information
+		}
+	case CoarseVector:
+		if l.k > 1 {
+			return
+		}
+	}
+	if id>>6 < len(ws) {
+		ws[id>>6] &^= 1 << uint(id&63)
 	}
 }
 
-func (s *bitSet) Contains(id int) bool { return s.words[id>>6]&(1<<uint(id&63)) != 0 }
+// Clear empties s (and resets any overflow state).
+func (l Layout) Clear(s *Set) { clear(l.words(s)) }
 
-func (s *bitSet) Len() int {
+// View returns the read-only view of s.
+func (l Layout) View(s Set) View { return View{l: l, s: s} }
+
+// View is the read-only side of a sharer set: what the invariant checker
+// (and any other observer) may see. It is a plain value, so handing one
+// out allocates nothing. The zero View is the empty set of a line with
+// no directory entry. Contains and Next report the represented superset,
+// not ground truth — for an imprecise organization a node can be "in"
+// the set without holding a copy.
+type View struct {
+	l Layout
+	s Set
+}
+
+// Contains reports whether the representation includes node id.
+func (v View) Contains(id int) bool {
+	if v.l.org == CoarseVector {
+		id /= v.l.k
+	}
+	return has(v.l.words(&v.s), id)
+}
+
+// Len is the number of nodes the representation includes.
+func (v View) Len() int {
+	ws := v.l.words(&v.s)
+	if v.l.org != CoarseVector {
+		return count(ws)
+	}
 	n := 0
-	for _, w := range s.words {
+	for g := nextBit(ws, 0); g >= 0; g = nextBit(ws, g+1) {
+		n += min(v.l.k, v.l.procs-g*v.l.k)
+	}
+	return n
+}
+
+// Next returns the lowest included node >= id, or -1 if there is none.
+// The walk for id := v.Next(0); id >= 0; id = v.Next(id+1) visits every
+// included node in ascending order without allocating.
+func (v View) Next(id int) int {
+	ws := v.l.words(&v.s)
+	if v.l.org != CoarseVector {
+		return nextBit(ws, id)
+	}
+	// A marked group includes all its members. Groups are marked only
+	// through valid ids, so only ids past the last node (in a short final
+	// group) need the cut.
+	if id >= v.l.procs {
+		return -1
+	}
+	g := nextBit(ws, id/v.l.k)
+	if g < 0 {
+		return -1
+	}
+	return max(id, g*v.l.k)
+}
+
+// Precise reports whether the set currently equals the exact set of
+// nodes that were added (and not removed): full-map always,
+// limited-pointer until it overflows, coarse-vector only at k = 1.
+func (v View) Precise() bool {
+	switch v.l.org {
+	case LimitedPtr:
+		return !v.Overflowed()
+	case CoarseVector:
+		return v.l.k == 1
+	}
+	return true
+}
+
+// Overflowed reports whether a limited-pointer set has fallen back to
+// broadcast mode: it holds more nodes than it has pointers.
+func (v View) Overflowed() bool {
+	return v.l.org == LimitedPtr && count(v.l.words(&v.s)) > v.l.ptrs
+}
+
+// has reports whether bit i of the vector ws is set.
+func has(ws []uint64, i int) bool {
+	return i>>6 < len(ws) && ws[i>>6]&(1<<uint(i&63)) != 0
+}
+
+// count returns the number of set bits in ws.
+func count(ws []uint64) int {
+	n := 0
+	for _, w := range ws {
 		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-func (s *bitSet) Next(id int) int { return nextBit(s.words, id) }
-
-func (s *bitSet) Precise() bool    { return true }
-func (s *bitSet) Overflowed() bool { return false }
-func (s *bitSet) Bits() int        { return s.procs }
-
-// ptrSet is the limited-pointer Dir_i B organization: up to max exact
-// node pointers (kept sorted ascending for deterministic iteration);
-// adding one more switches the entry to broadcast mode, where every
-// node is a potential sharer until the set is cleared.
-type ptrSet struct {
-	ptrs  []int
-	max   int
-	procs int
-	bcast bool
-}
-
-func (s *ptrSet) Add(id int) bool {
-	if s.bcast {
-		return false
+// fill sets bits 0..n-1 of ws, which is exactly ceil(n/64) words long.
+func fill(ws []uint64, n int) {
+	for i := range ws {
+		ws[i] = ^uint64(0)
 	}
-	i := 0
-	for i < len(s.ptrs) && s.ptrs[i] < id {
-		i++
-	}
-	if i < len(s.ptrs) && s.ptrs[i] == id {
-		return false
-	}
-	if len(s.ptrs) == s.max {
-		// Overflow: drop the pointers, remember everyone.
-		s.ptrs = s.ptrs[:0]
-		s.bcast = true
-		return true
-	}
-	s.ptrs = append(s.ptrs, 0)
-	copy(s.ptrs[i+1:], s.ptrs[i:])
-	s.ptrs[i] = id
-	return false
-}
-
-func (s *ptrSet) Remove(id int) {
-	if s.bcast {
-		// Broadcast mode has no per-node information to excise; the
-		// superset stays intact.
-		return
-	}
-	for i, p := range s.ptrs {
-		if p == id {
-			s.ptrs = append(s.ptrs[:i], s.ptrs[i+1:]...)
-			return
-		}
+	if r := n & 63; r != 0 {
+		ws[len(ws)-1] = 1<<uint(r) - 1
 	}
 }
-
-func (s *ptrSet) Clear() {
-	s.ptrs = s.ptrs[:0]
-	s.bcast = false
-}
-
-func (s *ptrSet) Contains(id int) bool {
-	if s.bcast {
-		return true
-	}
-	for _, p := range s.ptrs {
-		if p == id {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *ptrSet) Len() int {
-	if s.bcast {
-		return s.procs
-	}
-	return len(s.ptrs)
-}
-
-func (s *ptrSet) Next(id int) int {
-	if s.bcast {
-		if id < s.procs {
-			return id
-		}
-		return -1
-	}
-	for _, p := range s.ptrs {
-		if p >= id {
-			return p
-		}
-	}
-	return -1
-}
-
-func (s *ptrSet) Precise() bool    { return !s.bcast }
-func (s *ptrSet) Overflowed() bool { return s.bcast }
-
-// Bits is i pointers of ceil(log2 procs) bits each plus the broadcast
-// bit.
-func (s *ptrSet) Bits() int { return s.max*ceilLog2(s.procs) + 1 }
-
-// coarseSet is the coarse-vector organization: one bit per group of k
-// consecutive nodes. Adding any group member marks the group; a marked
-// group includes every member, so precision is lost by construction for
-// k > 1 (but storage shrinks k-fold and there is no overflow mode).
-type coarseSet struct {
-	words []uint64
-	k     int
-	procs int
-}
-
-func (s *coarseSet) Add(id int) bool {
-	g := id / s.k
-	s.words[g>>6] |= 1 << uint(g&63)
-	return false
-}
-
-func (s *coarseSet) Remove(id int) {
-	if s.k == 1 {
-		// Degenerate exact case: a group is one node.
-		g := id
-		s.words[g>>6] &^= 1 << uint(g&63)
-	}
-	// k > 1: clearing the group would drop the other members' sharing
-	// information; keep the superset.
-}
-
-func (s *coarseSet) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-func (s *coarseSet) Contains(id int) bool {
-	g := id / s.k
-	return s.words[g>>6]&(1<<uint(g&63)) != 0
-}
-
-func (s *coarseSet) Len() int {
-	n := 0
-	for id := s.Next(0); id >= 0; id = s.Next(id + 1) {
-		n++
-	}
-	return n
-}
-
-// Next is id itself when id's group is marked, else the first member of
-// the next marked group. Groups are marked only through valid ids, so
-// only ids past the last node (in a short final group) need the cut.
-func (s *coarseSet) Next(id int) int {
-	if id >= s.procs {
-		return -1
-	}
-	g := nextBit(s.words, id/s.k)
-	if g < 0 {
-		return -1
-	}
-	return max(id, g*s.k)
-}
-
-func (s *coarseSet) Precise() bool    { return s.k == 1 }
-func (s *coarseSet) Overflowed() bool { return false }
-func (s *coarseSet) Bits() int        { return (s.procs + s.k - 1) / s.k }
 
 // nextBit returns the index of the lowest set bit at or above i in the
 // bit vector words, or -1 if there is none.

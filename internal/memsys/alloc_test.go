@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"latsim/internal/config"
+	"latsim/internal/dirset"
 	"latsim/internal/mem"
 )
 
@@ -162,5 +163,33 @@ func TestSpaceWaitsAllocateNothing(t *testing.T) {
 func TestDirEntryStaysSmall(t *testing.T) {
 	if size := unsafe.Sizeof(dirEntry{}); size > 24 {
 		t.Errorf("dirEntry is %d bytes, want at most 24", size)
+	}
+}
+
+// TestFirstTouchAllocatesNothing: a line's sharer set is a value inside
+// its directory entry, so on machines of up to 64 nodes the first request
+// for a line of a page whose chunk exists, and the first sharer it adds,
+// allocate nothing in any organization.
+func TestFirstTouchAllocatesNothing(t *testing.T) {
+	for _, procs := range []int{16, 64} {
+		for _, org := range []dirset.Org{dirset.FullMap, dirset.LimitedPtr, dirset.CoarseVector} {
+			r := newRig(procs, func(c *config.Config) { c.DirOrg = org })
+			h := r.nodes[0]
+			l := mem.LineOf(r.alloc.AllocOnNode(mem.PageSize, 0))
+			h.entry(l) // allocates the page's chunk
+			allocs := testing.AllocsPerRun(100, func() {
+				l++
+				if h.lookup(l) != nil {
+					t.Fatalf("line %#x has an entry before its first request", l)
+				}
+				h.sharerAdd(h.entry(l), procs-1)
+			})
+			if allocs != 0 {
+				t.Errorf("%v at %d nodes: a first touch allocates %.1f objects, want 0", org, procs, allocs)
+			}
+			if !h.sharers(h.lookup(l)).Contains(procs - 1) {
+				t.Errorf("%v at %d nodes: node %d missing from the last line's sharers", org, procs, procs-1)
+			}
+		}
 	}
 }

@@ -94,3 +94,25 @@ func TestAssocInvariantsUnderStress(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckInvariantsKeepsLRUOrder: the quiescent invariant sweep must not
+// perturb replacement. A dirty line a and a later clean line b share a
+// 2-way set, so a is least recently used; after CheckInvariants a third
+// line in the set must still evict a and keep b.
+func TestCheckInvariantsKeepsLRUOrder(t *testing.T) {
+	r := newRig(2, func(c *config.Config) { c.SecondaryWays = 2 })
+	stride := mem.Addr(r.cfg.SecondaryBytes / 2) // one set's worth of lines apart
+	a := r.alloc.AllocOnNode(3*int(stride), 0)
+	b, c := a+stride, a+2*stride
+	r.writeLatency(t, 0, a)
+	r.readLatency(t, 0, b)
+	if err := CheckInvariants(r.nodes); err != nil {
+		t.Fatal(err)
+	}
+	r.readLatency(t, 0, c)
+	sec := r.nodes[0].sec
+	if sec.Peek(mem.LineOf(a)) != Invalid || sec.Peek(mem.LineOf(b)) != Shared {
+		t.Errorf("after the third fill a is %v and b is %v; want a evicted (the LRU way) and b kept",
+			sec.Peek(mem.LineOf(a)), sec.Peek(mem.LineOf(b)))
+	}
+}

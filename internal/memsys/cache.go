@@ -75,9 +75,9 @@ type secLine struct {
 // supported for the ablation study. Within a set, ways are kept in LRU
 // order (index 0 = most recent).
 type secondaryCache struct {
-	sets [][]secLine
-	ways int
-	mask uint64
+	lines []secLine // set i is lines[i*ways : (i+1)*ways]
+	ways  int
+	mask  uint64
 }
 
 func newSecondaryCache(bytes, ways int) *secondaryCache {
@@ -88,18 +88,13 @@ func newSecondaryCache(bytes, ways int) *secondaryCache {
 	if n <= 0 || n&(n-1) != 0 {
 		panic("memsys: secondary cache must have a power-of-two number of sets")
 	}
-	sets := make([][]secLine, n)
-	for i := range sets {
-		sets[i] = make([]secLine, ways)
-	}
-	return &secondaryCache{sets: sets, ways: ways, mask: uint64(n - 1)}
+	return &secondaryCache{lines: make([]secLine, n*ways), ways: ways, mask: uint64(n - 1)}
 }
 
-func (c *secondaryCache) index(l mem.Line) int { return int(uint64(l) & c.mask) }
-
-// find returns the way holding l, or -1.
+// find returns l's set and the way holding l, or -1.
 func (c *secondaryCache) find(l mem.Line) (set []secLine, way int) {
-	set = c.sets[c.index(l)]
+	i := int(uint64(l)&c.mask) * c.ways
+	set = c.lines[i : i+c.ways : i+c.ways]
 	for w := range set {
 		if set[w].tag == l && set[w].state != Invalid {
 			return set, w
@@ -194,11 +189,9 @@ func (c *secondaryCache) Invalidate(l mem.Line) {
 
 // forEachValid calls fn for every valid line (used by invariant checks).
 func (c *secondaryCache) forEachValid(fn func(mem.Line, LineState)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state != Invalid {
-				fn(set[i].tag, set[i].state)
-			}
+	for i := range c.lines {
+		if c.lines[i].state != Invalid {
+			fn(c.lines[i].tag, c.lines[i].state)
 		}
 	}
 }

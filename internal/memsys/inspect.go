@@ -22,9 +22,10 @@ func (i inspector) HomeOf(l mem.Line) int {
 }
 
 func (i inspector) Dir(home int, l mem.Line) (check.DirState, dirset.View, int, bool) {
-	e := i.nodes[home].lookup(l)
+	h := i.nodes[home]
+	e := h.lookup(l)
 	if e == nil {
-		return check.DirUncached, dirset.None, 0, false
+		return check.DirUncached, dirset.View{}, 0, false
 	}
 	s := check.DirUncached
 	switch e.state {
@@ -33,7 +34,7 @@ func (i inspector) Dir(home int, l mem.Line) (check.DirState, dirset.View, int, 
 	case DirDirty:
 		s = check.DirDirty
 	}
-	return s, e.sharers, int(e.owner), e.busy
+	return s, h.sharers(e), int(e.owner), e.busy
 }
 
 func (i inspector) CacheState(node int, l mem.Line) check.CacheState {
@@ -47,13 +48,11 @@ func (i inspector) CacheState(node int, l mem.Line) check.CacheState {
 }
 
 func (i inspector) HasMSHR(node int, l mem.Line) bool {
-	_, ok := i.nodes[node].mshrs[l]
-	return ok
+	return i.nodes[node].mshrs.get(l) != nil
 }
 
 func (i inspector) HasVictim(node int, l mem.Line) bool {
-	_, ok := i.nodes[node].victims[l]
-	return ok
+	return i.nodes[node].victims.get(l) != nil
 }
 
 // EnableCheck installs a runtime coherence invariant checker across the

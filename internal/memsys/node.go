@@ -26,17 +26,19 @@ const (
 	DirDirty
 )
 
-// dirEntry is the directory entry for one line. The sharer set's
-// representation is picked by Config.DirOrg (exact full-map by default;
-// limited-pointer and coarse-vector for scaled machines) and always
-// holds a superset of the nodes with shared copies. The entry is kept to
-// 24 bytes because the directory stores one for every line of each page
-// that has reached its home, touched or not (see Node.dir). A slot whose
-// sharer set is still nil has never been touched and reads as no entry.
+// dirEntry is the directory entry for one line. The sharer set is a
+// value in the organization the home's layout picks (Config.DirOrg:
+// exact full-map by default; limited-pointer and coarse-vector for
+// scaled machines) and always holds a superset of the nodes with shared
+// copies. The entry is kept to 24 bytes because the directory stores one
+// for every line of each page that has reached its home, touched or not
+// (see Node.dir). A slot that is not used has never been touched and
+// reads as no entry.
 type dirEntry struct {
 	sharers dirset.Set // nodes with (potential) shared copies
 	owner   int32      // owning node when state == DirDirty
 	state   dirState
+	used    bool // a request for the line has reached its home
 
 	// busy serializes ownership-transfer transactions on the line: while
 	// a forwarded request is in flight to the owner, later requests for
@@ -171,13 +173,17 @@ type Node struct {
 
 	// dir is this node's slice of the directory: one chunk per page homed
 	// here, indexed by page number and allocated when a line of the page
-	// first reaches this home (nil until then). parked holds the requests
+	// first reaches this home (nil until then). layout is the organization
+	// every entry's sharer set is stored in. parked holds the requests
 	// waiting on busy entries, in arrival order.
 	dir    []*dirChunk
+	layout dirset.Layout
 	parked []parkedReq
 
-	mshrs   map[mem.Line]*mshr
-	victims map[mem.Line]*victimEntry
+	// mshrs and victims hold the lines with a miss or a writeback in
+	// flight at this node.
+	mshrs   lineTable[mshr]
+	victims lineTable[victimEntry]
 
 	bus   *sim.Resource
 	memc  *sim.Resource // memory + directory controller
@@ -222,27 +228,29 @@ type Node struct {
 // simulating.
 func NewNode(k *sim.Kernel, id int, cfg *config.Config, alloc *mem.Allocator, st *stats.Proc) *Node {
 	n := &Node{
-		id:      id,
-		k:       k,
-		cfg:     cfg,
-		alloc:   alloc,
-		st:      st,
-		prim:    newPrimaryCache(cfg.PrimaryBytes),
-		sec:     newSecondaryCache(cfg.SecondaryBytes, max(1, cfg.SecondaryWays)),
-		mshrs:   make(map[mem.Line]*mshr),
-		victims: make(map[mem.Line]*victimEntry),
-		bus:     sim.NewResource(k, fmt.Sprintf("bus%d", id)),
-		memc:    sim.NewResource(k, fmt.Sprintf("mem%d", id)),
-		niIn:    sim.NewResource(k, fmt.Sprintf("niIn%d", id)),
-		niOut:   sim.NewResource(k, fmt.Sprintf("niOut%d", id)),
+		id:    id,
+		k:     k,
+		cfg:   cfg,
+		alloc: alloc,
+		st:    st,
+		prim:  newPrimaryCache(cfg.PrimaryBytes),
+		sec:   newSecondaryCache(cfg.SecondaryBytes, max(1, cfg.SecondaryWays)),
+		bus:   sim.NewResource(k, fmt.Sprintf("bus%d", id)),
+		memc:  sim.NewResource(k, fmt.Sprintf("mem%d", id)),
+		niIn:  sim.NewResource(k, fmt.Sprintf("niIn%d", id)),
+		niOut: sim.NewResource(k, fmt.Sprintf("niOut%d", id)),
 	}
 	n.wb = newWriteBuffer(n)
 	n.pf = newPrefetchBuffer(n)
 	return n
 }
 
-// Connect wires the node to the rest of the machine.
-func (n *Node) Connect(nodes []*Node) { n.nodes = nodes }
+// Connect wires the node to the rest of the machine, whose size sets
+// the directory's layout.
+func (n *Node) Connect(nodes []*Node) {
+	n.nodes = nodes
+	n.layout = dirset.NewLayout(n.cfg.DirOrg, len(nodes), n.cfg.DirPointers, n.cfg.DirCoarseness)
+}
 
 // SetObs installs an observability recorder (nil disables, the default).
 // Hooks are nil-guarded pointer checks per the DESIGN.md contract.
@@ -305,9 +313,7 @@ func (n *Node) entry(l mem.Line) *dirEntry {
 		n.dir[p] = c
 	}
 	e := &c[l%mem.LinesPerPage]
-	if e.sharers == nil {
-		e.sharers = n.newSharerSet()
-	}
+	e.used = true
 	return e
 }
 
@@ -319,16 +325,53 @@ func (n *Node) lookup(l mem.Line) *dirEntry {
 	if p >= uint64(len(n.dir)) || n.dir[p] == nil {
 		return nil
 	}
-	if e := &n.dir[p][l%mem.LinesPerPage]; e.sharers != nil {
+	if e := &n.dir[p][l%mem.LinesPerPage]; e.used {
 		return e
 	}
 	return nil
 }
 
-// newSharerSet builds an empty sharer set in the configured organization
-// for this machine's size.
-func (n *Node) newSharerSet() dirset.Set {
-	return dirset.New(n.cfg.DirOrg, len(n.nodes), n.cfg.DirPointers, n.cfg.DirCoarseness)
+// sharers returns the read-only view of e's sharer set; e must be an
+// entry of this home's directory.
+func (n *Node) sharers(e *dirEntry) dirset.View { return n.layout.View(e.sharers) }
+
+// lineTable maps each line with a transaction in flight at a node to the
+// transaction's record. A node has few such lines at a time (measured
+// peaks: 2 on LU, 5 on PTHOR at 64 processors, 24 on MP3D with
+// prefetching and four contexts), so a lookup scans a short array of
+// lines instead of hashing.
+type lineTable[T any] struct {
+	lines []mem.Line
+	recs  []*T
+}
+
+// get returns l's record, or nil.
+func (t *lineTable[T]) get(l mem.Line) *T {
+	for i, x := range t.lines {
+		if x == l {
+			return t.recs[i]
+		}
+	}
+	return nil
+}
+
+// put records r for l, which must not be in the table.
+func (t *lineTable[T]) put(l mem.Line, r *T) {
+	t.lines = append(t.lines, l)
+	t.recs = append(t.recs, r)
+}
+
+// remove drops l's record, if any; the last entry takes its place.
+func (t *lineTable[T]) remove(l mem.Line) {
+	for i, x := range t.lines {
+		if x == l {
+			last := len(t.lines) - 1
+			t.lines[i], t.recs[i] = t.lines[last], t.recs[last]
+			t.recs[last] = nil
+			t.lines, t.recs = t.lines[:last], t.recs[:last]
+			return
+		}
+	}
 }
 
 // netMsg is one in-flight protocol message on the direct network: an Actor
@@ -481,14 +524,15 @@ func (n *Node) ackArrived() {
 // point (no in-flight transactions): every cached copy must be sanctioned
 // by its home directory, and every dirty directory entry must have exactly
 // its owner caching the line in Dirty state. Returns an error describing
-// the first violation.
+// the first violation. The sweeps only peek at the caches, so they leave
+// the replacement order as they found it.
 func CheckInvariants(nodes []*Node) error {
 	for _, node := range nodes {
-		if len(node.mshrs) != 0 {
-			return fmt.Errorf("node %d has %d in-flight MSHRs at quiescence", node.id, len(node.mshrs))
+		if n := len(node.mshrs.lines); n != 0 {
+			return fmt.Errorf("node %d has %d in-flight MSHRs at quiescence", node.id, n)
 		}
-		if len(node.victims) != 0 {
-			return fmt.Errorf("node %d has %d unacknowledged writebacks at quiescence", node.id, len(node.victims))
+		if n := len(node.victims.lines); n != 0 {
+			return fmt.Errorf("node %d has %d unacknowledged writebacks at quiescence", node.id, n)
 		}
 		if node.pendingAcks != 0 {
 			return fmt.Errorf("node %d has %d pending acks at quiescence", node.id, node.pendingAcks)
@@ -510,7 +554,7 @@ func CheckInvariants(nodes []*Node) error {
 			case Shared:
 				if e.state == DirDirty {
 					err = fmt.Errorf("node %d has Shared copy of line %#x but directory says Dirty(owner %d)", node.id, l, e.owner)
-				} else if !e.sharers.Contains(node.id) {
+				} else if !home.sharers(e).Contains(node.id) {
 					err = fmt.Errorf("node %d has Shared copy of line %#x but is not in sharer set", node.id, l)
 				}
 			case Dirty:
@@ -524,7 +568,7 @@ func CheckInvariants(nodes []*Node) error {
 		}
 		// Inclusion: every primary line must be in the secondary.
 		for i, tag := range node.prim.sets {
-			if tag != 0 && node.sec.State(tag) == Invalid {
+			if tag != 0 && node.sec.Peek(tag) == Invalid {
 				return fmt.Errorf("node %d primary set %d holds line %#x not in secondary (inclusion violated)", node.id, i, tag)
 			}
 		}
@@ -539,11 +583,11 @@ func CheckInvariants(nodes []*Node) error {
 			}
 			for i := range c {
 				e := &c[i]
-				if e.sharers == nil || e.state != DirDirty {
+				if !e.used || e.state != DirDirty {
 					continue
 				}
 				l := mem.Line(p*mem.LinesPerPage + i)
-				if st := nodes[e.owner].sec.State(l); st != Dirty {
+				if st := nodes[e.owner].sec.Peek(l); st != Dirty {
 					return fmt.Errorf("directory at node %d says line %#x dirty at node %d, but that cache has state %v",
 						home.id, l, e.owner, st)
 				}

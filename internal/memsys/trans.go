@@ -196,13 +196,13 @@ func (n *Node) Read(a mem.Addr, done sim.Actor) {
 		n.k.AfterActor(sim.Time(n.lat().SecLookup), s)
 		return
 	}
-	if v, ok := n.victims[l]; ok {
+	if v := n.victims.get(l); v != nil {
 		// The line is in the writeback buffer on its way out; wait for
 		// the home to acknowledge, then retry.
 		v.waiters = append(v.waiters, n.retry(a, false, done))
 		return
 	}
-	if m, ok := n.mshrs[l]; ok {
+	if m := n.mshrs.get(l); m != nil {
 		if m.kind == mshrPrefetch || m.kind == mshrPrefetchExcl {
 			n.st.PrefetchLate++
 		}
@@ -212,7 +212,7 @@ func (n *Node) Read(a mem.Addr, done sim.Actor) {
 	n.st.ReadMisses++
 	m := n.newMSHR(a, mshrRead, false)
 	m.waiters = append(m.waiters, done)
-	n.mshrs[l] = m
+	n.mshrs.put(l, m)
 	m.stage = msIssue
 	n.k.AfterActor(sim.Time(n.lat().SecLookup), m)
 }
@@ -237,11 +237,11 @@ func (n *Node) AcquireOwnership(a mem.Addr, done sim.Actor) {
 		n.k.AfterActor(sim.Time(n.lat().SecCheckWrite), done)
 		return
 	}
-	if v, ok := n.victims[l]; ok {
+	if v := n.victims.get(l); v != nil {
 		v.waiters = append(v.waiters, n.retry(a, true, done))
 		return
 	}
-	if m, ok := n.mshrs[l]; ok {
+	if m := n.mshrs.get(l); m != nil {
 		if m.kind == mshrPrefetch || m.kind == mshrPrefetchExcl {
 			n.st.PrefetchLate++
 		}
@@ -254,7 +254,7 @@ func (n *Node) AcquireOwnership(a mem.Addr, done sim.Actor) {
 	n.st.WriteMisses++
 	m := n.newMSHR(a, mshrWrite, true)
 	m.waiters = append(m.waiters, done)
-	n.mshrs[l] = m
+	n.mshrs.put(l, m)
 	m.stage = msIssue
 	n.k.AfterActor(sim.Time(n.lat().SecCheckWrite), m)
 }
@@ -308,14 +308,14 @@ func (h *Node) dirRead(a mem.Addr, req *Node, m *mshr) {
 			// subsequent write by the reader hits locally.
 			e.state = DirDirty
 			e.owner = int32(req.id)
-			e.sharers.Clear()
+			h.layout.Clear(&e.sharers)
 			m.excl = true
 			h.dirEvent(l)
 			h.replyFill(req, m)
 			return
 		}
 		e.state = DirShared
-		e.sharers.Clear()
+		h.layout.Clear(&e.sharers)
 		h.sharerAdd(e, req.id)
 		h.dirEvent(l)
 		h.replyFill(req, m)
@@ -329,7 +329,7 @@ func (h *Node) dirRead(a mem.Addr, req *Node, m *mshr) {
 		}
 		owner := h.nodes[e.owner]
 		e.state = DirShared
-		e.sharers.Clear()
+		h.layout.Clear(&e.sharers)
 		h.sharerAdd(e, owner.id)
 		h.sharerAdd(e, req.id)
 		e.busy = true
@@ -353,7 +353,7 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 	case DirUncached:
 		e.state = DirDirty
 		e.owner = int32(req.id)
-		e.sharers.Clear()
+		h.layout.Clear(&e.sharers)
 		h.dirEvent(l)
 		h.replyFill(req, m)
 	case DirShared:
@@ -365,7 +365,8 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 		// coarse-vector group fans out to every member) some targets hold
 		// no copy; those invalidations are spurious and ack harmlessly.
 		count := 0
-		for id := e.sharers.Next(0); id >= 0; id = e.sharers.Next(id + 1) {
+		sharers := h.sharers(e)
+		for id := sharers.Next(0); id >= 0; id = sharers.Next(id + 1) {
 			if id == req.id {
 				continue
 			}
@@ -386,7 +387,7 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 		}
 		e.state = DirDirty
 		e.owner = int32(req.id)
-		e.sharers.Clear()
+		h.layout.Clear(&e.sharers)
 		h.dirEvent(l)
 		req.addAcks(count)
 		h.replyFill(req, m)
@@ -458,7 +459,7 @@ func (f *fwdMsg) Act() {
 	lat := o.lat()
 	switch f.stage {
 	case fwdArrive:
-		if om, ok := o.mshrs[l]; ok {
+		if om := o.mshrs.get(l); om != nil {
 			// Our own fill for the line is still in flight; the forward
 			// waits for it, exactly as a lockup-free cache queues external
 			// requests against an MSHR. completeFill re-runs this stage.
@@ -475,7 +476,7 @@ func (f *fwdMsg) Act() {
 		// Re-examine state at apply time: the line may have been
 		// evicted (moved to the writeback/victim buffer) while the
 		// forward waited for the bus.
-		if _, inVictim := o.victims[l]; inVictim {
+		if o.victims.get(l) != nil {
 			// Serve the data from the victim buffer; the local copy
 			// is already gone.
 		} else if o.sec.State(l) == Dirty {
@@ -542,7 +543,7 @@ func (h *Node) dirEvent(l mem.Line) {
 // overflow when the add tipped a limited-pointer entry into broadcast
 // mode (the Dir_i B overflow event).
 func (h *Node) sharerAdd(e *dirEntry, id int) {
-	if e.sharers.Add(id) {
+	if h.layout.Add(&e.sharers, id) {
 		h.st.DirOverflows++
 		if h.rec != nil {
 			h.rec.DirTxn(obs.DirOverflow)
@@ -599,7 +600,7 @@ func (im *invalMsg) Act() {
 		// — the precision-loss tax the directory-scaling experiment
 		// measures.
 		spurious := st == Invalid
-		if m, ok := n.mshrs[l]; ok && !m.excl {
+		if m := n.mshrs.get(l); m != nil && !m.excl {
 			// A shared-copy fill is in flight; it will install and be
 			// invalidated immediately, still satisfying its waiters.
 			m.invalidated = true
@@ -692,7 +693,7 @@ func (n *Node) completeFill(m *mshr) {
 	// Free-list discipline: unlink the record, run the callback lists by
 	// index (they may start new transactions, which draw fresh records —
 	// this one is not recycled until they are done), then clear and free.
-	delete(n.mshrs, l)
+	n.mshrs.remove(l)
 	for i := 0; i < len(m.waiters); i++ {
 		if w := m.waiters[i]; w != nil {
 			w.Act()
@@ -713,12 +714,12 @@ func (n *Node) completeFill(m *mshr) {
 // untraced); the writeback traces as its child so the waterfall can keep
 // background writeback traffic out of the stall attribution.
 func (n *Node) startWriteback(l mem.Line, parent *span.Span) {
-	if _, ok := n.victims[l]; ok {
+	if n.victims.get(l) != nil {
 		panic(fmt.Sprintf("memsys: duplicate writeback for line %#x", l))
 	}
 	v := n.victimPool.Get()
 	v.n, v.line = n, l
-	n.victims[l] = v
+	n.victims.put(l, v)
 	v.stage = vbToHome
 	v.span = parent.Child(span.KTxnWriteback, n.id)
 	v.span.Seg(span.KSegBus, n.id)
@@ -738,14 +739,14 @@ func (h *Node) dirWriteback(v *victimEntry) {
 	}
 	if e.state == DirDirty && int(e.owner) == from.id {
 		e.state = DirUncached
-		e.sharers.Clear()
+		h.layout.Clear(&e.sharers)
 	} else {
 		// Stale writeback: the line was forwarded away before the
 		// writeback arrived. Drop the data; clear any stale sharer entry
 		// (best-effort — an imprecise representation may keep the node as
 		// part of its superset).
-		e.sharers.Remove(from.id)
-		if e.state == DirShared && e.sharers.Len() == 0 {
+		h.layout.Remove(&e.sharers, from.id)
+		if e.state == DirShared && h.sharers(e).Len() == 0 {
 			e.state = DirUncached
 		}
 	}
@@ -759,10 +760,10 @@ func (h *Node) dirWriteback(v *victimEntry) {
 // were waiting for the line to finish leaving.
 func (n *Node) writebackAcked(v *victimEntry) {
 	l := v.line
-	if n.victims[l] != v {
+	if n.victims.get(l) != v {
 		panic(fmt.Sprintf("memsys: writeback ack for unknown line %#x", l))
 	}
-	delete(n.victims, l)
+	n.victims.remove(l)
 	v.span.End()
 	v.span = nil
 	for i := 0; i < len(v.waiters); i++ {

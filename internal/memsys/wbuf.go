@@ -345,9 +345,7 @@ func (p *prefetchBuffer) process() {
 	e := p.cur
 	l := mem.LineOf(e.addr)
 	st := n.sec.State(l)
-	_, inFlight := n.mshrs[l]
-	_, leaving := n.victims[l]
-	useless := inFlight || leaving || st == Dirty || (st == Shared && !e.excl)
+	useless := n.mshrs.get(l) != nil || n.victims.get(l) != nil || st == Dirty || (st == Shared && !e.excl)
 	if useless {
 		n.st.PrefetchUseless++
 	} else {
@@ -356,7 +354,7 @@ func (p *prefetchBuffer) process() {
 			kind = mshrPrefetchExcl
 		}
 		m := n.newMSHR(e.addr, kind, e.excl)
-		n.mshrs[l] = m
+		n.mshrs.put(l, m)
 		m.issue()
 	}
 	p.stage = pfPop
