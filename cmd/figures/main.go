@@ -63,7 +63,7 @@ func realMain() int {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	obsFlag := flag.Bool("obs", false, "record observability data; write per-bar report + Chrome trace artifacts")
 	obsDir := flag.String("obs-dir", "", "directory for observability artifacts (implies -obs; default \"obs\")")
-	spanRate := flag.Float64("obs-span-rate", 1.0/64, "transaction span-tracing sample rate in (0, 1] when -obs is set (0 = off)")
+	spanRate := flag.Float64("obs-span-rate", obs.DefaultSpanRate, "transaction span-tracing sample rate in (0, 1] when -obs is set (0 = off)")
 	listen := flag.String("listen", "", "serve live telemetry (Prometheus /metrics, /progress, /debug/pprof) on this host:port")
 	checkFlag := flag.Bool("check", false, "run every simulation under the coherence invariant checker; violations fail the experiment")
 	flag.Parse()

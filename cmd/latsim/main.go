@@ -54,7 +54,7 @@ func main() {
 	obsFlag := flag.Bool("obs", false, "record observability data and write report + Chrome trace artifacts")
 	obsDir := flag.String("obs-dir", "", "directory for observability artifacts (implies -obs; default \"obs\")")
 	obsInterval := flag.Uint64("obs-interval", 0, "observability sampling interval in cycles (0 = default)")
-	spanRate := flag.Float64("obs-span-rate", 1.0/64, "transaction span-tracing sample rate in (0, 1] when -obs is set (0 = off)")
+	spanRate := flag.Float64("obs-span-rate", obs.DefaultSpanRate, "transaction span-tracing sample rate in (0, 1] when -obs is set (0 = off)")
 	checkFlag := flag.Bool("check", false, "run under the coherence invariant checker; violations abort the run")
 	twinFlag := flag.Bool("twin", false, "also print the analytical twin's predicted breakdown for this configuration")
 	flag.Parse()

@@ -10,7 +10,7 @@
 //	curl http://127.0.0.1:8080/v1/sweeps/s1/result   # rendered figure
 //
 // Obs-enabled sweeps ("obs": true, optionally "span_rate" to override
-// the -span-rate default) additionally serve their merged observability
+// the default rate of 1/64) additionally serve their merged observability
 // at /v1/sweeps/{id}/report, the dashboard pane document at
 // /v1/sweeps/{id}/obs, and a judged comparison against another sweep at
 // /v1/sweeps/{id}/diff?base=<id>; the /dashboard page renders the
@@ -43,7 +43,6 @@ func main() {
 		cacheDir = flag.String("cache-dir", "", "persistent result cache directory (empty disables)")
 		cacheMax = flag.Int64("cache-max-bytes", 0, "cap the cache's on-disk size, evicting least-recently-used results (0 = unbounded)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock limit per job (0 = none)")
-		spanRate = flag.Float64("span-rate", 0, "default span-tracing sample rate for obs sweeps (0 = 1/64; a sweep's span_rate overrides)")
 		verbose  = flag.Bool("v", false, "stream engine progress to stderr")
 	)
 	flag.Parse()
@@ -52,7 +51,6 @@ func main() {
 		CacheDir:      *cacheDir,
 		CacheMaxBytes: *cacheMax,
 		Timeout:       *timeout,
-		ObsSpanRate:   *spanRate,
 	}, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		os.Exit(1)

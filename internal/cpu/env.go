@@ -20,10 +20,8 @@ import (
 // the applications rely on when they poll shared Go state (PTHOR's task
 // queues) — except inside a region (Queue … Wait), where memory and
 // compute operations are queued and the process runs on without
-// observing their completion. Compute blocks are cheap regardless: the
-// processor completes them through the kernel's synchronous fast path, so
-// an uncontended compute block costs no kernel event and no allocation
-// (see Processor.delayThen).
+// observing their completion. A compute block costs one kernel event and
+// no allocation (see Processor.delayThen).
 type Env struct {
 	c      *Context
 	pid    int

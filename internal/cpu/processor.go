@@ -88,35 +88,11 @@ type Context struct {
 	// (one allocation per context per run instead of per operation).
 	wakeFn    sim.Func
 	barrierFn sim.Func
-
-	evt ctxEvent // kernel-event identity (see ctxEvent)
 }
 
-// Act implements sim.Actor: the completion-callback entry, used when a
-// memory-system or synchronization completion re-enters the context. The
-// caller may have more work to do at the current instant (waiter lists),
-// so this entry must not advance the clock — inlineOK stays false.
+// Act implements sim.Actor: the single entry through which kernel events
+// and memory-system or synchronization completions re-enter the context.
 func (c *Context) Act() { c.p.step(c) }
-
-// ctxEvent is the context's kernel-event identity. The kernel invokes an
-// event callback in tail position — nothing else runs at the current
-// instant after it returns — so continuations entered here may complete
-// synchronously via delayThen's clock-advancing fast path.
-type ctxEvent struct{ c *Context }
-
-// Act implements sim.Actor.
-func (e *ctxEvent) Act() {
-	p := e.c.p
-	p.inlineOK = true
-	p.step(e.c)
-	p.inlineOK = false
-}
-
-// maxInlineDepth bounds the recursion of the synchronous fast path: after
-// this many nested inline completions the processor falls back to a kernel
-// event (observationally identical) so an event-free stretch of primary
-// hits cannot grow the stack without bound.
-const maxInlineDepth = 32
 
 // Processor is one node's processor with its hardware contexts.
 type Processor struct {
@@ -134,9 +110,7 @@ type Processor struct {
 	busyRun   sim.Time
 	writeRun  uint32
 
-	switchTo    *Context // context a pending switch-penalty event resumes
-	inlineOK    bool     // current call chain is tail-positioned under a kernel event
-	inlineDepth int
+	switchTo *Context // context a pending switch-penalty event resumes
 
 	trace TraceFn       // optional reference-stream observer
 	rec   *obs.Recorder // optional observability recorder (nil = off)
@@ -145,14 +119,12 @@ type Processor struct {
 // Act implements sim.Actor for the processor's own events: the start event
 // and context-switch penalties.
 func (p *Processor) Act() {
-	p.inlineOK = true
 	if c := p.switchTo; c == nil {
 		p.dispatch()
 	} else {
 		p.switchTo = nil
 		p.exec(c)
 	}
-	p.inlineOK = false
 }
 
 // SetTrace installs a reference-stream observer (nil disables tracing).
@@ -176,7 +148,6 @@ func (p *Processor) AddWorker(pid, nprocs int, body func(*Env)) {
 		panic(fmt.Sprintf("cpu: node %d already has %d contexts", p.node.ID(), p.cfg.Contexts))
 	}
 	c := &Context{idx: len(p.ctxs), p: p}
-	c.evt.c = c
 	c.env = &Env{c: c, pid: pid, nprocs: nprocs}
 	c.wakeFn = func() { p.wake(c) }
 	c.barrierFn = func() { c.bar.ArriveRetired(p.node, c.wakeFn) }
@@ -318,24 +289,11 @@ func (p *Processor) step(c *Context) {
 	}
 }
 
-// delayThen runs the cont continuation d cycles from now. When the kernel
-// provably fires nothing in between (and the inline recursion budget
-// allows), it advances the clock and continues synchronously instead of
-// scheduling an event — the fast path that completes cache hits and
-// compute blocks without touching the event queue.
+// delayThen runs the cont continuation d cycles from now, as one kernel
+// event.
 func (p *Processor) delayThen(c *Context, d sim.Time, cont contKind) {
 	c.cont = cont
-	if p.inlineOK && p.inlineDepth < maxInlineDepth {
-		t := p.k.Now() + d
-		if next, ok := p.k.NextAt(); !ok || next > t {
-			p.k.AdvanceTo(t)
-			p.inlineDepth++
-			p.step(c)
-			p.inlineDepth--
-			return
-		}
-	}
-	p.k.AfterActor(d, &c.evt)
+	p.k.AfterActor(d, c)
 }
 
 // dispatch selects the next ready context, paying the switch penalty when
@@ -405,11 +363,8 @@ func (p *Processor) exec(c *Context) {
 
 // blockOn marks the context blocked (a long-latency operation) and
 // schedules other work. The initiating call that will eventually wake the
-// context must be made AFTER blockOn so the wakeup finds it blocked —
-// which also means the caller still has work to do at this instant after
-// dispatch returns, so the dispatched chain must not advance the clock.
+// context must be made AFTER blockOn so the wakeup finds it blocked.
 func (p *Processor) blockOn(c *Context, cause stats.Bucket) {
-	p.inlineOK = false
 	c.state = ctxBlocked
 	c.cause = cause
 	c.blockStart = p.k.Now()
@@ -454,8 +409,7 @@ func (p *Processor) handleOp(c *Context) {
 	switch c.cur.kind {
 	case TCompute:
 		// Computation on private data: the processor is busy for the
-		// block's duration, then the process resumes. Usually completes
-		// through delayThen's synchronous fast path — no kernel event.
+		// block's duration, then the process resumes.
 		d := sim.Time(c.cur.cycles)
 		p.busy(d)
 		p.delayThen(c, d, contResume)

@@ -24,6 +24,11 @@ import (
 // when Options.Interval is zero.
 const DefaultInterval = 1024
 
+// DefaultSpanRate is the span-tracing sample rate, one transaction in 64,
+// that the CLIs and sweepd use when span tracing is asked for without a
+// rate. The zero Options.SpanRate disables span tracing.
+const DefaultSpanRate = 1.0 / 64
+
 // DefaultMaxSegments bounds the per-run bucket-timeline storage (summed
 // over processors) when Options.MaxSegments is zero. Beyond the cap the
 // time series and histograms keep recording; only the per-processor

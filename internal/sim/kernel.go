@@ -98,7 +98,6 @@ type Kernel struct {
 	// Counters, surfaced through machine results and runner metrics.
 	events    uint64 // events fired
 	scheduled uint64 // events pushed into the queue
-	advances  uint64 // clock advances without an event (sync fast-path completions)
 }
 
 // NewKernel returns an empty kernel at time zero.
@@ -114,12 +113,15 @@ func (k *Kernel) Events() uint64 { return k.events }
 type Stats struct {
 	Fired     uint64 // events executed
 	Scheduled uint64 // events pushed into the queue
-	Advances  uint64 // clock advances taken without firing an event
+	// Advances is always 0: the clock moves only by firing an event or
+	// through RunUntil. The field keeps the shape of recorded results
+	// and of the readers that still report it.
+	Advances uint64
 }
 
 // KernelStats returns the scheduling counters.
 func (k *Kernel) KernelStats() Stats {
-	return Stats{Fired: k.events, Scheduled: k.scheduled, Advances: k.advances}
+	return Stats{Fired: k.events, Scheduled: k.scheduled}
 }
 
 // AtActor schedules a.Act() at absolute time t. Scheduling in the past
@@ -151,24 +153,6 @@ func (k *Kernel) NextAt() (Time, bool) {
 		return k.far[0].at, true
 	}
 	return 0, false
-}
-
-// AdvanceTo moves the clock forward to t without firing an event. It is
-// the synchronous fast path: when the caller has proven no event fires
-// before t (NextAt > t or the queue is empty), completing work inline at t
-// is indistinguishable from scheduling and firing an event there. Panics
-// if an earlier event is pending or t is in the past.
-func (k *Kernel) AdvanceTo(t Time) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: advancing clock to %d before now %d", t, k.now))
-	}
-	if next, ok := k.NextAt(); ok && next < t {
-		panic(fmt.Sprintf("sim: advancing clock to %d past pending event at %d", t, next))
-	}
-	if t > k.now {
-		k.setNow(t)
-		k.advances++
-	}
 }
 
 // Step fires the next event, advancing the clock to its timestamp.

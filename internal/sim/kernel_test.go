@@ -153,37 +153,6 @@ func TestKernelActorScheduling(t *testing.T) {
 	}
 }
 
-func TestKernelAdvanceTo(t *testing.T) {
-	k := NewKernel()
-	k.AdvanceTo(40)
-	if k.Now() != 40 {
-		t.Fatalf("Now() = %d, want 40", k.Now())
-	}
-	if st := k.KernelStats(); st.Advances != 1 {
-		t.Errorf("Advances = %d, want 1", st.Advances)
-	}
-	// Advancing to the current time is a no-op, not an extra advance.
-	k.AdvanceTo(40)
-	if st := k.KernelStats(); st.Advances != 1 {
-		t.Errorf("Advances = %d after no-op, want 1", st.Advances)
-	}
-	// Advancing past a pending event would fire it at the wrong time.
-	k.AfterActor(5, Func(func() {}))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("AdvanceTo past a pending event did not panic")
-			}
-		}()
-		k.AdvanceTo(50)
-	}()
-	// Advancing up to (not past) the pending event is legal.
-	k.AdvanceTo(45)
-	if next, ok := k.NextAt(); !ok || next != 45 {
-		t.Errorf("NextAt = %d,%v, want 45,true", next, ok)
-	}
-}
-
 func TestKernelStop(t *testing.T) {
 	k := NewKernel()
 	fired := 0
@@ -200,8 +169,8 @@ func TestKernelStop(t *testing.T) {
 // scheduling and clock moves drives the queue, every event fires exactly
 // once, at its own time, and the firing sequence is the scheduled events
 // sorted by (at, seq). Delays cover both tiers ([0, 200)), the calendar's
-// edge (63, 64, 65) and same-cycle callbacks (0); AdvanceTo, RunUntil and
-// NextAt are interleaved with Step, also from inside callbacks.
+// edge (63, 64, 65) and same-cycle callbacks (0); RunUntil and NextAt are
+// interleaved with Step, and callbacks schedule further events.
 func TestKernelOrderProperty(t *testing.T) {
 	type rec struct {
 		at  Time
@@ -222,15 +191,6 @@ func TestKernelOrderProperty(t *testing.T) {
 				return Time(rng.Intn(200))
 			}
 		}
-		// advance moves the clock to a random cycle no later than the
-		// next pending event, the legal range for AdvanceTo.
-		advance := func() {
-			limit := k.Now() + 200
-			if next, pending := k.NextAt(); pending {
-				limit = next
-			}
-			k.AdvanceTo(k.Now() + Time(rng.Int63n(int64(limit-k.Now())+1)))
-		}
 		var schedule func()
 		schedule = func() {
 			r := rec{at: k.Now() + delay(), seq: len(scheduled)}
@@ -240,9 +200,6 @@ func TestKernelOrderProperty(t *testing.T) {
 					ok = false
 				}
 				fired = append(fired, r)
-				if rng.Intn(4) == 0 {
-					advance()
-				}
 				for n := rng.Intn(3); n > 0 && len(scheduled) < 1000; n-- {
 					schedule()
 				}
@@ -253,16 +210,13 @@ func TestKernelOrderProperty(t *testing.T) {
 				schedule()
 			}
 			for _, pending := k.NextAt(); pending; _, pending = k.NextAt() {
-				switch rng.Intn(6) {
-				case 0:
-					advance()
-				case 1:
+				if rng.Intn(5) == 0 {
 					k.RunUntil(k.Now() + Time(rng.Intn(150)))
-				default:
+				} else {
 					k.Step()
 				}
 			}
-			advance()
+			k.RunUntil(k.Now() + Time(rng.Intn(201)))
 		}
 		want := append([]rec(nil), scheduled...)
 		sort.Slice(want, func(i, j int) bool {
@@ -284,7 +238,6 @@ func TestKernelOverflowEventKeepsScheduleOrder(t *testing.T) {
 		move func(k *Kernel, schedB func())
 	}{
 		{"Step", func(k *Kernel, schedB func()) { k.AtActor(1, Func(schedB)) }},
-		{"AdvanceTo", func(k *Kernel, schedB func()) { k.AdvanceTo(1); schedB() }},
 		{"RunUntil", func(k *Kernel, schedB func()) { k.RunUntil(1); schedB() }},
 	} {
 		k := NewKernel()

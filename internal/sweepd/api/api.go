@@ -31,9 +31,9 @@ type SweepSpec struct {
 	// at /v1/sweeps/{id}/obs.
 	Obs bool `json:"obs,omitempty"`
 	// SpanRate tunes the obs span-tracing sample rate in (0, 1] for this
-	// sweep's jobs (0 = the service default). Requires Obs; sweeps that
-	// agree on the effective rate share sessions and dedup, sweeps that
-	// differ cache separately (the rate changes what a run records).
+	// sweep's jobs (0 = obs.DefaultSpanRate, 1/64). Requires Obs; sweeps
+	// that agree on the effective rate share sessions and dedup, sweeps
+	// that differ cache separately (the rate changes what a run records).
 	SpanRate float64 `json:"span_rate,omitempty"`
 	// Check runs every job under the runtime coherence invariant
 	// checker.

@@ -50,9 +50,6 @@ type Options struct {
 	CacheMaxBytes int64
 	// Timeout is the per-job wall-clock limit (0 = none).
 	Timeout time.Duration
-	// ObsSpanRate is the span-tracing sample rate for obs-enabled
-	// sweeps (0 = the figures CLI's default, 1/64).
-	ObsSpanRate float64
 	// Trace receives the engine's progress lines (nil discards).
 	Trace io.Writer
 	// Exec overrides the execution function (nil = core.Exec, the real
@@ -136,12 +133,6 @@ type jobEntry struct {
 
 // New builds the service and its shared engine.
 func New(opts Options) (*Service, error) {
-	if opts.ObsSpanRate == 0 {
-		opts.ObsSpanRate = 1.0 / 64
-	}
-	if err := config.ValidateSpanRate(opts.ObsSpanRate); err != nil {
-		return nil, err
-	}
 	s := &Service{
 		opts:     opts,
 		sweeps:   map[string]*sweep{},
@@ -236,7 +227,7 @@ func (s *Service) Submit(spec *api.SweepSpec) (string, error) {
 	if spec.Obs {
 		spanRate = spec.SpanRate
 		if spanRate == 0 {
-			spanRate = s.opts.ObsSpanRate
+			spanRate = obs.DefaultSpanRate
 		}
 	}
 	sessEnt := s.session(sessionKey{scale: scale, seed: spec.Seed, obs: spec.Obs, spanRate: spanRate, check: spec.Check})

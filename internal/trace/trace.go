@@ -342,10 +342,24 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
+// maxSpanPages bounds the pages from the lowest to the highest memory
+// address that a recording of shared bytes by procs processes references.
+// Replayer.Setup places every page in that span, so the bound keeps a
+// crafted trace from making it place billions. Within each placement
+// domain (a node, or the round-robin pool) a page abandoned for an
+// allocation that did not fit holds, together with that allocation, more
+// than a page of data, and a multi-page allocation fills more than half
+// of its pages; each domain then leaves one partial page, and there are
+// at most procs+1 domains.
+func maxSpanPages(shared int64, procs int) uint64 {
+	return 2*uint64((shared+mem.PageSize-1)/mem.PageSize) + uint64(procs) + 1
+}
+
 // ReadTrace deserializes a trace written by WriteTo. It rejects lock and
 // barrier ids out of range, barrier participant counts outside
-// [1, Procs] and negative page homes, each of which would make a replay
-// panic.
+// [1, Procs], negative page homes and memory references spanning more
+// pages than the recorded shared data can occupy, each of which would
+// make a replay panic or place pages without bound.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
@@ -381,8 +395,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err := read(&nbars); err != nil {
 		return nil, err
 	}
-	if procs > 1<<12 || locks > 1<<20 || nbars > 1<<20 {
-		return nil, fmt.Errorf("trace: implausible header (procs=%d locks=%d barriers=%d)", procs, locks, nbars)
+	if procs > 1<<12 || locks > 1<<20 || nbars > 1<<20 || t.Shared < 0 || t.Shared > 1<<32 {
+		return nil, fmt.Errorf("trace: implausible header (procs=%d shared=%d locks=%d barriers=%d)", procs, t.Shared, locks, nbars)
 	}
 	t.Procs = int(procs)
 	t.Locks = int(locks)
@@ -418,6 +432,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		t.PageHomes[pg] = home
 	}
 	t.Streams = make([][]Event, t.Procs)
+	lo, hi := ^mem.Addr(0), mem.Addr(0)
 	for i := 0; i < t.Procs; i++ {
 		var count uint64
 		if err := read(&count); err != nil {
@@ -448,6 +463,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			ev.Kind = cpu.TraceKind(k)
 			ev.Addr = mem.Addr(addr)
 			switch ev.Kind {
+			case cpu.TRead, cpu.TWrite, cpu.TPrefetch, cpu.TPrefetchExcl:
+				lo, hi = min(lo, ev.Addr), max(hi, ev.Addr)
 			case cpu.TLock, cpu.TUnlock:
 				if ev.Obj < 0 || int(ev.Obj) >= t.Locks {
 					return nil, fmt.Errorf("trace: process %d event %d: lock %d of %d", i, j, ev.Obj, t.Locks)
@@ -460,6 +477,11 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			st = append(st, ev)
 		}
 		t.Streams[i] = st
+	}
+	if lo <= hi {
+		if span, limit := mem.PageOf(hi)-mem.PageOf(lo)+1, maxSpanPages(t.Shared, t.Procs); span > limit {
+			return nil, fmt.Errorf("trace: memory references span %d pages, more than %d bytes of shared data can occupy (%d)", span, t.Shared, limit)
+		}
 	}
 	return t, nil
 }

@@ -6,9 +6,12 @@ import (
 	"testing"
 
 	"latsim/internal/apps/lu"
+	"latsim/internal/apps/mp3d"
+	"latsim/internal/apps/pthor"
 	"latsim/internal/config"
 	"latsim/internal/cpu"
 	"latsim/internal/machine"
+	"latsim/internal/mem"
 	"latsim/internal/obs"
 )
 
@@ -172,9 +175,42 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	}
 }
 
+// tinyTrace is a valid two-process trace: a lock, a barrier and a read.
+func tinyTrace() *Trace {
+	return &Trace{
+		AppName:   "tiny",
+		Procs:     2,
+		Shared:    3 * mem.LineSize,
+		Locks:     1,
+		Barriers:  []int32{2},
+		PageHomes: map[uint64]int32{1: 0},
+		Streams: [][]Event{
+			{{Kind: cpu.TLock}, {Kind: cpu.TUnlock}, {Kind: cpu.TBarrier}},
+			{{Kind: cpu.TRead, Addr: mem.PageSize + 2*mem.LineSize}, {Kind: cpu.TBarrier}},
+		},
+	}
+}
+
+// wideSpan makes tr reference two addresses 2^40 bytes apart: a replay
+// would place the 2^28 pages between them.
+func wideSpan(tr *Trace) {
+	tr.Streams[1] = append(tr.Streams[1],
+		Event{Kind: cpu.TRead, Addr: mem.PageSize}, Event{Kind: cpu.TWrite, Addr: mem.PageSize + 1<<40})
+}
+
+func encode(t testing.TB, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestReadTraceRejectsUnreplayable pins the decoder's validation: each
 // mutation below decodes silently without it, and the replay then
-// panics in Setup or in the replaying process.
+// panics in Setup or in the replaying process, or places pages without
+// bound.
 func TestReadTraceRejectsUnreplayable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -185,27 +221,43 @@ func TestReadTraceRejectsUnreplayable(t *testing.T) {
 		{"barrier id out of range", func(tr *Trace) { tr.Barriers = nil; tr.Streams[0][2].Obj = 3 }},
 		{"negative page home", func(tr *Trace) { tr.PageHomes[1] = -3 }},
 		{"barrier with 0 participants", func(tr *Trace) { tr.Barriers[0] = 0 }},
+		{"address span of 2^40 bytes", wideSpan},
+		{"negative shared size", func(tr *Trace) { tr.Shared = -1 }},
+		{"shared size over 4 GiB", func(tr *Trace) { tr.Shared = 1<<32 + 1 }},
 	}
 	for _, c := range cases {
-		tr := &Trace{
-			AppName:   "tiny",
-			Procs:     2,
-			Locks:     1,
-			Barriers:  []int32{2},
-			PageHomes: map[uint64]int32{1: 0},
-			Streams: [][]Event{
-				{{Kind: cpu.TLock}, {Kind: cpu.TUnlock}, {Kind: cpu.TBarrier}},
-				{{Kind: cpu.TBarrier}},
-			},
-		}
+		tr := tinyTrace()
 		c.mut(tr)
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		_, err := ReadTrace(&buf)
+		_, err := ReadTrace(bytes.NewReader(encode(t, tr)))
 		if valid := c.name == "valid"; (err == nil) != valid {
 			t.Errorf("%s: err = %v", c.name, err)
+		}
+	}
+}
+
+// TestRecordedAppsReadAndReplay: the span bound accepts what the paper's
+// applications record, and each decoded trace replays.
+func TestRecordedAppsReadAndReplay(t *testing.T) {
+	for _, app := range []machine.App{
+		lu.New(lu.Scaled(24)),
+		mp3d.New(mp3d.Scaled(200, 2)),
+		pthor.New(pthor.Scaled(200, 2)),
+	} {
+		m, err := machine.New(cfg4(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := NewRecorder(app)
+		if _, err := m.Run(rec); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ReadTrace(bytes.NewReader(encode(t, rec.Trace())))
+		if err != nil {
+			t.Errorf("%s: %v", app.Name(), err)
+			continue
+		}
+		if rep := replay(t, tr, cfg4(nil)); rep.SharedReads() == 0 {
+			t.Errorf("%s: replay issued no reads", app.Name())
 		}
 	}
 }
@@ -214,11 +266,10 @@ func TestReadTraceRejectsUnreplayable(t *testing.T) {
 // panic, and a trace it accepts must re-encode and decode unchanged.
 func FuzzReadTrace(f *testing.F) {
 	tr, _ := record(f, cfg4(nil))
-	var seed bytes.Buffer
-	if _, err := tr.WriteTo(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	f.Add(encode(f, tr))
+	crafted := tinyTrace()
+	wideSpan(crafted)
+	f.Add(encode(f, crafted))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
