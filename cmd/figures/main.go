@@ -144,8 +144,8 @@ func realMain() int {
 		return nil
 	}
 
-	// Rendering itself lives in core.RunExperiment (shared with every
-	// other front end, notably the sweep service, so outputs stay
+	// Rendering itself lives in core.RunExperiment (the golden test in
+	// internal/core and bench/ call it too, so outputs stay
 	// byte-identical); the CLI contributes only its option wiring and the
 	// blank separator line between experiments.
 	opt := &core.RenderOptions{JSON: *asJSON, Bars: *bars}

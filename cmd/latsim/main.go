@@ -9,6 +9,7 @@
 //	       [-dir-pointers N] [-dir-coarseness N]
 //	       [-timeout D] [-seed N] [-obs] [-obs-dir DIR] [-obs-interval N]
 //	       [-obs-span-rate R] [-check] [-twin]
+//	latsim -from DIR/RUN.report.json
 //
 // -timeout bounds the run's wall-clock time: the simulation is canceled
 // through the job engine's context when it expires. -obs enables the
@@ -19,6 +20,8 @@
 // the offending line address, node and cycle. -twin additionally prints
 // the analytical twin's predicted breakdown for the same configuration
 // (the twin's reference runs simulate — and cache — on first use).
+// -from re-renders a saved report without simulating: it prints the
+// report's summary and writes RUN.trace.json beside it.
 package main
 
 import (
@@ -26,6 +29,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"latsim/internal/config"
 	"latsim/internal/core"
@@ -57,7 +62,12 @@ func main() {
 	spanRate := flag.Float64("obs-span-rate", obs.DefaultSpanRate, "transaction span-tracing sample rate in (0, 1] when -obs is set (0 = off)")
 	checkFlag := flag.Bool("check", false, "run under the coherence invariant checker; violations abort the run")
 	twinFlag := flag.Bool("twin", false, "also print the analytical twin's predicted breakdown for this configuration")
+	from := flag.String("from", "", "re-render this saved .report.json (summary + Chrome trace beside it) instead of simulating")
 	flag.Parse()
+	if *from != "" {
+		rerender(*from)
+		return
+	}
 
 	scale, err := core.ParseScale(*scaleFlag)
 	if err != nil {
@@ -178,4 +188,32 @@ func main() {
 		fmt.Printf("  obs report:         %s\n", repPath)
 		fmt.Printf("  obs trace:          %s (open at ui.perfetto.dev)\n", trPath)
 	}
+}
+
+// rerender prints the summary of a saved report and writes its Chrome
+// trace next to it, without re-running the simulation.
+func rerender(path string) {
+	rep, err := obs.ReadReport(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "latsim:", err)
+		os.Exit(1)
+	}
+	rep.Summary(os.Stdout)
+	trPath := strings.TrimSuffix(path, ".report.json")
+	if trPath == path {
+		trPath = strings.TrimSuffix(path, filepath.Ext(path))
+	}
+	trPath += ".trace.json"
+	f, err := os.Create(trPath)
+	if err == nil {
+		err = rep.WriteChromeTrace(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "latsim: writing trace:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("  obs trace:          %s (open at ui.perfetto.dev)\n", trPath)
 }

@@ -1,5 +1,5 @@
 // latsimvet runs the repo's custom static-analysis suite (poolsafety,
-// nilsafe, simdet, partition, hookpure, schemaver — see
+// nilsafe, simdet, hookpure, schemaver — see
 // internal/analysis) over the simulator tree, test files included:
 //
 //	go run ./cmd/latsimvet ./...

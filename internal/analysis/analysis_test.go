@@ -50,40 +50,35 @@ func TestSimdetGolden(t *testing.T) {
 	t.Errorf("no diagnostic in sched_test.go, got %v", diags)
 }
 
-// TestPartitionGolden exercises all three partition rules. The fixture
-// spans two packages: the helper's global write reaches the checked
-// package only through helper's exported FnEffects fact, so a matched
-// want on the call site doubles as the facts export/import round trip
-// across a package boundary.
-func TestPartitionGolden(t *testing.T) {
-	runGolden(t, NewPartition("latsim/internal/analysis/testdata/src/partition/node"),
-		"./testdata/src/partition/node")
-}
-
 // TestPartitionEmptyMarker pins the marker grammar: a suppression with
-// no reason is itself a diagnostic and suppresses nothing. (Direct
-// assertions, not want comments — the marker's own line cannot also
-// carry an expectation comment.)
+// no reason is itself a diagnostic and suppresses nothing. The rule is
+// shared by every marker; the fixture exercises it on //hookpure:alloc.
+// (Direct assertions, not want comments — the marker's own line cannot
+// also carry an expectation comment.)
 func TestPartitionEmptyMarker(t *testing.T) {
-	diags, err := Run("", []*Analyzer{NewPartition("latsim/internal/analysis/testdata/src/partition/empty")},
-		"./testdata/src/partition/empty")
+	diags, err := Run("", []*Analyzer{NewHookpure("latsim/internal/analysis/testdata/src/hookpure/empty.Recorder")},
+		"./testdata/src/hookpure/empty")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gotEmpty, gotVar bool
+	var gotEmpty, gotAlloc bool
 	for _, d := range diags {
-		if strings.Contains(d.Message, "marker requires a reason") {
+		if strings.Contains(d.Message, "//hookpure:alloc marker requires a reason") {
 			gotEmpty = true
 		}
-		if strings.Contains(d.Message, "package-level var counter") {
-			gotVar = true
+		if strings.Contains(d.Message, "allocates on the hot path: append") {
+			gotAlloc = true
 		}
 	}
-	if !gotEmpty || !gotVar {
-		t.Fatalf("want an empty-marker diagnostic and an unsuppressed var diagnostic, got %v", diags)
+	if !gotEmpty || !gotAlloc {
+		t.Fatalf("want an empty-marker diagnostic and an unsuppressed allocation diagnostic, got %v", diags)
 	}
 }
 
+// TestHookpureGolden also covers the facts round trip across a package
+// boundary: helper's global write reaches the hooks package only
+// through helper's exported FnEffects fact, so the matched want on
+// Tally's call site fails if the export or the import breaks.
 func TestHookpureGolden(t *testing.T) {
 	runGolden(t, NewHookpure("latsim/internal/analysis/testdata/src/hookpure/hooks.Recorder"),
 		"./testdata/src/hookpure/hooks")

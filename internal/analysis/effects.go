@@ -11,8 +11,8 @@ import (
 
 // FnEffects is the interprocedural side-effect summary of one function,
 // exported as an object fact so dependent packages can reason about
-// calls into it without seeing its body. hookpure and partition each
-// compute and export these under their own namespace.
+// calls into it without seeing its body. hookpure computes and exports
+// these under its own namespace.
 type FnEffects struct {
 	// Allocs are the heap-allocation sites (make/new/append, escaping
 	// composite literals, string building, fmt) not justified by a
@@ -271,7 +271,7 @@ func (ec *effectsComputer) alloc(pos token.Pos, what string, eff *effects) {
 
 // write classifies one write target.
 func (ec *effectsComputer) write(lhs ast.Expr, recv types.Object, params map[types.Object]int, eff *effects) {
-	kind, idx, _ := ec.classify(lhs, recv, params)
+	kind, idx := ec.classify(lhs, recv, params)
 	switch kind {
 	case tModel:
 		eff.addModel(lhs.Pos(), "assignment into model state")
@@ -318,7 +318,7 @@ func (ec *effectsComputer) checkEscapes(as *ast.AssignStmt, recv types.Object, p
 				case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 					eff.escapeParams[pi] = true
 				case *ast.Ident:
-					if kind, _, _ := ec.classify(lhs, recv, params); kind == tGlobal {
+					if kind, _ := ec.classify(lhs, recv, params); kind == tGlobal {
 						eff.escapeParams[pi] = true
 					}
 				}
@@ -342,7 +342,7 @@ const (
 // memory it designates: the function's receiver, a parameter, a local,
 // a package-level variable — or, when the selector chain crosses a
 // pointer into a model-package type, the simulation model itself.
-func (ec *effectsComputer) classify(e ast.Expr, recv types.Object, params map[types.Object]int) (targetKind, int, types.Object) {
+func (ec *effectsComputer) classify(e ast.Expr, recv types.Object, params map[types.Object]int) (targetKind, int) {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
@@ -350,21 +350,21 @@ func (ec *effectsComputer) classify(e ast.Expr, recv types.Object, params map[ty
 		case *ast.Ident:
 			obj := ec.pass.ObjectOf(x)
 			if obj == nil {
-				return tLocal, 0, nil
+				return tLocal, 0
 			}
 			if obj == recv {
-				return tRecv, 0, obj
+				return tRecv, 0
 			}
 			if i, ok := params[obj]; ok {
-				return tParam, i, obj
+				return tParam, i
 			}
 			if v, ok := obj.(*types.Var); ok && v.Parent() == ec.pass.Pkg.Scope() {
-				return tGlobal, 0, obj
+				return tGlobal, 0
 			}
-			return tLocal, 0, obj
+			return tLocal, 0
 		case *ast.SelectorExpr:
 			if _, isIdent := x.X.(*ast.Ident); !isIdent && ec.isModelPtr(ec.pass.TypeOf(x.X)) {
-				return tModel, 0, nil
+				return tModel, 0
 			}
 			if id, ok := x.X.(*ast.Ident); ok {
 				// Root reached: a selector through a *non-root* pointer
@@ -374,7 +374,7 @@ func (ec *effectsComputer) classify(e ast.Expr, recv types.Object, params map[ty
 				if obj != nil && obj != recv {
 					if _, isParam := params[obj]; !isParam {
 						if ec.isModelPtr(obj.Type()) {
-							return tModel, 0, obj
+							return tModel, 0
 						}
 					}
 				}
@@ -384,11 +384,11 @@ func (ec *effectsComputer) classify(e ast.Expr, recv types.Object, params map[ty
 			e = x.X
 		case *ast.StarExpr:
 			if _, isIdent := x.X.(*ast.Ident); !isIdent && ec.isModelPtr(ec.pass.TypeOf(x.X)) {
-				return tModel, 0, nil
+				return tModel, 0
 			}
 			e = x.X
 		default:
-			return tLocal, 0, nil
+			return tLocal, 0
 		}
 	}
 }
@@ -504,7 +504,7 @@ func (ec *effectsComputer) call(call *ast.CallExpr, recv types.Object, params ma
 			// how the receiver was reached (field, local, parameter).
 			eff.addSchedule(call.Pos(), fmt.Sprintf("call to %s schedules or perturbs kernel work", name))
 		} else if recvExpr != nil {
-			kind, idx, _ := ec.classify(recvExpr, recv, params)
+			kind, idx := ec.classify(recvExpr, recv, params)
 			switch kind {
 			case tModel:
 				eff.addModel(call.Pos(), fmt.Sprintf("call to %s mutates model state", name))
@@ -525,7 +525,7 @@ func (ec *effectsComputer) call(call *ast.CallExpr, recv types.Object, params ma
 		if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
 			arg = u.X
 		}
-		kind, idx, _ := ec.classify(arg, recv, params)
+		kind, idx := ec.classify(arg, recv, params)
 		switch kind {
 		case tModel:
 			eff.addModel(call.Pos(), fmt.Sprintf("call to %s mutates model state through argument %d", name, pi))

@@ -11,17 +11,12 @@ import (
 // deterministic: every run with the same seed must produce the same
 // event order and the same output bytes. Host-side packages
 // (internal/runner, cmd/*) may use wall-clock time and are not listed.
-// sweepd/api is listed even though it is host-side: the wire types
-// must serialize identically for identical sweeps (clients diff result
-// documents byte-for-byte), so no map ranges or clock reads belong
-// there.
 var DefaultSimdetPackages = []string{
 	"latsim/internal/sim",
 	"latsim/internal/memsys",
 	"latsim/internal/cpu",
 	"latsim/internal/msync",
 	"latsim/internal/check",
-	"latsim/internal/sweepd/api",
 	"latsim/internal/obs/diff",
 }
 
@@ -45,7 +40,10 @@ const UnorderedMarker = "//simdet:unordered"
 //   - ranging over any map whose expression names a sharer collection
 //     (contains "sharer", case-insensitively), regardless of the body:
 //     sharer sets must live behind dirset, whose Next walks them in
-//     ascending order by contract.
+//     ascending order by contract;
+//   - a package-level var outside test files: the runner executes
+//     concurrent jobs in one process, so such a variable is state that
+//     every run shares.
 func NewSimdet(pkgPaths ...string) *Analyzer {
 	if len(pkgPaths) == 0 {
 		pkgPaths = DefaultSimdetPackages
@@ -56,13 +54,16 @@ func NewSimdet(pkgPaths ...string) *Analyzer {
 	}
 	a := &Analyzer{
 		Name: "simdet",
-		Doc:  "forbid wall-clock time, global math/rand and order-dependent map iteration in event-scheduled packages",
+		Doc:  "forbid wall-clock time, global math/rand, order-dependent map iteration and package-level vars in event-scheduled packages",
 	}
 	a.Run = func(pass *Pass) error {
 		if !scheduled[basePkgPath(pass.Pkg.Path())] {
 			return nil
 		}
 		for _, file := range pass.Files {
+			if !strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
+				checkPackageVars(pass, file)
+			}
 			marked := unorderedLines(pass.Fset, file)
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch e := n.(type) {
@@ -77,6 +78,24 @@ func NewSimdet(pkgPaths ...string) *Analyzer {
 		return nil
 	}
 	return a
+}
+
+// checkPackageVars flags every package-level var declared in file.
+func checkPackageVars(pass *Pass, file *ast.File) {
+	for _, decl := range file.Decls {
+		d, ok := decl.(*ast.GenDecl)
+		if !ok || d.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range d.Specs {
+			for _, name := range spec.(*ast.ValueSpec).Names {
+				if name.Name != "_" {
+					pass.Reportf(name.Pos(),
+						"package-level var %s is shared by every run in the process; concurrent runner jobs would race on it — keep it on a per-run value", name.Name)
+				}
+			}
+		}
+	}
 }
 
 var wallClockFuncs = map[string]bool{

@@ -4,5 +4,13 @@
 // cannot also carry an expectation comment.)
 package empty
 
-//parallel:shared
-var counter int
+// Recorder is the fixture hook type.
+type Recorder struct {
+	counts []int
+}
+
+// Tick appends under an allocation marker that gives no reason.
+func (r *Recorder) Tick(n int) {
+	//hookpure:alloc
+	r.counts = append(r.counts, n)
+}

@@ -4,6 +4,7 @@
 package hooks
 
 import (
+	"latsim/internal/analysis/testdata/src/hookpure/helper"
 	"latsim/internal/config"
 	"latsim/internal/sim"
 )
@@ -40,6 +41,12 @@ func (r *Recorder) Count() {
 	emitted++ // want `hook method \(hooks\.Recorder\)\.Count writes package-level state`
 }
 
+// Tally calls into another package that writes its own global; the
+// hazard arrives here only through helper's exported FnEffects fact.
+func (r *Recorder) Tally() {
+	helper.Bump() // want `hook method \(hooks\.Recorder\)\.Tally writes package-level state: call to helper\.Bump`
+}
+
 // grow appends with a justified amortized-growth marker; the
 // suppression lives at the allocation site, so every hook reaching it
 // is covered by this one annotation.
@@ -54,9 +61,10 @@ func (r *Recorder) Sample(n int) {
 	r.grow(n)
 }
 
-// Observe mutates only the hook's own state, which the contract allows.
+// Observe mutates only the hook's own state, which the contract allows,
+// and calls an effect-free function of another package.
 func (r *Recorder) Observe(n int) {
-	r.last = n
+	r.last = helper.Pure(n)
 }
 
 // Finish renders the final series.

@@ -1,7 +1,7 @@
 // Package sched is the simdet golden fixture: the test configures the
 // analyzer to treat this package as event-scheduled, so wall-clock
-// time, the global math/rand source and order-dependent map iteration
-// are all violations here.
+// time, the global math/rand source, order-dependent map iteration and
+// package-level vars are all violations here.
 package sched
 
 import (
@@ -9,6 +9,11 @@ import (
 	"sort"
 	"time"
 )
+
+var runs int // want `package-level var runs is shared by every run in the process`
+
+// A blank var holds no state, so it stays silent.
+var _ = sort.Ints
 
 func wallClock() time.Time {
 	return time.Now() // want `wall-clock time.Now in event-scheduled package`

@@ -74,22 +74,11 @@ func ParseConsistency(s string) (Consistency, error) {
 	return 0, fmt.Errorf("config: unknown consistency model %q (valid: SC, PC, WC, RC)", s)
 }
 
-// UnmarshalJSON accepts either the integer encoding (what Marshal
-// emits, and what the runner's cache entries contain) or a model name
-// string, so untrusted API documents can say "Model": "RC".
+// UnmarshalJSON decodes the integer encoding Marshal emits, which the
+// runner's cache entries contain, and rejects a value outside the
+// enumeration: a cache file read from disk must not yield an unknown
+// model.
 func (c *Consistency) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v, err := ParseConsistency(s)
-		if err != nil {
-			return err
-		}
-		*c = v
-		return nil
-	}
 	var v int
 	if err := json.Unmarshal(b, &v); err != nil {
 		return err

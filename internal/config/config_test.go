@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -94,6 +95,38 @@ func TestConsistencyStrings(t *testing.T) {
 	}
 	if SC.Buffered() || !PC.Buffered() || !WC.Buffered() || !RC.Buffered() {
 		t.Error("Buffered() wrong")
+	}
+}
+
+func TestParseConsistency(t *testing.T) {
+	for s, want := range map[string]Consistency{"SC": SC, "pc": PC, "Wc": WC, "rc": RC} {
+		got, err := ParseConsistency(s)
+		if err != nil || got != want {
+			t.Fatalf("ParseConsistency(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := ParseConsistency("TSO"); err == nil || !strings.Contains(err.Error(), "TSO") {
+		t.Fatalf("ParseConsistency(TSO) err = %v", err)
+	}
+}
+
+// TestOverlayEnumNames pins how a cached configuration's enumerations
+// decode over the defaults: the integer encodings Marshal emits decode,
+// and a value outside either enumeration, or a name, is rejected.
+func TestOverlayEnumNames(t *testing.T) {
+	c := Default()
+	if err := json.Unmarshal([]byte(`{"Model": 3, "DirOrg": 2}`), &c); err != nil {
+		t.Fatal(err)
+	}
+	if c.Model != RC || c.DirOrg != dirset.CoarseVector {
+		t.Fatalf("integer enums: Model=%v DirOrg=%v, want RC/coarse-vector", c.Model, c.DirOrg)
+	}
+	for _, raw := range []string{`{"Model": 9}`, `{"Model": -1}`, `{"Model": "RC"}`,
+		`{"DirOrg": 7}`, `{"DirOrg": "limited-pointer"}`} {
+		c := Default()
+		if err := json.Unmarshal([]byte(raw), &c); err == nil {
+			t.Errorf("%s accepted", raw)
+		}
 	}
 }
 

@@ -142,8 +142,7 @@ func (s *Session) Ablation(id string) (*Ablation, error) {
 // one batch and prints each followed by sep.
 func ablationExperiment(id string, specs func() []ablationSpec, sep string) experiment {
 	return experiment{
-		id:   id,
-		runs: onApps(func() []config.Config { return ablationConfigs(specs()) }),
+		id: id,
 		render: func(s *Session, w io.Writer, _ *RenderOptions) error {
 			abs, err := s.ablations(specs())
 			if err != nil {

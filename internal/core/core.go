@@ -99,13 +99,12 @@ type Session struct {
 	// meaningful with CacheDir.
 	CacheMaxBytes int64
 	// Engine, when non-nil, is an externally owned job engine the
-	// session submits to instead of building its own. Front ends that
-	// serve many sessions (the sweep service) share one engine so
-	// identical jobs dedup across sessions — and across clients. The
-	// session never closes a shared engine; its owner does. Jobs,
-	// CacheDir, CacheMaxBytes, Timeout and Trace are ignored when
-	// Engine is set (they configure the engine the session would have
-	// built).
+	// session submits to instead of building its own, so its owner
+	// chooses the engine's options and hooks (the host-time benchmark
+	// in bench/ traces its jobs this way). The session never closes a
+	// shared engine; its owner does. Jobs, CacheDir, CacheMaxBytes,
+	// Timeout and Trace are ignored when Engine is set (they configure
+	// the engine the session would have built).
 	Engine *runner.Runner
 
 	mu  sync.Mutex
@@ -183,8 +182,8 @@ func (s *Session) engine() (*runner.Runner, error) {
 }
 
 // Exec is the session's ExecFunc — one fresh machine per job — exported
-// so front ends that own a shared engine (the sweep service) build it on
-// exactly the execution semantics every session uses.
+// so a caller that builds its own engine (bench/) runs jobs with exactly
+// the execution semantics every session uses.
 func Exec(ctx context.Context, j runner.Job) (*machine.Result, error) {
 	scale, err := ParseScale(j.Scale)
 	if err != nil {

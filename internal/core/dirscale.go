@@ -46,8 +46,6 @@ func dirScaleConfigs() []config.Config {
 	return cfgs
 }
 
-func dirScaleRuns() []Request { return requests([]string{dirScaleApp}, dirScaleConfigs()) }
-
 // DirScalePoint is one (application, organization, processor count) cell.
 type DirScalePoint struct {
 	App            string   `json:"app"`

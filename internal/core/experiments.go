@@ -1,13 +1,10 @@
 // Experiments-as-a-library: every experiment id cmd/figures accepts is
-// declared once, in the ordered experiments table below. An entry names
-// the simulations the experiment needs and how it renders them, and
-// every front end reads the table: the CLI's -exp ids and help, tests,
-// and the sweep service, which validates untrusted ids against it,
-// submits ExperimentRequests as individually tracked jobs (per-job
-// status and cancellation) and assembles the artifact from the memoized
-// results through RunExperiment. Each experiment runs its simulations
-// as one batch and builds its output from that batch's results, so any
-// front end produces identical bytes from one code path.
+// declared once, in the ordered experiments table below. An entry says
+// how the experiment runs and renders its simulations, and every front
+// end reads the table: the CLI's -exp ids and help, and the tests. Each
+// experiment runs its simulations as one batch and builds its output
+// from that batch's results, so any front end produces identical bytes
+// from one code path.
 package core
 
 import (
@@ -24,9 +21,6 @@ type experiment struct {
 	id string
 	// optIn excludes the experiment from "all" (see ExtraExperimentIDs).
 	optIn bool
-	// runs lists the simulations render reads, in the order its batch
-	// submits them; nil when the experiment runs nothing on the engine.
-	runs func() []Request
 	// render runs the experiment's batch and writes its output.
 	render func(s *Session, w io.Writer, opt *RenderOptions) error
 	// figure declares a figure experiment's bars (nil for the others).
@@ -39,22 +33,21 @@ type experiment struct {
 // imports core.
 var experiments = []experiment{
 	{id: "table1", render: rows(func(*Session) ([]Table1Row, error) { return Table1() }, RenderTable1)},
-	{id: "table2", runs: onApps(baseOnly), render: rows((*Session).Table2, RenderTable2)},
-	{id: "hitrates", runs: onApps(baseOnly), render: rows((*Session).HitRates, RenderHitRates)},
+	{id: "table2", render: rows((*Session).Table2, RenderTable2)},
+	{id: "hitrates", render: rows((*Session).HitRates, RenderHitRates)},
 	figureExperiment("fig2", fig2),
 	figureExperiment("fig3", fig3),
 	figureExperiment("fig4", fig4),
 	figureExperiment("fig5", fig5),
 	figureExperiment("fig6", fig6),
-	{id: "summary", runs: onApps(func() []config.Config { return barConfigs(summaryBars()) }),
-		render: rows((*Session).Summary, RenderSummary)},
-	{id: "coverage", runs: onApps(coverageConfigs), render: rows((*Session).PrefetchCoverage, RenderCoverage)},
+	{id: "summary", render: rows((*Session).Summary, RenderSummary)},
+	{id: "coverage", render: rows((*Session).PrefetchCoverage, RenderCoverage)},
 	ablationExperiment("fullcache", fullCacheAblations, ""),
 	figureExperiment("spectrum", spectrum),
-	{id: "scaling", runs: onApps(scalingConfigs), render: rows((*Session).ScalingSweep, RenderScaling)},
-	{id: "analytic", runs: onApps(analyticConfigs), render: rows((*Session).AnalyticContexts, RenderAnalytic)},
+	{id: "scaling", render: rows((*Session).ScalingSweep, RenderScaling)},
+	{id: "analytic", render: rows((*Session).AnalyticContexts, RenderAnalytic)},
 	ablationExperiment("ablations", designAblations, "\n"),
-	{id: "dirscale", optIn: true, runs: dirScaleRuns, render: (*Session).renderDirScale},
+	{id: "dirscale", optIn: true, render: (*Session).renderDirScale},
 }
 
 // ExperimentIDs lists every experiment id "all" runs, in the canonical
@@ -89,13 +82,6 @@ func lookupExperiment(id string) (*experiment, error) {
 		id, strings.Join(ExperimentIDs, ", "), strings.Join(ExtraExperimentIDs, ", "))
 }
 
-// KnownExperiment reports whether id names an experiment ("all" is not
-// an experiment; front ends expand it over ExperimentIDs).
-func KnownExperiment(id string) bool {
-	_, err := lookupExperiment(id)
-	return err == nil
-}
-
 // requests crosses apps with configurations, app-major: the order of
 // every experiment's batch.
 func requests(apps []string, cfgs []config.Config) []Request {
@@ -106,12 +92,6 @@ func requests(apps []string, cfgs []config.Config) []Request {
 		}
 	}
 	return reqs
-}
-
-// onApps declares an experiment's runs: every benchmark on each
-// configuration cfgs builds.
-func onApps(cfgs func() []config.Config) func() []Request {
-	return func() []Request { return requests(AppNames, cfgs()) }
 }
 
 // baseOnly is the configuration list of the experiments that read the
@@ -131,13 +111,12 @@ func rows[T any](build func(*Session) (T, error), render func(io.Writer, T)) fun
 	}
 }
 
-// figureExperiment declares a normalized-breakdown figure: its runs are
-// every bar on every benchmark.
+// figureExperiment declares a normalized-breakdown figure: every bar on
+// every benchmark.
 func figureExperiment(id string, spec func() figureSpec) experiment {
 	return experiment{
 		id:     id,
 		figure: spec,
-		runs:   onApps(func() []config.Config { return barConfigs(spec().bars) }),
 		render: func(s *Session, w io.Writer, opt *RenderOptions) error {
 			return s.renderFigure(w, spec(), opt)
 		},
@@ -156,20 +135,6 @@ func (s *Session) Figure(id string) (*Figure, error) {
 		return nil, fmt.Errorf("core: experiment %q is not a figure", id)
 	}
 	return s.figure(e.figure())
-}
-
-// ExperimentRequests returns the simulation requests the experiment
-// renders from, in the order its batch submits them, so a control plane
-// can run them as individually tracked jobs (per-job status and
-// cancellation) and let RunExperiment assemble the output from the
-// memoized results. table1 returns none: its latency probes run on a
-// machine of their own, not on the engine. Unknown ids error.
-func (s *Session) ExperimentRequests(id string) ([]Request, error) {
-	e, err := lookupExperiment(id)
-	if err != nil || e.runs == nil {
-		return nil, err
-	}
-	return e.runs(), nil
 }
 
 // RenderOptions tune RunExperiment's output. The zero value (or nil)

@@ -1,47 +1,41 @@
 package core
 
 import (
-	"context"
-	"io"
+	"bytes"
+	"os"
+	"strings"
 	"testing"
-
-	"latsim/internal/machine"
-	"latsim/internal/runner"
-	"latsim/internal/stats"
 )
 
-// TestExperimentRequestsCoverRender checks that ExperimentRequests lists
-// every simulation an experiment renders from: once the requests have
-// run as one batch, rendering the experiment executes nothing more. A
-// fake ExecFunc stands in for the simulator, so the test checks the job
-// lists, not the results.
-func TestExperimentRequestsCoverRender(t *testing.T) {
-	exec := func(_ context.Context, j runner.Job) (*machine.Result, error) {
-		res := &machine.Result{AppName: j.App, Cfg: j.Cfg, Elapsed: 1000}
-		res.Breakdown.Time[stats.Busy] = 1000
-		return res, nil
+// TestExpAllMatchesGolden checks the byte-identity invariant: every
+// experiment "all" runs, rendered through the shared session and each
+// followed by the blank line cmd/figures prints after it, must equal
+// the committed testdata/figures_all.txt. A change that moves simulated
+// results on purpose regenerates that file (EXPERIMENTS.md).
+func TestExpAllMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every experiment")
 	}
-	for _, id := range append(append([]string(nil), ExperimentIDs...), ExtraExperimentIDs...) {
-		eng, err := runner.New(runner.Options{Workers: 2}, exec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := NewSession(ScaleSmall)
-		s.Engine = eng
-		reqs, err := s.ExperimentRequests(id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if _, err := s.RunBatch(reqs); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		before := s.Metrics().Executed
-		if err := s.RunExperiment(io.Discard, id, nil); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if n := s.Metrics().Executed - before; n != 0 {
-			t.Errorf("%s: render executed %d jobs beyond its %d requests", id, n, len(reqs))
-		}
-		eng.Close()
+	want, err := os.ReadFile("../../testdata/figures_all.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
+	s := session(t)
+	var got bytes.Buffer
+	for _, id := range ExperimentIDs {
+		if err := s.RunExperiment(&got, id, nil); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		got.WriteByte('\n')
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < min(len(gl), len(wl)); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("-exp all differs from testdata/figures_all.txt at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("-exp all has %d lines, testdata/figures_all.txt %d", len(gl), len(wl))
 }

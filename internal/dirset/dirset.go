@@ -81,23 +81,11 @@ func ParseOrg(s string) (Org, error) {
 		s, strings.Join(OrgNames, ", "))
 }
 
-// UnmarshalJSON accepts either the integer encoding (what Marshal
-// emits, and what the runner's cache entries contain) or an
-// organization name string, so untrusted API documents can say
-// "DirOrg": "limited-pointer".
+// UnmarshalJSON decodes the integer encoding Marshal emits, which the
+// runner's cache entries contain, and rejects a value outside the
+// enumeration: a cache file read from disk must not yield an unknown
+// organization.
 func (o *Org) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v, err := ParseOrg(s)
-		if err != nil {
-			return err
-		}
-		*o = v
-		return nil
-	}
 	var v int
 	if err := json.Unmarshal(b, &v); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package dirset
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -49,6 +50,21 @@ func TestParseOrg(t *testing.T) {
 		t.Fatal("ParseOrg(sparse): want error")
 	} else if got := err.Error(); got != `dirset: unknown directory organization "sparse" (valid: full-map, limited-pointer, coarse-vector)` {
 		t.Fatalf("unexpected error text: %s", got)
+	}
+}
+
+// TestOrgUnmarshalJSON pins the decoding of the organization in a
+// cached configuration: the integer encoding decodes, and a value
+// outside the enumeration, or a name, is rejected.
+func TestOrgUnmarshalJSON(t *testing.T) {
+	var c struct{ DirOrg Org }
+	if err := json.Unmarshal([]byte(`{"DirOrg": 2}`), &c); err != nil || c.DirOrg != CoarseVector {
+		t.Fatalf(`{"DirOrg": 2}: DirOrg=%v, err=%v; want coarse-vector`, c.DirOrg, err)
+	}
+	for _, raw := range []string{`{"DirOrg": 7}`, `{"DirOrg": -1}`, `{"DirOrg": "limited-pointer"}`} {
+		if err := json.Unmarshal([]byte(raw), &c); err == nil {
+			t.Errorf("%s accepted", raw)
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ type Mesh struct {
 	hop   int // router + wire cycles per hop
 	occ   int // link occupancy per message (flits)
 
-	//parallel:shared the interconnect is the one deliberately shared medium; a partitioned kernel must route link holds through conservative lookahead (ROADMAP item 2)
 	links map[[2]int]*sim.Resource // directed neighbor edges
 	rec   *obs.Recorder            // optional observability recorder (nil = off)
 }

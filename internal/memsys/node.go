@@ -165,7 +165,6 @@ type Node struct {
 	cfg   *config.Config
 	alloc *mem.Allocator
 	st    *stats.Proc
-	//parallel:shared remote-node access is the directory protocol itself; cross-node calls here are the cut points a partitioned kernel must turn into messages
 	nodes []*Node // all nodes in the machine, including self
 
 	prim *primaryCache

@@ -25,8 +25,7 @@ import (
 const DefaultInterval = 1024
 
 // DefaultSpanRate is the span-tracing sample rate, one transaction in 64,
-// that the CLIs and sweepd use when span tracing is asked for without a
-// rate. The zero Options.SpanRate disables span tracing.
+// that the CLIs use when span tracing is asked for without a rate. The zero Options.SpanRate disables span tracing.
 const DefaultSpanRate = 1.0 / 64
 
 // DefaultMaxSegments bounds the per-run bucket-timeline storage (summed

@@ -20,8 +20,8 @@ import (
 //
 // A size cap (OpenCacheLimited) turns the directory into an LRU: Load
 // refreshes an entry's recency, and a Store that pushes the total past
-// the cap evicts least-recently-used entries first. A long-running
-// service would otherwise grow the directory without bound. Recency is
+// the cap evicts least-recently-used entries first. A cache directory
+// shared by many runs would otherwise grow without bound. Recency is
 // tracked in-process (seeded from file modification times at open), so
 // eviction is exact for one process and approximate across several
 // sharing the directory — the worst outcome either way is re-simulating

@@ -1,8 +1,9 @@
 package runner
 
-// Hooks observes the lifecycle of tasks inside a Runner. A control plane
-// (internal/sweepd) threads one through Options to keep live per-job
-// views — which jobs are queued, executing, finished — without polling.
+// Hooks observes the lifecycle of tasks inside a Runner. A caller
+// threads one through Options to follow each job — queued, executing,
+// finished — without polling; the host-time benchmark (bench/) records
+// per-job queue, execution and store spans this way.
 //
 // All exported methods are nil-safe, following the same contract as the
 // observability hook types (DESIGN.md §4b): the runner holds a plain

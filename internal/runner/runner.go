@@ -54,20 +54,12 @@ type Task struct {
 	done chan struct{}
 	res  *machine.Result
 	err  error
-	hit  bool // satisfied from the persistent cache
 }
 
 // Wait blocks until the job finishes and returns its result.
 func (t *Task) Wait() (*machine.Result, error) {
 	<-t.done
 	return t.res, t.err
-}
-
-// FromCache reports whether the result was loaded from the persistent
-// cache (valid after Wait returns).
-func (t *Task) FromCache() bool {
-	<-t.done
-	return t.hit
 }
 
 // Runner executes jobs on a bounded pool of worker goroutines. Workers
@@ -152,29 +144,6 @@ func (r *Runner) Submit(ctx context.Context, j Job) *Task {
 	r.mu.Unlock()
 	r.opts.Hooks.Queued(key, j)
 	return t
-}
-
-// Forget drops a finished task from the in-process memo so the same job
-// can be resubmitted and re-executed — the escape hatch for a
-// deduplicated task poisoned by another submitter's canceled context.
-// Queued or running tasks are left alone (they still complete and
-// publish to their waiters). The persistent cache is unaffected: a
-// successful Forget+resubmit of a completed job will normally re-load
-// the cached result. Reports whether the task was dropped.
-func (r *Runner) Forget(key string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.tasks[key]
-	if !ok {
-		return false
-	}
-	select {
-	case <-t.done:
-	default:
-		return false // in flight; dropping it would duplicate execution
-	}
-	delete(r.tasks, key)
-	return true
 }
 
 // Run submits the job and waits for it.
@@ -319,7 +288,7 @@ func (r *Runner) finish(t *Task, res *machine.Result, err error, hit bool, start
 		r.tracef("  done %s: %d cycles in %v (%d/%d jobs)",
 			t.Job, res.Elapsed, wall.Round(time.Millisecond), snap.Done(), total)
 	}
-	t.res, t.err, t.hit = res, err, hit
+	t.res, t.err = res, err
 	close(t.done)
 	r.opts.Hooks.Finish(t.Key, t.Job, err, hit)
 }

@@ -275,17 +275,6 @@ func TestTraceOutput(t *testing.T) {
 	}
 }
 
-// flakyExec fails the first n executions, then succeeds.
-func flakyExec(n int64) (ExecFunc, *atomic.Int64) {
-	var execs atomic.Int64
-	return func(_ context.Context, j Job) (*machine.Result, error) {
-		if execs.Add(1) <= n {
-			return nil, errors.New("injected fault")
-		}
-		return fakeResult(j), nil
-	}, &execs
-}
-
 // TestHooksObserveLifecycle follows one job through the hooks. A blocker
 // holds the only worker until the job has queued (otherwise the worker
 // may start it before Submit fires OnQueued), and the test waits for
@@ -355,61 +344,26 @@ func TestNilHooksSafe(t *testing.T) {
 	h.Finish("k", Job{}, nil, false)
 }
 
-func TestForget(t *testing.T) {
-	exec, execs := flakyExec(1)
-	r, err := New(Options{Workers: 1}, exec) // the first run fails
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := testJob(0)
-	if _, err := r.Run(context.Background(), j); err == nil {
-		t.Fatal("first run should have failed")
-	}
-	// Resubmission dedups onto the failed task...
-	if _, err := r.Run(context.Background(), j); err == nil {
-		t.Fatal("memoized failure should still fail")
-	}
-	if execs.Load() != 1 {
-		t.Fatalf("executed %d times before Forget, want 1", execs.Load())
-	}
-	// ...until Forget drops it; then a fresh submission re-executes.
-	if !r.Forget(j.Key()) {
-		t.Fatal("Forget returned false for a finished task")
-	}
-	if r.Forget(j.Key()) {
-		t.Fatal("second Forget of the same key returned true")
-	}
-	if _, err := r.Run(context.Background(), j); err != nil {
-		t.Fatalf("rerun after Forget failed: %v", err)
-	}
-	if execs.Load() != 2 {
-		t.Fatalf("executed %d times after Forget, want 2", execs.Load())
-	}
-}
-
-func TestForgetInFlightRefused(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{})
-	r, err := New(Options{Workers: 1}, func(_ context.Context, j Job) (*machine.Result, error) {
-		close(started)
-		<-release
-		return fakeResult(j), nil
+// TestFailedJobIsMemoized checks that a failure is memoized like a
+// result: resubmitting a failed job returns its error without executing
+// it again.
+func TestFailedJobIsMemoized(t *testing.T) {
+	var execs atomic.Int64
+	r, err := New(Options{Workers: 1}, func(context.Context, Job) (*machine.Result, error) {
+		execs.Add(1)
+		return nil, errors.New("injected fault")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := testJob(0)
-	task := r.Submit(context.Background(), j)
-	<-started
-	if r.Forget(j.Key()) {
-		t.Fatal("Forget dropped a running task")
+	for i := 0; i < 2; i++ {
+		if _, err := r.Run(context.Background(), j); err == nil {
+			t.Fatalf("run %d succeeded, want the injected fault", i+1)
+		}
 	}
-	close(release)
-	if _, err := task.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Forget(j.Key()) {
-		t.Fatal("Forget refused a finished task")
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("executed %d times, want 1", n)
 	}
 }
 

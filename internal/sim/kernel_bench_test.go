@@ -131,3 +131,74 @@ func BenchmarkKernelCoroutineSwitch(b *testing.B) {
 		co.Resume()
 	}
 }
+
+// TestKernelHotPathsAllocateNothing is the tier-1 form of the benchmarks'
+// 0 allocs/op gate: each path a kernel benchmark times, built and warmed
+// the same way, must allocate nothing per iteration.
+func TestKernelHotPathsAllocateNothing(t *testing.T) {
+	fn := Func(func() {})
+	var a nopActor
+	// churn keeps depth events pending: each iteration schedules one
+	// more at delay(i) and fires the earliest.
+	churn := func(c Actor, depth int, delay func(i int) Time) func(int) {
+		k := NewKernel()
+		for i := 0; i < depth; i++ {
+			k.AfterActor(delay(i), c)
+		}
+		return func(i int) {
+			k.AfterActor(delay(i), c)
+			k.Step()
+		}
+	}
+	scheduleFire := func(c Actor) func(int) {
+		k := NewKernel()
+		for i := 0; i < 64; i++ {
+			k.AfterActor(Time(i), c)
+		}
+		return func(int) {
+			k.AfterActor(8, c)
+			k.Step()
+		}
+	}
+	resource := func(c Actor) func(int) {
+		k := NewKernel()
+		r := NewResource(k, "bus")
+		return func(int) {
+			r.AcquireActor(2, c)
+			k.Step()
+		}
+	}
+	var co *Coroutine
+	co = NewCoroutine(func() {
+		for {
+			co.Yield()
+		}
+	})
+	defer co.Stop()
+	for _, tc := range []struct {
+		name string
+		step func(i int)
+	}{
+		{"ScheduleFire/Func", scheduleFire(fn)},
+		{"ScheduleFire/Actor", scheduleFire(a)},
+		{"NearChurn", churn(a, 32, func(i int) Time { return Time(i*7%15 + 1) })},
+		{"HeapChurn", churn(fn, 1024, func(i int) Time { return Time(i*13%255 + 1) })},
+		{"Resource/Func", resource(fn)},
+		{"Resource/Actor", resource(a)},
+		{"CoroutineSwitch", func(int) { co.Resume() }},
+	} {
+		i := 0
+		iter := func() {
+			tc.step(i)
+			i++
+		}
+		// Warm up: queues, arenas and the overflow heap reach their
+		// high-water marks, as in a benchmark's 10000 iterations.
+		for n := 0; n < 2048; n++ {
+			iter()
+		}
+		if got := testing.AllocsPerRun(1000, iter); got != 0 {
+			t.Errorf("%s: %v allocs per iteration, want 0", tc.name, got)
+		}
+	}
+}
