@@ -58,7 +58,6 @@ func realMain() int {
 	twinFlag := flag.Bool("twin", false, "overlay the analytical twin's predicted totals on every figure (plain renderer only)")
 	jobs := flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "persistent result-cache directory (empty = no persistence)")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "persistent-cache size cap; least-recently-used entries are evicted past it (0 = unbounded)")
 	timeout := flag.Duration("timeout", 0, "per-job wall-clock timeout, e.g. 5m (0 = none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	obsFlag := flag.Bool("obs", false, "record observability data; write per-bar report + Chrome trace artifacts")
@@ -99,7 +98,6 @@ func realMain() int {
 	s := core.NewSession(scale)
 	s.Jobs = *jobs
 	s.CacheDir = *cacheDir
-	s.CacheMaxBytes = *cacheMax
 	s.Timeout = *timeout
 	defer s.Close()
 	if *verbose {

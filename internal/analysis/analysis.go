@@ -1,6 +1,6 @@
 // Package analysis is the repo's custom static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// driver model plus three codebase-specific analyzers that enforce the
+// driver model plus four codebase-specific analyzers that enforce the
 // correctness contracts the simulator's performance work depends on:
 //
 //   - poolsafety: no use of a sim.Pool-managed object after Put, no
@@ -11,10 +11,14 @@
 //     receiver for nil before touching any field — the mechanical form
 //     of the DESIGN.md §4b zero-perturbation contract.
 //   - simdet: the event-scheduled packages (internal/sim, internal/memsys,
-//     internal/cpu, internal/msync, internal/check) must stay
-//     deterministic: no time.Now, no global math/rand, and no ranging
-//     over a map unless the loop body is order-insensitive or the site
-//     carries an explicit //simdet:unordered justification.
+//     internal/cpu, internal/msync, internal/check, internal/obs/diff)
+//     must stay deterministic: no time.Now, no global math/rand, no
+//     package-level var, and no ranging over a map unless the loop body
+//     is order-insensitive or the site carries an explicit
+//     //simdet:unordered justification.
+//   - hookpure: the methods of the observability hook types, and
+//     everything they call, must not allocate, schedule kernel work or
+//     write simulation state — the same §4b contract, transitively.
 //
 // The framework mirrors the x/tools API surface (Analyzer, Pass,
 // Diagnostic) on purpose: the module is built hermetically with no

@@ -8,7 +8,7 @@ import (
 )
 
 // A Fact is a typed, serializable piece of analysis knowledge attached
-// to a package-level object or to a package as a whole. Facts are the
+// to a package-level function, method, variable or type. Facts are the
 // interprocedural backbone of the suite: an analyzer exports facts while
 // analyzing a package, the driver keeps them in memory, and every
 // dependent package's pass imports them — mirroring
@@ -59,8 +59,8 @@ func factType(f Fact) string {
 }
 
 // pkgFacts holds every fact one package exports, keyed by analyzer then
-// object key (the empty key holds the package fact). Values stay as raw
-// JSON until an importer asks for them with a concrete type.
+// object key. Values stay as raw JSON until an importer asks for them
+// with a concrete type.
 type pkgFacts struct {
 	// Analyzers maps analyzer name -> object key -> encoded fact.
 	Analyzers map[string]map[string]json.RawMessage `json:"analyzers,omitempty"`
@@ -103,16 +103,12 @@ type factEnv struct {
 	out      *pkgFacts            // facts exported by the current package
 }
 
-func newFactEnv() *factEnv {
-	return &factEnv{imported: map[string]*pkgFacts{}, out: newPkgFacts()}
-}
-
 // ExportObjectFact attaches a fact to a package-level object of the
 // package under analysis. Facts on local objects or objects of other
 // packages are silently dropped (mirroring the x/tools contract that
 // facts flow strictly downstream).
 func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if p.env == nil || obj == nil || obj.Pkg() != p.Pkg {
+	if obj == nil || obj.Pkg() != p.Pkg {
 		return
 	}
 	key, ok := factKey(obj)
@@ -129,7 +125,7 @@ func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 // package under analysis (facts exported earlier in this pass) or to any
 // dependency whose facts the driver loaded.
 func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
-	if p.env == nil || obj == nil || obj.Pkg() == nil {
+	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
 	key, ok := factKey(obj)
@@ -140,26 +136,4 @@ func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 		return p.env.out.get(p.Analyzer.Name, key, f)
 	}
 	return p.env.imported[basePkgPath(obj.Pkg().Path())].get(p.Analyzer.Name, key, f)
-}
-
-// ExportPackageFact attaches a fact to the package under analysis.
-func (p *Pass) ExportPackageFact(f Fact) {
-	if p.env == nil {
-		return
-	}
-	if err := p.env.out.set(p.Analyzer.Name, "", f); err != nil {
-		panic(err)
-	}
-}
-
-// ImportPackageFact copies the package fact of pkgPath (a dependency, or
-// the package under analysis) into *f, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkgPath string, f Fact) bool {
-	if p.env == nil {
-		return false
-	}
-	if basePkgPath(pkgPath) == basePkgPath(p.Pkg.Path()) {
-		return p.env.out.get(p.Analyzer.Name, "", f)
-	}
-	return p.env.imported[basePkgPath(pkgPath)].get(p.Analyzer.Name, "", f)
 }

@@ -17,10 +17,6 @@ import (
 	"strings"
 )
 
-// modulePathPrefix identifies this module's packages: schemaver only
-// follows types declared under it.
-const modulePathPrefix = "latsim"
-
 // Package is one loaded, parsed and type-checked package ready for
 // analysis.
 type Package struct {

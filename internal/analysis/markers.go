@@ -20,7 +20,6 @@ import (
 //
 //	//hookpure:alloc <reason>    hookpure: justified amortized allocation
 //	//hookpure:cold <reason>     hookpure: method is not on the hot path
-//	//schemaver:exempt <reason>  schemaver: field excluded from the fingerprint
 //	//simdet:unordered <reason>  simdet: order-insensitive map iteration
 
 // markerAt is one parsed justification comment.
@@ -53,25 +52,6 @@ func markerLines(fset *token.FileSet, file *ast.File, prefix string) map[int]mar
 		}
 	}
 	return lines
-}
-
-// declMarker reports whether a declaration's doc comment carries the
-// given marker, returning its reason.
-func declMarker(doc *ast.CommentGroup, prefix string) (reason string, ok bool) {
-	if doc == nil {
-		return "", false
-	}
-	for _, c := range doc.List {
-		rest, found := strings.CutPrefix(c.Text, prefix)
-		if !found {
-			continue
-		}
-		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			continue
-		}
-		return strings.TrimSpace(rest), true
-	}
-	return "", false
 }
 
 // reportEmptyMarkers emits one diagnostic per marker whose reason is

@@ -43,12 +43,6 @@ func runLoaded(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return slices.Compact(diags), nil
 }
 
-// RunPackage applies the analyzers to one loaded package with no
-// interprocedural facts (single-package analyses and tests).
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return runPackage(pkg, analyzers, newFactEnv())
-}
-
 func runPackage(pkg *Package, analyzers []*Analyzer, env *factEnv) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {

@@ -94,17 +94,13 @@ type Session struct {
 	// invariant fails instead of returning a result. Checked jobs hash
 	// — and therefore cache — separately from plain runs.
 	Check bool
-	// CacheMaxBytes bounds the persistent result cache; past it the
-	// least-recently-used entries are evicted (0 = unbounded). Only
-	// meaningful with CacheDir.
-	CacheMaxBytes int64
 	// Engine, when non-nil, is an externally owned job engine the
 	// session submits to instead of building its own, so its owner
 	// chooses the engine's options and hooks (the host-time benchmark
 	// in bench/ traces its jobs this way). The session never closes a
-	// shared engine; its owner does. Jobs, CacheDir, CacheMaxBytes,
-	// Timeout and Trace are ignored when Engine is set (they configure
-	// the engine the session would have built).
+	// shared engine; its owner does. Jobs, CacheDir, Timeout and Trace
+	// are ignored when Engine is set (they configure the engine the
+	// session would have built).
 	Engine *runner.Runner
 
 	mu  sync.Mutex
@@ -167,11 +163,10 @@ func (s *Session) engine() (*runner.Runner, error) {
 	}
 	if s.eng == nil {
 		eng, err := runner.New(runner.Options{
-			Workers:       s.Jobs,
-			CacheDir:      s.CacheDir,
-			CacheMaxBytes: s.CacheMaxBytes,
-			Timeout:       s.Timeout,
-			Trace:         s.Trace,
+			Workers:  s.Jobs,
+			CacheDir: s.CacheDir,
+			Timeout:  s.Timeout,
+			Trace:    s.Trace,
 		}, Exec)
 		if err != nil {
 			return nil, err

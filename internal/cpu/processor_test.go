@@ -370,6 +370,100 @@ func TestSCWriteStalls(t *testing.T) {
 	}
 }
 
+// TestSCUnlockStalls: under SC an unlock stalls until its store retires,
+// either briefly without a context switch or blocked. Two contexts tell
+// the two apart: a blocked context leaves the processor idle (AllIdle,
+// with no other context ready), a short stall is NoSwitchIdle. Process 0
+// takes a lock homed on its own node at cycle 1: a local ownership miss of
+// SecCheckWrite 2 + BusHold 4 + MemHold 6 + WriteGrant 6 = 18 cycles. The
+// processor switches to its other context, which ends at cycle 5, idles
+// until the grant at 19 and switches back at 23. After 200 cycles of
+// computation the unlock issues at 224. If the secondary cache still owns
+// the lock line, with the write buffer empty and no acks pending, the
+// store retires on the ownership check: a short stall of SecCheckWrite (2
+// cycles). If process 1's read of the lock line (a spinner's test, done
+// long before 224) has taken it back to Shared, the store is an upgrade at
+// the local home, and the context blocks for the 18 cycles of an
+// ownership miss.
+func TestSCUnlockStalls(t *testing.T) {
+	def := config.Default()
+	check := sim.Time(def.Lat.SecCheckWrite)
+	own := check + sim.Time(def.Lat.BusHold+def.Lat.MemHold+def.Lat.WriteGrant)
+	pen := sim.Time(def.SwitchPenalty)
+	var lk *msync.Lock
+	program := func(spin bool) *machine.Result {
+		return run(t, 2, &app{
+			cfg:   func(c *config.Config) { c.Contexts = 2 },
+			setup: func(m *machine.Machine) { lk = m.NewLockOnNode(0) },
+			worker: func(e *cpu.Env, pid int) {
+				switch {
+				case pid == 1 && spin:
+					e.Compute(50)
+					e.Read(lk.Addr())
+				case pid == 0:
+					e.Lock(lk)
+					e.Compute(200)
+					e.Unlock(lk)
+					e.Compute(5)
+				}
+			},
+		})
+	}
+	res := program(false)
+	checkBuckets(t, res, 1+own+pen+200+1+check+5, map[stats.Bucket]sim.Time{
+		stats.Busy:         207,
+		stats.Switching:    2 * pen,
+		stats.AllIdle:      own - pen,
+		stats.NoSwitchIdle: check,
+	})
+	if st := res.Procs[0]; st.WriteMisses != 1 || st.WriteOwnedHit != 1 {
+		t.Errorf("short: WriteMisses %d, WriteOwnedHit %d; want 1 and 1", st.WriteMisses, st.WriteOwnedHit)
+	}
+	res = program(true)
+	checkBuckets(t, res, 1+own+pen+200+1+own+5, map[stats.Bucket]sim.Time{
+		stats.Busy:      207,
+		stats.Switching: 2 * pen,
+		stats.AllIdle:   own - pen + own,
+	})
+	if st := res.Procs[0]; st.WriteMisses != 2 || st.WriteOwnedHit != 0 {
+		t.Errorf("blocking: WriteMisses %d, WriteOwnedHit %d; want 2 and 0", st.WriteMisses, st.WriteOwnedHit)
+	}
+}
+
+// TestUncachedReadsPayEachTime: with CacheShared off, shared data is never
+// cached, so a repeated read of one line pays the uncached latency every
+// time: UncachedReadRemote (64 cycles) for a line homed on node 1 and
+// UncachedReadLocal (20) for one on node 0. Each latency includes the
+// 1-cycle issue, which is busy; the rest is read stall.
+func TestUncachedReadsPayEachTime(t *testing.T) {
+	lat := config.Default().Lat
+	var local, remote mem.Addr
+	res := run(t, 2, &app{
+		cfg: func(c *config.Config) { c.CacheShared = false },
+		setup: func(m *machine.Machine) {
+			local = m.AllocOnNode(mem.LineSize, 0)
+			remote = m.AllocOnNode(mem.LineSize, 1)
+		},
+		worker: func(e *cpu.Env, pid int) {
+			if pid != 0 {
+				return
+			}
+			e.Compute(5)
+			e.Read(remote)
+			e.Read(remote)
+			e.Read(local)
+			e.Read(local)
+			e.Compute(5)
+		},
+	})
+	rr, rl := sim.Time(lat.UncachedReadRemote), sim.Time(lat.UncachedReadLocal)
+	checkBuckets(t, res, 10+2*rr+2*rl, map[stats.Bucket]sim.Time{stats.Busy: 14, stats.ReadStall: 2*(rr-1) + 2*(rl-1)})
+	if st := res.Procs[0]; st.ReadMisses != 4 || st.ReadPrimaryHit != 0 || st.ReadSecHit != 0 {
+		t.Errorf("ReadMisses %d, ReadPrimaryHit %d, ReadSecHit %d; want 4, 0 and 0",
+			st.ReadMisses, st.ReadPrimaryHit, st.ReadSecHit)
+	}
+}
+
 // TestWCLockWaitsForDrain: under WC a lock is a full fence. The remote
 // write enters the write buffer after its issue cycle (cycle 6) and
 // retires 64 cycles later (cycle 70); the lock, issued at cycle 7, waits

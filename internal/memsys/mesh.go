@@ -39,7 +39,7 @@ func NewMesh(k *sim.Kernel, nodes, hop, occ int) *Mesh {
 	m := &Mesh{k: k, w: w, h: h, nodes: nodes, hop: hop, occ: occ, links: map[[2]int]*sim.Resource{}}
 	link := func(a, b int) {
 		if _, ok := m.links[[2]int{a, b}]; !ok {
-			m.links[[2]int{a, b}] = sim.NewResource(k, fmt.Sprintf("link%d-%d", a, b))
+			m.links[[2]int{a, b}] = sim.NewResource(k)
 		}
 	}
 	for id := 0; id < nodes; id++ {

@@ -234,10 +234,10 @@ func NewNode(k *sim.Kernel, id int, cfg *config.Config, alloc *mem.Allocator, st
 		st:    st,
 		prim:  newPrimaryCache(cfg.PrimaryBytes),
 		sec:   newSecondaryCache(cfg.SecondaryBytes, max(1, cfg.SecondaryWays)),
-		bus:   sim.NewResource(k, fmt.Sprintf("bus%d", id)),
-		memc:  sim.NewResource(k, fmt.Sprintf("mem%d", id)),
-		niIn:  sim.NewResource(k, fmt.Sprintf("niIn%d", id)),
-		niOut: sim.NewResource(k, fmt.Sprintf("niOut%d", id)),
+		bus:   sim.NewResource(k),
+		memc:  sim.NewResource(k),
+		niIn:  sim.NewResource(k),
+		niOut: sim.NewResource(k),
 	}
 	n.wb = newWriteBuffer(n)
 	n.pf = newPrefetchBuffer(n)
@@ -595,9 +595,6 @@ func CheckInvariants(nodes []*Node) error {
 	}
 	return nil
 }
-
-// BusUtilization returns the node bus utilization (for reports).
-func (n *Node) BusUtilization() float64 { return n.bus.Utilization() }
 
 // CacheSnapshot returns the node's valid secondary-cache lines as
 // deterministic "line:state" strings, sorted by line. Tests use it to

@@ -26,7 +26,8 @@ import (
 // SchemaVersion is baked into every job hash and persisted cache entry.
 // Bump it whenever the simulator's timing semantics or the Result schema
 // change, so stale on-disk results are invalidated wholesale instead of
-// silently reused.
+// silently reused. TestSchemaVersionsCoverShapes fails when a serialized
+// shape changes without a bump.
 //
 // v3: machine.Result carries an optional obs.Report; Job gained the Obs
 // and Trace fields.

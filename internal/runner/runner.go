@@ -29,10 +29,6 @@ type Options struct {
 	Workers int
 	// CacheDir enables the persistent result cache ("" disables it).
 	CacheDir string
-	// CacheMaxBytes caps the persistent cache's on-disk size; when a
-	// Store pushes past it, least-recently-used entries are evicted
-	// (0 = unbounded). Ignored without CacheDir.
-	CacheMaxBytes int64
 	// Timeout is the per-job wall-clock limit (0 = none). A job that
 	// exceeds it fails and is not re-run: a result depends only on its
 	// job, so only a larger limit changes the outcome.
@@ -98,7 +94,7 @@ func New(opts Options, exec ExecFunc) (*Runner, error) {
 		r.workers = runtime.GOMAXPROCS(0)
 	}
 	if opts.CacheDir != "" {
-		c, err := OpenCacheLimited(opts.CacheDir, opts.CacheMaxBytes)
+		c, err := OpenCache(opts.CacheDir)
 		if err != nil {
 			return nil, err
 		}
@@ -106,9 +102,6 @@ func New(opts Options, exec ExecFunc) (*Runner, error) {
 	}
 	return r, nil
 }
-
-// Cache returns the persistent result cache, or nil when disabled.
-func (r *Runner) Cache() *Cache { return r.cache }
 
 // Submit enqueues the job and returns its task without blocking. A job
 // whose hash matches a queued, running or completed task is deduplicated

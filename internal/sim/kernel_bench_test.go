@@ -68,7 +68,7 @@ func BenchmarkKernelNearChurn(b *testing.B) {
 // prebuilt closure completion.
 func BenchmarkKernelResource(b *testing.B) {
 	k := NewKernel()
-	r := NewResource(k, "bus")
+	r := NewResource(k)
 	fn := Func(func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -104,7 +104,7 @@ func BenchmarkKernelActorScheduleFire(b *testing.B) {
 // completion, the shape of bus/directory/memory occupancy in the node model.
 func BenchmarkKernelResourceActor(b *testing.B) {
 	k := NewKernel()
-	r := NewResource(k, "bus")
+	r := NewResource(k)
 	var a nopActor
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -162,7 +162,7 @@ func TestKernelHotPathsAllocateNothing(t *testing.T) {
 	}
 	resource := func(c Actor) func(int) {
 		k := NewKernel()
-		r := NewResource(k, "bus")
+		r := NewResource(k)
 		return func(int) {
 			r.AcquireActor(2, c)
 			k.Step()

@@ -253,7 +253,7 @@ func TestKernelOverflowEventKeepsScheduleOrder(t *testing.T) {
 
 func TestResourceSerializesOverlappingRequests(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "bus")
+	r := NewResource(k)
 	var ends []Time
 	k.AtActor(0, Func(func() {
 		r.AcquireActor(10, Func(func() { ends = append(ends, k.Now()) }))
@@ -267,17 +267,11 @@ func TestResourceSerializesOverlappingRequests(t *testing.T) {
 			t.Fatalf("ends = %v, want %v", ends, want)
 		}
 	}
-	if r.WaitCycles() != 10+20 {
-		t.Errorf("WaitCycles = %d, want 30", r.WaitCycles())
-	}
-	if r.BusyCycles() != 25 {
-		t.Errorf("BusyCycles = %d, want 25", r.BusyCycles())
-	}
 }
 
 func TestResourceIdleGapThenAcquire(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "bus")
+	r := NewResource(k)
 	var end Time
 	k.AtActor(0, Func(func() { r.AcquireActor(5, nil) }))
 	k.AtActor(100, Func(func() {
@@ -286,9 +280,6 @@ func TestResourceIdleGapThenAcquire(t *testing.T) {
 	k.Run(nil)
 	if end != 105 {
 		t.Errorf("second acquire completed at %d, want 105", end)
-	}
-	if r.WaitCycles() != 0 {
-		t.Errorf("WaitCycles = %d, want 0", r.WaitCycles())
 	}
 }
 

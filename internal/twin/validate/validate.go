@@ -11,7 +11,6 @@ package validate
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"latsim/internal/config"
@@ -350,11 +349,4 @@ func (r *Report) Render(out func(string)) {
 	out(fmt.Sprintf("  mean bucket MAE %.2f (gate %.0f), mean total err %.2f (gate %.0f), worst %s (%.2f) — %s",
 		r.MeanBucketMAE, r.Gates.BucketMAE, r.MeanTotalErr, r.Gates.TotalErr,
 		r.Worst, r.MaxBucketMAE, status))
-}
-
-// SortedByError returns the entries ordered worst-first (for -v digests).
-func (r *Report) SortedByError() []EntryResult {
-	out := append([]EntryResult(nil), r.Entries...)
-	sort.Slice(out, func(i, j int) bool { return out[i].BucketMAE > out[j].BucketMAE })
-	return out
 }
