@@ -5,17 +5,20 @@
 //
 //	figures [-scale small|paper] [-exp id[,id...]] [-jobs N]
 //	        [-cache-dir DIR] [-timeout D] [-obs] [-obs-dir DIR] [-check]
-//	        [-twin]
+//	        [-twin] [-json] [-bars] [-v] [-listen ADDR]
 //
 // -exp takes one or more comma-separated experiment ids (or "all").
-// The dirscale experiment — directory organizations at up to 1024
-// processors, `-json` emits the BENCH_dir.json document — is opt-in and
-// not part of "all".
+// Three are opt-in and not part of "all": dirscale (directory
+// organizations at up to 1024 processors), twin-validate (the analytical
+// twin against the simulator on the full matrix; it fails when the
+// twin's error contract is violated) and twin-sweep (the twin's
+// design-space exploration). With -json they emit BENCH_dir.json, the
+// BENCH_twin.json document and the sweep report.
 // Independent simulations run in parallel on -jobs workers; -cache-dir
 // persists results on disk so a re-run only simulates what changed; -v
 // prints a per-experiment cache hit/miss/dedup digest. -twin renders
 // every figure with the analytical twin's predicted total next to the
-// measured one (see cmd/twin for the full cross-validation).
+// measured one. -timeout bounds each simulation's wall-clock time.
 // -scale paper uses the paper's exact data sets (slower); the default
 // small scale keeps the workload structure at reduced size. -obs records
 // observability data on every run and writes per-bar report + Chrome
@@ -23,9 +26,8 @@
 // how many transactions the span tracer samples. -check runs every
 // simulation under the runtime coherence invariant checker: a violated
 // invariant fails the experiment instead of producing a figure. -listen
-// serves live
-// telemetry (Prometheus /metrics, streaming /progress, /debug/pprof)
-// while the sweep is in flight:
+// serves live telemetry (Prometheus /metrics, streaming /progress,
+// /debug/pprof) while the sweep is in flight:
 //
 //	figures -exp all -listen 127.0.0.1:9100 &
 //	curl -s http://127.0.0.1:9100/metrics | grep latsim_jobs
@@ -40,7 +42,6 @@ import (
 
 	"latsim/internal/config"
 	"latsim/internal/core"
-	"latsim/internal/obs"
 	"latsim/internal/runner"
 )
 
@@ -49,30 +50,21 @@ import (
 func main() { os.Exit(realMain()) }
 
 func realMain() int {
-	scaleFlag := flag.String("scale", "small", "data-set scale: small or paper")
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids (all, "+strings.Join(core.ExperimentIDs, ", ")+
 		"; opt-in: "+strings.Join(core.ExtraExperimentIDs, ", ")+")")
 	verbose := flag.Bool("v", false, "print per-run progress")
 	bars := flag.Bool("bars", false, "render figures as stacked bar charts")
-	asJSON := flag.Bool("json", false, "emit figures as JSON (for plotting tools)")
+	asJSON := flag.Bool("json", false, "emit figures and the opt-in experiments as JSON documents")
 	twinFlag := flag.Bool("twin", false, "overlay the analytical twin's predicted totals on every figure (plain renderer only)")
 	jobs := flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "persistent result-cache directory (empty = no persistence)")
-	timeout := flag.Duration("timeout", 0, "per-job wall-clock timeout, e.g. 5m (0 = none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	obsFlag := flag.Bool("obs", false, "record observability data; write per-bar report + Chrome trace artifacts")
-	obsDir := flag.String("obs-dir", "", "directory for observability artifacts (implies -obs; default \"obs\")")
-	spanRate := flag.Float64("obs-span-rate", obs.DefaultSpanRate, "transaction span-tracing sample rate in (0, 1] when -obs is set (0 = off)")
 	listen := flag.String("listen", "", "serve live telemetry (Prometheus /metrics, /progress, /debug/pprof) on this host:port")
-	checkFlag := flag.Bool("check", false, "run every simulation under the coherence invariant checker; violations fail the experiment")
+	shared := core.DeclareFlags(flag.CommandLine)
 	flag.Parse()
 
-	scale, err := core.ParseScale(*scaleFlag)
+	opts, err := shared()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if err := config.ValidateSpanRate(*spanRate); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		return 2
 	}
@@ -95,23 +87,13 @@ func realMain() int {
 			f.Close()
 		}()
 	}
-	s := core.NewSession(scale)
+	s := opts.NewSession()
 	s.Jobs = *jobs
 	s.CacheDir = *cacheDir
-	s.Timeout = *timeout
 	defer s.Close()
 	if *verbose {
 		s.Trace = os.Stderr
 	}
-	if *obsDir != "" {
-		*obsFlag = true
-	} else if *obsFlag {
-		*obsDir = "obs"
-	}
-	if *obsFlag {
-		s.Obs = &obs.Options{SpanRate: *spanRate}
-	}
-	s.Check = *checkFlag
 	if *listen != "" {
 		tel, err := runner.ServeTelemetry(*listen, s.Metrics)
 		if err != nil {
@@ -124,21 +106,18 @@ func realMain() int {
 
 	// writeObs emits the per-bar observability artifacts of a figure.
 	writeObs := func(f *core.Figure) error {
-		if !*obsFlag {
-			return nil
-		}
 		for _, app := range f.Apps {
 			for _, bar := range f.Bars[app] {
 				if bar.Result == nil || bar.Result.Obs == nil {
 					continue
 				}
 				name := fmt.Sprintf("%s_%s_%s", f.ID, app, bar.Label)
-				if _, _, err := bar.Result.Obs.WriteArtifacts(*obsDir, name); err != nil {
+				if _, _, err := bar.Result.Obs.WriteArtifacts(opts.ObsDir, name); err != nil {
 					return err
 				}
 			}
 		}
-		fmt.Fprintf(os.Stderr, "figures: wrote %s observability artifacts to %s\n", f.ID, *obsDir)
+		fmt.Fprintf(os.Stderr, "figures: wrote %s observability artifacts to %s\n", f.ID, opts.ObsDir)
 		return nil
 	}
 
@@ -152,7 +131,7 @@ func realMain() int {
 		// memoizes the reference runs, so only the first one simulates.
 		opt.Twin = s.CharacterizeAll
 	}
-	if *obsFlag {
+	if opts.Obs != nil {
 		opt.Obs = writeObs
 	}
 	run := func(id string) error {

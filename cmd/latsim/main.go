@@ -3,16 +3,15 @@
 //
 // Usage:
 //
-//	latsim [-app MP3D|LU|PTHOR] [-model SC|RC] [-nocache] [-prefetch]
+//	latsim [-app MP3D|LU|PTHOR] [-model SC|PC|WC|RC] [-nocache] [-prefetch]
 //	       [-contexts N] [-switch N] [-procs N] [-scale small|paper] [-fullcache]
 //	       [-dir-org full-map|limited-pointer|coarse-vector]
 //	       [-dir-pointers N] [-dir-coarseness N]
 //	       [-timeout D] [-seed N] [-obs] [-obs-dir DIR] [-obs-interval N]
-//	       [-obs-span-rate R] [-check] [-twin]
+//	       [-obs-span-rate R] [-check] [-twin] [-record FILE | -replay FILE]
 //	latsim -from DIR/RUN.report.json
 //
-// -timeout bounds the run's wall-clock time: the simulation is canceled
-// through the job engine's context when it expires. -obs enables the
+// -timeout bounds the simulation's wall-clock time. -obs enables the
 // observability recorder and writes <dir>/<run>.report.json plus a
 // Perfetto-loadable <run>.trace.json (see the README's Observability
 // section). -check runs the simulation under the runtime coherence
@@ -22,6 +21,16 @@
 // (the twin's reference runs simulate — and cache — on first use).
 // -from re-renders a saved report without simulating: it prints the
 // report's summary and writes RUN.trace.json beside it.
+//
+// -record FILE also writes the run's shared-reference trace (the
+// trace-driven half of the Tango methodology) to FILE. -replay FILE runs
+// a recorded trace on the configuration instead of a benchmark: the
+// trace supplies the workload, so -app, -scale and -seed only describe
+// recordings, and the machine must run as many processes as the
+// recording (a 16-process trace runs on -procs 8 -contexts 2):
+//
+//	latsim -app LU -record lu.trace
+//	latsim -replay lu.trace -model RC
 package main
 
 import (
@@ -35,8 +44,11 @@ import (
 	"latsim/internal/config"
 	"latsim/internal/core"
 	"latsim/internal/dirset"
+	"latsim/internal/machine"
 	"latsim/internal/obs"
+	"latsim/internal/runner"
 	"latsim/internal/stats"
+	"latsim/internal/trace"
 	"latsim/internal/twin"
 )
 
@@ -48,35 +60,33 @@ func main() {
 	contexts := flag.Int("contexts", 1, "hardware contexts per processor (1, 2, 4)")
 	switchPen := flag.Int("switch", 4, "context-switch penalty in cycles")
 	procs := flag.Int("procs", 16, "number of processors")
-	scaleFlag := flag.String("scale", "small", "data-set scale: small or paper")
 	fullcache := flag.Bool("fullcache", false, "use full 64KB/256KB caches instead of scaled 2KB/4KB")
 	meshNet := flag.Bool("mesh", false, "use the 2-D wormhole mesh interconnect instead of the direct network")
 	dirOrg := flag.String("dir-org", "full-map", "directory organization: full-map, limited-pointer or coarse-vector")
 	dirPointers := flag.Int("dir-pointers", 4, "limited-pointer directory: pointers per entry before broadcast overflow")
 	dirCoarseness := flag.Int("dir-coarseness", 4, "coarse-vector directory: processors per sharer bit")
-	timeout := flag.Duration("timeout", 0, "wall-clock limit for the run, e.g. 30s (0 = unbounded)")
 	seed := flag.Int64("seed", 0, "workload seed override (0 = the paper's seeds)")
-	obsFlag := flag.Bool("obs", false, "record observability data and write report + Chrome trace artifacts")
-	obsDir := flag.String("obs-dir", "", "directory for observability artifacts (implies -obs; default \"obs\")")
 	obsInterval := flag.Uint64("obs-interval", 0, "observability sampling interval in cycles (0 = default)")
-	spanRate := flag.Float64("obs-span-rate", obs.DefaultSpanRate, "transaction span-tracing sample rate in (0, 1] when -obs is set (0 = off)")
-	checkFlag := flag.Bool("check", false, "run under the coherence invariant checker; violations abort the run")
 	twinFlag := flag.Bool("twin", false, "also print the analytical twin's predicted breakdown for this configuration")
 	from := flag.String("from", "", "re-render this saved .report.json (summary + Chrome trace beside it) instead of simulating")
+	record := flag.String("record", "", "also write the run's shared-reference trace to this file")
+	replay := flag.String("replay", "", "run this recorded trace instead of -app")
+	shared := core.DeclareFlags(flag.CommandLine)
 	flag.Parse()
 	if *from != "" {
 		rerender(*from)
 		return
 	}
 
-	scale, err := core.ParseScale(*scaleFlag)
+	opts, err := shared()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usagef("%v", err)
 	}
-	if err := config.ValidateSpanRate(*spanRate); err != nil {
-		fmt.Fprintln(os.Stderr, "latsim:", err)
-		os.Exit(2)
+	switch {
+	case *record != "" && *replay != "":
+		usagef("-record and -replay are exclusive")
+	case *replay != "" && *twinFlag:
+		usagef("-twin predicts a benchmark, not a -replay")
 	}
 
 	cfg := config.Default()
@@ -86,8 +96,7 @@ func main() {
 	cfg.Contexts = *contexts
 	cfg.SwitchPenalty = *switchPen
 	if cfg.Model, err = config.ParseConsistency(*model); err != nil {
-		fmt.Fprintln(os.Stderr, "latsim:", err)
-		os.Exit(2)
+		usagef("%v", err)
 	}
 	if *fullcache {
 		cfg = cfg.FullCaches()
@@ -95,41 +104,58 @@ func main() {
 	cfg.MeshNetwork = *meshNet
 	org, err := dirset.ParseOrg(*dirOrg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "latsim:", err)
-		os.Exit(2)
+		usagef("%v", err)
 	}
 	cfg.DirOrg = org
 	cfg.DirPointers = *dirPointers
 	cfg.DirCoarseness = *dirCoarseness
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "latsim:", err)
-		os.Exit(2)
+		usagef("%v", err)
+	}
+	if opts.Obs != nil {
+		opts.Obs.Interval = *obsInterval
 	}
 
-	s := core.NewSession(scale)
-	s.Seed = *seed
-	if *obsDir != "" {
-		*obsFlag = true
-	} else if *obsFlag {
-		*obsDir = "obs"
+	// The run's workload: the benchmark, the benchmark under a trace
+	// recorder, or a trace replayer. All three run through core.ExecApp.
+	job := runner.Job{App: *app, Scale: opts.Scale.String(), Seed: *seed, Obs: opts.Obs, Check: opts.Check, Cfg: cfg}
+	origin := opts.Scale.String() + " scale"
+	var src machine.App
+	var rec *trace.Recorder
+	if *replay != "" {
+		f, err := os.Open(*replay)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		tr, err := trace.ReadTrace(f)
+		f.Close()
+		if err != nil {
+			fatalf("reading %s: %v", *replay, err)
+		}
+		src = trace.NewReplayer(tr)
+		job.App = src.Name()
+		origin = "trace " + *replay
+	} else {
+		if src, err = core.NewApp(*app, opts.Scale, cfg.Prefetch, *seed); err != nil {
+			usagef("%v", err)
+		}
+		if *record != "" {
+			rec = trace.NewRecorder(src)
+			src = rec
+		}
 	}
-	if *obsFlag {
-		s.Obs = &obs.Options{Interval: *obsInterval, SpanRate: *spanRate}
-	}
-	s.Check = *checkFlag
-	if *timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	ctx := context.Background()
+	if opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
-		s.Ctx = ctx
 	}
-	defer s.Close()
-	res, err := s.Run(*app, cfg)
+	res, err := core.ExecApp(ctx, job, src)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "latsim:", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 
-	fmt.Printf("%s on %s (%s scale, %d procs)\n", res.AppName, cfg.Name(), scale, cfg.Procs)
+	fmt.Printf("%s on %s (%s, %d procs)\n", res.AppName, cfg.Name(), origin, cfg.Procs)
 	fmt.Printf("  elapsed:            %d cycles (%.2f ms at 33 MHz)\n",
 		res.Elapsed, float64(res.Elapsed)*30e-6)
 	fmt.Printf("  processor util:     %.1f%%\n", 100*res.ProcessorUtilization())
@@ -153,20 +179,36 @@ func main() {
 	fmt.Printf("  shared data:        %d KB\n", res.SharedBytes/1024)
 	fmt.Printf("  median run length:  %d cycles\n", res.MedianRunLength())
 	fmt.Printf("  sim events:         %d\n", res.Events)
-	if *checkFlag {
+	if opts.Check {
 		fmt.Printf("  invariant checks:   %d (0 violations)\n", res.InvariantChecks)
+	}
+	if rec != nil {
+		tr := rec.Trace()
+		f, err := os.Create(*record)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		n, err := tr.WriteTo(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fatalf("writing trace: %v", err)
+		}
+		fmt.Printf("  recorded trace:     %d processes, %d events, %d bytes -> %s\n", tr.Procs, tr.Events(), n, *record)
 	}
 
 	if *twinFlag {
+		s := opts.NewSession()
+		s.Seed = *seed
+		defer s.Close()
 		char, err := s.Characterize(*app)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "latsim:", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		pred, err := twin.New(char).Predict(cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "latsim: twin:", err)
-			os.Exit(1)
+			fatalf("twin: %v", err)
 		}
 		fmt.Printf("  twin prediction:    %.0f cycles (%+.1f%% vs measured)\n",
 			pred.Total, 100*(pred.Total-float64(total))/float64(total))
@@ -180,10 +222,9 @@ func main() {
 	if res.Obs != nil {
 		res.Obs.Summary(os.Stdout)
 		name := fmt.Sprintf("%s_%s", res.AppName, cfg.Name())
-		repPath, trPath, err := res.Obs.WriteArtifacts(*obsDir, name)
+		repPath, trPath, err := res.Obs.WriteArtifacts(opts.ObsDir, name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "latsim:", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		fmt.Printf("  obs report:         %s\n", repPath)
 		fmt.Printf("  obs trace:          %s (open at ui.perfetto.dev)\n", trPath)
@@ -195,8 +236,7 @@ func main() {
 func rerender(path string) {
 	rep, err := obs.ReadReport(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "latsim:", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	rep.Summary(os.Stdout)
 	trPath := strings.TrimSuffix(path, ".report.json")
@@ -212,8 +252,19 @@ func rerender(path string) {
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "latsim: writing trace:", err)
-		os.Exit(1)
+		fatalf("writing trace: %v", err)
 	}
 	fmt.Printf("  obs trace:          %s (open at ui.perfetto.dev)\n", trPath)
+}
+
+// usagef reports a bad flag value and exits 2.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "latsim: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// fatalf reports a failed run and exits 1.
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "latsim: "+format+"\n", args...)
+	os.Exit(1)
 }

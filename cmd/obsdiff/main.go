@@ -39,7 +39,6 @@ import (
 	"latsim/internal/core"
 	"latsim/internal/obs"
 	"latsim/internal/obs/diff"
-	"latsim/internal/twin/validate"
 )
 
 // defaultBaselines is where the perf-gate baselines live in the repo.
@@ -164,14 +163,14 @@ func diffDirs(base, cur string, th diff.Thresholds) []*diff.Diff {
 type gateEntry struct {
 	app   string
 	label string
-	cfg   validate.Entry
+	cfg   core.TwinEntry
 	stem  string
 }
 
 func gateMatrix() []gateEntry {
 	var out []gateEntry
 	for _, app := range core.AppNames {
-		for _, e := range validate.Reduced() {
+		for _, e := range core.TwinReduced() {
 			out = append(out, gateEntry{
 				app:   app,
 				label: e.Label,

@@ -81,8 +81,6 @@ type Session struct {
 	CacheDir string
 	// Timeout is the per-job wall-clock limit (0 = none).
 	Timeout time.Duration
-	// Ctx cancels submitted jobs (nil = context.Background()).
-	Ctx context.Context
 	// Seed overrides the benchmarks' workload seeds (0 = paper seeds).
 	Seed int64
 	// Obs enables observability recording on every run (nil = off).
@@ -184,14 +182,21 @@ func Exec(ctx context.Context, j runner.Job) (*machine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	app, err := NewApp(j.App, scale, j.Cfg.Prefetch, j.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return ExecApp(ctx, j, app)
+}
+
+// ExecApp runs app on a fresh machine built from j's configuration, with
+// j's observability and checker options. Exec runs a benchmark through
+// it; cmd/latsim also runs a trace recorder or replayer.
+func ExecApp(ctx context.Context, j runner.Job, app machine.App) (*machine.Result, error) {
 	if j.Obs != nil {
 		if err := config.ValidateSpanRate(j.Obs.SpanRate); err != nil {
 			return nil, err
 		}
-	}
-	app, err := NewApp(j.App, scale, j.Cfg.Prefetch, j.Seed)
-	if err != nil {
-		return nil, err
 	}
 	m, err := machine.New(j.Cfg)
 	if err != nil {
@@ -212,13 +217,6 @@ func Exec(ctx context.Context, j runner.Job) (*machine.Result, error) {
 	return res, nil
 }
 
-func (s *Session) ctx() context.Context {
-	if s.Ctx != nil {
-		return s.Ctx
-	}
-	return context.Background()
-}
-
 func (s *Session) job(app string, cfg config.Config) runner.Job {
 	return runner.Job{App: app, Scale: s.Scale.String(), Seed: s.Seed, Obs: s.Obs, Check: s.Check, Cfg: cfg}
 }
@@ -230,7 +228,7 @@ func (s *Session) Run(app string, cfg config.Config) (*machine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return eng.Run(s.ctx(), s.job(app, cfg))
+	return eng.Run(context.Background(), s.job(app, cfg))
 }
 
 // Request names one (application, configuration) run in a batch.
@@ -251,7 +249,7 @@ func (s *Session) RunBatch(reqs []Request) ([]*machine.Result, error) {
 	for i, r := range reqs {
 		jobs[i] = s.job(r.App, r.Cfg)
 	}
-	return eng.RunAll(s.ctx(), jobs)
+	return eng.RunAll(context.Background(), jobs)
 }
 
 // runAll runs every app on every configuration as one batch, in

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -109,12 +108,7 @@ func (s *Session) renderDirScale(w io.Writer, opt *RenderOptions) error {
 		RenderDirScale(w, pts)
 		return nil
 	}
-	b, err := DirScaleJSON(pts)
-	if err != nil {
-		return err
-	}
-	w.Write(append(b, '\n'))
-	return nil
+	return writeJSON(w, dirScaleDoc(pts))
 }
 
 // RenderDirScale prints the sweep.
@@ -131,11 +125,11 @@ func RenderDirScale(w io.Writer, pts []DirScalePoint) {
 	fmt.Fprintln(w, "   nodes with no copy; dir bits = directory storage per line entry)")
 }
 
-// DirScaleJSON renders the sweep as the BENCH_dir.json document: the
-// deterministic simulation record of what each organization costs, so a
-// regression shows up as a diff.
-func DirScaleJSON(pts []DirScalePoint) ([]byte, error) {
-	doc := struct {
+// dirScaleDoc is the BENCH_dir.json document: the deterministic
+// simulation record of what each organization costs, so a regression
+// shows up as a diff.
+func dirScaleDoc(pts []DirScalePoint) any {
+	return struct {
 		Description string          `json:"description"`
 		Command     string          `json:"command"`
 		Points      []DirScalePoint `json:"points"`
@@ -150,5 +144,4 @@ func DirScaleJSON(pts []DirScalePoint) ([]byte, error) {
 		Command: "go run ./cmd/figures -exp dirscale -json > BENCH_dir.json",
 		Points:  pts,
 	}
-	return json.MarshalIndent(doc, "", "  ")
 }

@@ -48,6 +48,8 @@ var experiments = []experiment{
 	{id: "analytic", render: rows((*Session).AnalyticContexts, RenderAnalytic)},
 	ablationExperiment("ablations", designAblations, "\n"),
 	{id: "dirscale", optIn: true, render: (*Session).renderDirScale},
+	{id: "twin-validate", optIn: true, render: (*Session).renderTwinValidate},
+	{id: "twin-sweep", optIn: true, render: (*Session).renderTwinSweep},
 }
 
 // ExperimentIDs lists every experiment id "all" runs, in the canonical
@@ -55,9 +57,10 @@ var experiments = []experiment{
 var ExperimentIDs = experimentIDs(false)
 
 // ExtraExperimentIDs are opt-in ids that "all" deliberately excludes:
-// dirscale simulates up to 1024 processors, and the -exp all output is
-// a byte-identity regression gate that must not change when opt-in
-// experiments are added.
+// dirscale simulates up to 1024 processors, the twin experiments report
+// wall-clock timings, and the -exp all output is a byte-identity
+// regression gate that must not change when opt-in experiments are
+// added.
 var ExtraExperimentIDs = experimentIDs(true)
 
 func experimentIDs(optIn bool) []string {
@@ -141,7 +144,7 @@ func (s *Session) Figure(id string) (*Figure, error) {
 // is the canonical plain rendering — the byte-identity reference every
 // front end agrees on.
 type RenderOptions struct {
-	// JSON emits figures (and the dirscale sweep) as JSON documents
+	// JSON emits figures (and the opt-in experiments) as JSON documents
 	// instead of tables.
 	JSON bool
 	// Bars renders figures as stacked bar charts.

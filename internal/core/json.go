@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"io"
 
 	"latsim/internal/stats"
 )
@@ -37,4 +38,14 @@ func (f *Figure) JSON() ([]byte, error) {
 		}
 	}
 	return json.MarshalIndent(out, "", "  ")
+}
+
+// writeJSON writes v as one indented JSON document and a newline.
+func writeJSON(w io.Writer, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }

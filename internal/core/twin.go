@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -50,7 +51,7 @@ func (s *Session) characterize(apps []string) (map[string]*twin.AppChar, error) 
 			jobs = append(jobs, j)
 		}
 	}
-	all, err := eng.RunAll(s.ctx(), jobs)
+	all, err := eng.RunAll(context.Background(), jobs)
 	if err != nil {
 		return nil, fmt.Errorf("core: characterizing %s: %w", strings.Join(apps, ", "), err)
 	}

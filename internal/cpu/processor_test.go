@@ -559,3 +559,128 @@ func TestTwoContextsSwitchAndStall(t *testing.T) {
 		t.Errorf("Switches %d, ReadSecHit %d; want 2 and 1", st.Switches, st.ReadSecHit)
 	}
 }
+
+// TestRCUnlockWaitsForDrainAndAcks: under RC an unlock is a buffered
+// release. The processor continues at once, and the release store leaves
+// the write buffer only after every earlier write has retired and every
+// invalidation ack has arrived. A read of the lock line cannot bypass the
+// buffered release, so its stall shows when the release retired. Process
+// 0 computes to cycle 100 and takes a lock homed on its own node, a local
+// ownership miss of SecCheckWrite 2 + BusHold 4 + MemHold 6 + WriteGrant 6
+// = 18 cycles after the issue cycle. It may then write a line homed on
+// node 1, which enters the write buffer at cycle 120, before it unlocks
+// (the release enters one cycle later) and reads the lock line. The
+// release is an owned hit (SecCheckWrite, 2 cycles), and the read then
+// fills the primary from the secondary (SecLookup 7 + FillPrim 6 = 13).
+// The write's request reaches the home's directory 35 cycles after it
+// enters the buffer (SecCheckWrite, BusHold, a hop of NIHold 4 + Wire 15
+// + NIHold 4 = 23, MemHold). If nobody shares the line, ownership comes
+// back a hop and WriteGrant later, 64 cycles after entry (Table 1). If
+// process 2 shares it, the home also sends it an invalidation, whose ack
+// reaches process 0 a hop, InvalApply 4 and a hop later, 85 cycles after
+// entry; the release waits for that ack.
+func TestRCUnlockWaitsForDrainAndAcks(t *testing.T) {
+	lat := config.Default().Lat
+	check := sim.Time(lat.SecCheckWrite)
+	own := check + sim.Time(lat.BusHold+lat.MemHold+lat.WriteGrant)
+	hop := sim.Time(2*lat.NIHold + lat.Wire)
+	atHome := check + sim.Time(lat.BusHold) + hop + sim.Time(lat.MemHold)
+	grant := atHome + hop + sim.Time(lat.WriteGrant)
+	ack := atHome + hop + sim.Time(lat.InvalApply) + hop
+	fill := sim.Time(lat.SecLookup + lat.FillPrim)
+	var x mem.Addr
+	var lk *msync.Lock
+	program := func(write, shared bool) *machine.Result {
+		return run(t, 3, &app{
+			cfg: func(c *config.Config) { c.Model = config.RC },
+			setup: func(m *machine.Machine) {
+				// One line into its page, x does not evict the lock line
+				// from the secondary cache.
+				x = m.AllocOnNode(2*mem.LineSize, 1) + mem.LineSize
+				lk = m.NewLockOnNode(0)
+			},
+			worker: func(e *cpu.Env, pid int) {
+				switch {
+				case pid == 2 && shared:
+					e.Read(x)
+				case pid == 0:
+					e.Compute(100)
+					e.Lock(lk)
+					if write {
+						e.Write(x)
+					}
+					e.Unlock(lk)
+					e.Read(lk.Addr())
+					e.Compute(5)
+				}
+			},
+		})
+	}
+	entry := 100 + 1 + own + 1 // the write enters the buffer; so does a release with no write
+	checkBuckets(t, program(false, false), entry+check+1+fill+5, map[stats.Bucket]sim.Time{
+		stats.Busy:      108,
+		stats.ReadStall: check + fill,
+		stats.SyncStall: own,
+	})
+	checkBuckets(t, program(true, false), entry+grant+check+1+fill+5, map[stats.Bucket]sim.Time{
+		stats.Busy:      109,
+		stats.ReadStall: grant + check - 1 + fill,
+		stats.SyncStall: own,
+	})
+	checkBuckets(t, program(true, true), entry+ack+check+1+fill+5, map[stats.Bucket]sim.Time{
+		stats.Busy:      109,
+		stats.ReadStall: ack + check - 1 + fill,
+		stats.SyncStall: own,
+	})
+}
+
+// TestBarrierWaitsForLastArrival: a barrier arrival stalls until the last
+// participant arrives and its release reaches the waiter. Two of three
+// processes meet at a barrier whose counter and flag lines are homed on
+// node 2. Process 0 arrives at cycle 6: its counter increment takes the
+// uncached line in 64 cycles (Table 1), and it then fetches the flag
+// line, all long before process 1 arrives at late+1. That increment finds
+// the counter dirty at node 0: the home forwards the request (a hop of
+// NIHold 4 + WireForward 3 + NIHold 4), the owner answers after BusHold 4
+// and OwnerAccess 3 with a hop of NIHold 4 + Wire 15 + NIHold 4, so the
+// write takes 82 cycles (Table 1). Being last, process 1 then writes the
+// flag, which process 0 shares: the home takes the request 35 cycles
+// later (SecCheckWrite 2, BusHold, a hop, MemHold 6), invalidates process
+// 0's copy, and the grant, queued NIHold behind the invalidation at the
+// home's network interface, arrives a hop and WriteGrant 6 later.
+// Process 0's refetch then reads a line dirty at node 1 (89 cycles after
+// the issue, Table 1's 90). Process 0 stalls from its arrival to that
+// fill, and the stall grows cycle for cycle with process 1's lateness.
+func TestBarrierWaitsForLastArrival(t *testing.T) {
+	lat := config.Default().Lat
+	hop := sim.Time(2*lat.NIHold + lat.Wire)
+	owner := sim.Time(2*lat.NIHold+lat.WireForward+lat.BusHold+lat.OwnerAccess) + hop
+	atHome := sim.Time(lat.SecCheckWrite+lat.BusHold) + hop + sim.Time(lat.MemHold)
+	dirtyWrite := atHome + owner + sim.Time(lat.WriteGrant)
+	flagGrant := atHome + sim.Time(lat.NIHold) + hop + sim.Time(lat.WriteGrant)
+	dirtyRead := sim.Time(lat.SecLookup+lat.BusHold) + hop + sim.Time(lat.MemHold) + owner + sim.Time(lat.FillSec+lat.FillPrim)
+	var b *msync.Barrier
+	for _, late := range []sim.Time{200, 300} {
+		res := run(t, 3, &app{
+			setup: func(m *machine.Machine) {
+				b = msync.NewBarrier(m.AllocOnNode(mem.LineSize, 2), m.AllocOnNode(mem.LineSize, 2), 2)
+			},
+			worker: func(e *cpu.Env, pid int) {
+				switch pid {
+				case 0:
+					e.Compute(5)
+					e.Barrier(b)
+					e.Compute(5)
+				case 1:
+					e.Compute(int(late))
+					e.Barrier(b)
+				}
+			},
+		})
+		released := late + 1 + dirtyWrite + flagGrant + dirtyRead
+		checkBuckets(t, res, released+5, map[stats.Bucket]sim.Time{
+			stats.Busy:      11,
+			stats.SyncStall: released - 6,
+		})
+	}
+}

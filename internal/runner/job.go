@@ -49,7 +49,9 @@ import (
 //
 // v8: sim.Stats (machine.Result.Kernel) dropped the Actor counter, which
 // always equals Scheduled now that every event is an Actor.
-const SchemaVersion = 8
+//
+// v9: Job dropped the Trace field: a trace replay is not a runner job.
+const SchemaVersion = 9
 
 // Job names one deterministic simulation: an application, a data-set
 // scale, an optional workload seed override (0 keeps the paper's seeds),
@@ -58,16 +60,12 @@ const SchemaVersion = 8
 //
 // Obs, when set, makes the execution record observability data into the
 // result; it participates in the hash because an obs-enabled result
-// carries a (potentially large) report a plain run does not. Trace
-// identifies a reference-stream replay input by content hash (cmd/trace);
-// the runner itself never reads it, but two replays of different traces
-// must not share a cache entry.
+// carries a (potentially large) report a plain run does not.
 type Job struct {
 	App   string       `json:"app"`
 	Scale string       `json:"scale,omitempty"`
 	Seed  int64        `json:"seed,omitempty"`
 	Obs   *obs.Options `json:"obs,omitempty"`
-	Trace string       `json:"trace,omitempty"`
 	// Check runs the job under the coherence invariant checker. The
 	// simulated timing is identical either way (zero-perturbation
 	// contract), but a checked result attests the run passed, so it

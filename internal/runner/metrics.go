@@ -41,7 +41,7 @@ func (m Metrics) String() string {
 }
 
 // CacheString renders the cache-effectiveness digest printed per
-// experiment by cmd/figures -v and cmd/twin -v.
+// experiment by cmd/figures -v.
 func (m Metrics) CacheString() string {
 	return fmt.Sprintf("cache: %d hits, %d misses, %d deduped, %d simulated",
 		m.CacheHits, m.CacheMisses, m.Deduped, m.Executed)

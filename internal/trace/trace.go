@@ -193,24 +193,13 @@ func (p *Replayer) Setup(m *machine.Machine) error {
 			p.base = a + mem.Addr(uint64(p.lo)-pg*mem.PageSize)
 		}
 	}
-	// A lock whose recorded stream releases it more often than it
-	// acquires it began the run held (producer/consumer locks created
-	// with SetHeld, like LU's column locks).
-	acquires := make([]int, p.T.Locks)
-	releases := make([]int, p.T.Locks)
-	for _, st := range p.T.Streams {
-		for _, ev := range st {
-			switch ev.Kind {
-			case cpu.TLock:
-				acquires[ev.Obj]++
-			case cpu.TUnlock:
-				releases[ev.Obj]++
-			}
-		}
+	held, err := p.T.heldAtStart()
+	if err != nil {
+		return err
 	}
-	for i := 0; i < p.T.Locks; i++ {
+	for _, h := range held {
 		lk := m.NewLock()
-		if releases[i] > acquires[i] {
+		if h {
 			lk.SetHeld()
 		}
 		p.locks = append(p.locks, lk)
@@ -254,6 +243,35 @@ func (p *Replayer) Worker(e *cpu.Env, pid, nprocs int) {
 }
 
 func (p *Replayer) remap(a mem.Addr) mem.Addr { return p.base + (a - p.lo) }
+
+// heldAtStart reports which locks began the recorded run held: those
+// with a foreign release, one by a process with no unmatched acquire of
+// the lock earlier in its own stream (producer/consumer locks created
+// with SetHeld, like LU's column locks). The initial hold can be
+// released once, so a lock with two foreign releases makes any replay
+// release a lock that is not held, and is an error.
+func (t *Trace) heldAtStart() ([]bool, error) {
+	held := make([]bool, t.Locks)
+	for pid, st := range t.Streams {
+		open := map[int32]int{} // unmatched acquires in this stream, per lock
+		for _, ev := range st {
+			switch ev.Kind {
+			case cpu.TLock:
+				open[ev.Obj]++
+			case cpu.TUnlock:
+				switch {
+				case open[ev.Obj] > 0:
+					open[ev.Obj]--
+				case held[ev.Obj]:
+					return nil, fmt.Errorf("trace: lock %d has two releases by processes that do not hold it (the second by process %d)", ev.Obj, pid)
+				default:
+					held[ev.Obj] = true
+				}
+			}
+		}
+	}
+	return held, nil
+}
 
 // Events returns the total number of recorded events.
 func (t *Trace) Events() int {
@@ -357,9 +375,10 @@ func maxSpanPages(shared int64, procs int) uint64 {
 
 // ReadTrace deserializes a trace written by WriteTo. It rejects lock and
 // barrier ids out of range, barrier participant counts outside
-// [1, Procs], negative page homes and memory references spanning more
-// pages than the recorded shared data can occupy, each of which would
-// make a replay panic or place pages without bound.
+// [1, Procs], negative page homes, memory references spanning more
+// pages than the recorded shared data can occupy and locks released
+// twice by processes that do not hold them, each of which would make a
+// replay panic or place pages without bound.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
@@ -482,6 +501,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if span, limit := mem.PageOf(hi)-mem.PageOf(lo)+1, maxSpanPages(t.Shared, t.Procs); span > limit {
 			return nil, fmt.Errorf("trace: memory references span %d pages, more than %d bytes of shared data can occupy (%d)", span, t.Shared, limit)
 		}
+	}
+	if _, err := t.heldAtStart(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -9,8 +9,9 @@
 // coverage/overhead terms and a multiple-context utilization model.
 //
 // The twin is a model of a model: its per-bucket error against the
-// event-driven truth is continuously measured by internal/twin/validate
-// across the whole figure/table configuration matrix, and the error
+// event-driven truth is continuously measured by the twin-validate
+// experiment (internal/core) across the whole figure/table
+// configuration matrix, and the error
 // report is a first-class artifact (see DESIGN.md §S-twin for the error
 // contract). Use the twin to explore thousands of configurations
 // interactively; reserve the detailed simulator for verifying the
