@@ -1,10 +1,10 @@
 // Command obsdiff compares observability reports and judges the
 // movement: per-bucket breakdown deltas, latency-distribution shift,
 // timeline divergence, counter drift and waterfall changes, each with a
-// verdict (identical / within-tolerance / improved / regressed) under
-// configurable thresholds. Exit status 0 means nothing regressed; 1
-// means at least one metric regressed (named on stdout); 2 means the
-// comparison itself failed.
+// verdict. The judge is exact: a metric that did not move is identical,
+// and any other is improved or regressed by its direction. Exit status 0
+// means nothing regressed; 1 means at least one metric regressed (named
+// on stdout); 2 means the comparison itself failed.
 //
 // Diff two saved reports (or two artifact directories, matched by
 // report file name):
@@ -12,19 +12,17 @@
 //	obsdiff base.report.json new.report.json
 //	obsdiff baseline-artifacts/ fresh-artifacts/
 //
-// Gate mode regenerates the reduced validation matrix with
-// observability on and diffs every run against the committed baselines
-// (CI's perf-gate job):
+// testdata/baselines holds the Compact()ed reports of the reduced
+// validation matrix, run with observability on: bulk payloads (raw
+// spans, per-processor timelines, per-link mesh counts) are stripped,
+// the per-interval series and the waterfall are kept. This package's
+// test regenerates the matrix and byte-compares every report with its
+// baseline; it uses the judged diff only to explain a mismatch. After a
+// change that moves them on purpose, from the repository root:
 //
-//	obsdiff -gate
-//	obsdiff -gate -html diff.html     # self-contained page for artifacts
-//	obsdiff -update-baselines          # rewrite testdata/baselines
-//
-// Baselines are Compact()ed reports: bulk payloads (raw spans,
-// per-processor timelines, per-link mesh counts) are stripped, every
-// aggregate the diff engine judges is kept. The simulator is
-// deterministic, so a clean gate means byte-equal reports, and any
-// verdict past within-tolerance is a real behavior change.
+//	go test ./cmd/obsdiff                    # fails and prints what moved
+//	go run ./cmd/obsdiff -update-baselines   # rewrites the baselines
+//	go test ./cmd/obsdiff                    # passes
 package main
 
 import (
@@ -41,8 +39,9 @@ import (
 	"latsim/internal/obs/diff"
 )
 
-// defaultBaselines is where the perf-gate baselines live in the repo.
-const defaultBaselines = "testdata/baselines"
+// baselineDir is where the baseline reports live, relative to the
+// repository root.
+const baselineDir = "testdata/baselines"
 
 // gateInterval and gateSpanRate fix the observability options baselines
 // are recorded under; regeneration must match or every series length
@@ -53,41 +52,26 @@ const (
 )
 
 func main() {
-	gate := flag.Bool("gate", false, "regenerate the reduced matrix with obs on and diff against the committed baselines")
-	update := flag.Bool("update-baselines", false, "regenerate the reduced matrix and rewrite the baseline reports")
-	baselines := flag.String("baselines", defaultBaselines, "baseline directory for -gate / -update-baselines")
+	update := flag.Bool("update-baselines", false, "regenerate the reduced matrix and rewrite the baseline reports under "+baselineDir)
 	jsonOut := flag.Bool("json", false, "emit the diff document(s) as JSON on stdout instead of text")
-	htmlOut := flag.String("html", "", "also write a self-contained HTML diff page to this path")
-	th := diff.Default()
-	flag.Float64Var(&th.ElapsedPct, "elapsed-pct", th.ElapsedPct, "tolerated end-to-end cycle drift, percent")
-	flag.Float64Var(&th.CounterPct, "counter-pct", th.CounterPct, "tolerated counter/bucket drift, percent")
-	flag.Float64Var(&th.BucketPoints, "bucket-points", th.BucketPoints, "minimum bucket share shift (points) before its relative drift counts")
-	flag.Float64Var(&th.QuantilePct, "quantile-pct", th.QuantilePct, "tolerated histogram statistic drift, percent")
-	flag.Float64Var(&th.ShiftBuckets, "shift-buckets", th.ShiftBuckets, "tolerated latency-distribution shift, log2-bucket widths")
-	flag.Float64Var(&th.DivergencePts, "divergence-pts", th.DivergencePts, "tolerated per-processor timeline divergence, points")
-	strict := flag.Bool("strict", false, "zero all thresholds: any movement at all is a verdict")
 	flag.Parse()
 
-	if *strict {
-		th = diff.Thresholds{}
-	}
-	switch {
-	case *update:
-		updateBaselines(*baselines)
-	case *gate:
-		runGate(*baselines, th, *jsonOut, *htmlOut)
-	default:
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: obsdiff [flags] <base.report.json|baseDir> <new.report.json|newDir>")
-			fmt.Fprintln(os.Stderr, "       obsdiff -gate | -update-baselines")
-			os.Exit(2)
+	if *update {
+		if err := updateBaselines(); err != nil {
+			fatalf("%v", err)
 		}
-		runDiff(flag.Arg(0), flag.Arg(1), th, *jsonOut, *htmlOut)
+		return
 	}
+	if flag.NArg() != 2 {
+		fmt.Fprintln(os.Stderr, "usage: obsdiff [-json] <base.report.json|baseDir> <new.report.json|newDir>")
+		fmt.Fprintln(os.Stderr, "       obsdiff -update-baselines")
+		os.Exit(2)
+	}
+	runDiff(flag.Arg(0), flag.Arg(1), *jsonOut)
 }
 
 // runDiff diffs two report files, or two artifact directories pairwise.
-func runDiff(base, cur string, th diff.Thresholds, jsonOut bool, htmlOut string) {
+func runDiff(base, cur string, jsonOut bool) {
 	bi, err := os.Stat(base)
 	if err != nil {
 		fatalf("%v", err)
@@ -101,14 +85,14 @@ func runDiff(base, cur string, th diff.Thresholds, jsonOut bool, htmlOut string)
 	}
 	var diffs []*diff.Diff
 	if bi.IsDir() {
-		diffs = diffDirs(base, cur, th)
+		diffs = diffDirs(base, cur)
 	} else {
-		diffs = []*diff.Diff{diffFiles(base, cur, th)}
+		diffs = []*diff.Diff{diffFiles(base, cur)}
 	}
-	finish(diffs, jsonOut, htmlOut)
+	finish(diffs, jsonOut)
 }
 
-func diffFiles(base, cur string, th diff.Thresholds) *diff.Diff {
+func diffFiles(base, cur string) *diff.Diff {
 	rb, err := obs.ReadReport(base)
 	if err != nil {
 		fatalf("%v", err)
@@ -117,16 +101,16 @@ func diffFiles(base, cur string, th diff.Thresholds) *diff.Diff {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	d := diff.Compare(rb, rc, th)
+	d := diff.Compare(rb, rc)
 	d.BaseLabel = base
 	d.NewLabel = cur
 	return d
 }
 
 // diffDirs pairs *.report.json files by name across two artifact
-// directories. A report present on only one side is an error: a gate
-// that silently skips a vanished run judges nothing.
-func diffDirs(base, cur string, th diff.Thresholds) []*diff.Diff {
+// directories. A report present on only one side is an error: a
+// comparison that silently skips a vanished run judges nothing.
+func diffDirs(base, cur string) []*diff.Diff {
 	names := map[string]int{} // bit 0: in base, bit 1: in cur
 	for side, dir := range []string{base, cur} {
 		matches, err := filepath.Glob(filepath.Join(dir, "*.report.json"))
@@ -150,7 +134,7 @@ func diffDirs(base, cur string, th diff.Thresholds) []*diff.Diff {
 		case 2:
 			fatalf("%s exists only in %s", name, cur)
 		}
-		diffs = append(diffs, diffFiles(filepath.Join(base, name), filepath.Join(cur, name), th))
+		diffs = append(diffs, diffFiles(filepath.Join(base, name), filepath.Join(cur, name)))
 	}
 	if len(diffs) == 0 {
 		fatalf("no *.report.json files under %s and %s", base, cur)
@@ -161,10 +145,9 @@ func diffDirs(base, cur string, th diff.Thresholds) []*diff.Diff {
 // gateEntry is one (application, configuration) cell of the baseline
 // matrix and the file stem its baseline is stored under.
 type gateEntry struct {
-	app   string
-	label string
-	cfg   core.TwinEntry
-	stem  string
+	app  string
+	cfg  core.TwinEntry
+	stem string
 }
 
 func gateMatrix() []gateEntry {
@@ -172,10 +155,9 @@ func gateMatrix() []gateEntry {
 	for _, app := range core.AppNames {
 		for _, e := range core.TwinReduced() {
 			out = append(out, gateEntry{
-				app:   app,
-				label: e.Label,
-				cfg:   e,
-				stem:  obs.SanitizeName(app + "_" + e.Label),
+				app:  app,
+				cfg:  e,
+				stem: obs.SanitizeName(app + "_" + e.Label),
 			})
 		}
 	}
@@ -184,7 +166,7 @@ func gateMatrix() []gateEntry {
 
 // regenerate runs the gate matrix with observability on and returns the
 // compacted reports in matrix order.
-func regenerate() []*obs.Report {
+func regenerate() ([]*obs.Report, error) {
 	s := core.NewSession(core.ScaleSmall)
 	s.Obs = &obs.Options{Interval: gateInterval, SpanRate: gateSpanRate}
 	defer s.Close()
@@ -195,70 +177,41 @@ func regenerate() []*obs.Report {
 	}
 	results, err := s.RunBatch(reqs)
 	if err != nil {
-		fatalf("regenerating matrix: %v", err)
+		return nil, fmt.Errorf("regenerating matrix: %w", err)
 	}
 	reports := make([]*obs.Report, len(results))
 	for i, res := range results {
 		reports[i] = res.Obs.Compact()
 	}
-	return reports
+	return reports, nil
 }
 
-func updateBaselines(dir string) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatalf("%v", err)
+func updateBaselines() error {
+	if err := os.MkdirAll(baselineDir, 0o755); err != nil {
+		return err
 	}
 	entries := gateMatrix()
-	reports := regenerate()
+	reports, err := regenerate()
+	if err != nil {
+		return err
+	}
 	for i, e := range entries {
-		b, err := json.MarshalIndent(reports[i], "", " ")
+		b, err := obs.EncodeReport(reports[i])
 		if err != nil {
-			fatalf("encoding %s: %v", e.stem, err)
+			return err
 		}
-		path := filepath.Join(dir, e.stem+".report.json")
-		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
+		path := filepath.Join(baselineDir, e.stem+".report.json")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			return err
 		}
 		fmt.Printf("wrote %s\n", path)
 	}
-	fmt.Printf("%d baselines under %s\n", len(entries), dir)
+	fmt.Printf("%d baselines under %s\n", len(entries), baselineDir)
+	return nil
 }
 
-// runGate regenerates the matrix and diffs each run against its
-// committed baseline.
-func runGate(dir string, th diff.Thresholds, jsonOut bool, htmlOut string) {
-	entries := gateMatrix()
-	reports := regenerate()
-	var diffs []*diff.Diff
-	for i, e := range entries {
-		path := filepath.Join(dir, e.stem+".report.json")
-		base, err := obs.ReadReport(path)
-		if err != nil {
-			fatalf("%v (run obsdiff -update-baselines to regenerate the baseline matrix)", err)
-		}
-		d := diff.Compare(base, reports[i], th)
-		d.BaseLabel = path
-		d.NewLabel = "regenerated " + e.app + " " + e.label
-		diffs = append(diffs, d)
-	}
-	finish(diffs, jsonOut, htmlOut)
-}
-
-// finish renders the diffs, writes the optional HTML page and exits 1
-// if anything regressed.
-func finish(diffs []*diff.Diff, jsonOut bool, htmlOut string) {
-	if htmlOut != "" {
-		f, err := os.Create(htmlOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := diff.WriteHTML(f, "obs diff", diffs); err != nil {
-			fatalf("writing html: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
-	}
+// finish renders the diffs and exits 1 if anything regressed.
+func finish(diffs []*diff.Diff, jsonOut bool) {
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", " ")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"latsim/internal/config"
+	"latsim/internal/runner"
 	"latsim/internal/stats"
 	"latsim/internal/twin"
 )
@@ -256,24 +258,30 @@ func timedPredict(m *twin.Model, cfg config.Config) (*twin.Prediction, int64, er
 	return pred, best, nil
 }
 
-// twinBench is the speed side of the twin's contract: mean cost of one
-// twin prediction vs one detailed simulation of the same configuration.
+// twinBenchRounds is how many times the speed record runs the three
+// base simulations.
+const twinBenchRounds = 3
+
+// twinBench is the speed side of the twin's contract: the cost of one
+// twin prediction against one detailed simulation.
 type twinBench struct {
 	// TwinNSPerConfig is the mean wall-clock cost of one Predict call
 	// across the validation matrix.
 	TwinNSPerConfig int64
-	// SimNSPerConfig is the mean wall-clock cost of one detailed
-	// simulation, from the job engine's executed-job accounting (or a
-	// fresh timing run when everything validated from cache).
+	// SimNSPerConfig is the median wall-clock cost of one detailed
+	// simulation over SimRuns samples: core.Exec on each application's
+	// cached-SC base job in sequence, for twinBenchRounds rounds.
+	// SimNSMin and SimNSMax are the fastest and slowest sample.
 	SimNSPerConfig int64
-	SimMethod      string
+	SimNSMin       int64
+	SimNSMax       int64
+	SimRuns        int
 	Speedup        float64
 }
 
-// twinBenchFrom derives the speed record from a finished report and the
-// session that produced it. When the session executed no fresh
-// simulations (a fully warm cache), it times one baseline simulation per
-// application in a fresh in-memory session.
+// twinBenchFrom derives the speed record from a finished report. It times
+// fresh simulations outside the session's job engine, so the record is
+// the same measurement whatever the session's cache holds.
 func (s *Session) twinBenchFrom(rep *twinReport) (*twinBench, error) {
 	b := &twinBench{}
 	var sum int64
@@ -283,22 +291,20 @@ func (s *Session) twinBenchFrom(rep *twinReport) (*twinBench, error) {
 	if len(rep.Entries) > 0 {
 		b.TwinNSPerConfig = sum / int64(len(rep.Entries))
 	}
-	if m := s.Metrics(); m.Executed > 0 {
-		b.SimNSPerConfig = m.WallTime.Nanoseconds() / m.Executed
-		b.SimMethod = fmt.Sprintf("mean over %d executed jobs this session", m.Executed)
-	} else {
-		fresh := NewSession(s.Scale)
-		fresh.Jobs = s.Jobs
-		defer fresh.Close()
-		start := time.Now()
+	var samples []int64
+	for round := 0; round < twinBenchRounds; round++ {
 		for _, app := range AppNames {
-			if _, err := fresh.Run(app, Base()); err != nil {
+			j := runner.Job{App: app, Scale: s.Scale.String(), Seed: s.Seed, Cfg: Base()}
+			start := time.Now()
+			if _, err := Exec(context.Background(), j); err != nil {
 				return nil, err
 			}
+			samples = append(samples, time.Since(start).Nanoseconds())
 		}
-		b.SimNSPerConfig = time.Since(start).Nanoseconds() / int64(len(AppNames))
-		b.SimMethod = "timed fresh cached-SC baseline runs (validation matrix was fully cache-warm)"
 	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	b.SimRuns = len(samples)
+	b.SimNSMin, b.SimNSPerConfig, b.SimNSMax = samples[0], samples[len(samples)/2], samples[len(samples)-1]
 	if b.TwinNSPerConfig > 0 {
 		b.Speedup = float64(b.SimNSPerConfig) / float64(b.TwinNSPerConfig)
 	}

@@ -1,6 +1,13 @@
 package core
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
 
 func TestMatrix(t *testing.T) {
 	entries := twinMatrix()
@@ -115,5 +122,65 @@ func TestReportCheck(t *testing.T) {
 	r.MeanBucketMAE = 15.1
 	if r.Check() {
 		t.Error("bucket MAE over the gate should fail")
+	}
+}
+
+// TestTwinBenchOneMethod: the speed record times nine fresh base
+// simulations whatever the session's cache holds. BENCH_twin.json comes
+// from a cold session, which executes the whole matrix; a session that
+// has executed nothing (the state of a fully cache-warm run) gives a
+// record with the same fields. Each record is the median of nine
+// samples, between their min and max. No wall-clock bound.
+func TestTwinBenchOneMethod(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times nine simulations")
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_twin.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Bench json.RawMessage }
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewSession(ScaleSmall)
+	defer fresh.Close()
+	if n := fresh.Metrics().Executed; n != 0 {
+		t.Fatalf("fresh session executed %d jobs", n)
+	}
+	rep := &twinReport{Entries: []twinEntryResult{{TwinNS: 5000}, {TwinNS: 7000}}}
+	b, err := fresh.twinBenchFrom(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.TwinNSPerConfig != 6000 || b.Speedup != float64(b.SimNSPerConfig)/6000 {
+		t.Errorf("twin %d ns, speedup %v; want 6000 ns and median/6000", b.TwinNSPerConfig, b.Speedup)
+	}
+	timed, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields []string
+	for _, rec := range [][]byte{doc.Bench, timed} {
+		var r twinBench
+		var m map[string]any
+		if err := json.Unmarshal(rec, &r); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(rec, &m); err != nil {
+			t.Fatal(err)
+		}
+		if r.SimRuns != 9 || r.SimNSMin <= 0 || r.SimNSMin > r.SimNSPerConfig || r.SimNSPerConfig > r.SimNSMax {
+			t.Errorf("%s: want 9 runs and 0 < min <= median <= max", rec)
+		}
+		var keys []string
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		fields = append(fields, strings.Join(keys, ","))
+	}
+	if fields[0] != fields[1] {
+		t.Errorf("record fields: BENCH_twin.json %s, fresh session %s", fields[0], fields[1])
 	}
 }

@@ -684,3 +684,203 @@ func TestBarrierWaitsForLastArrival(t *testing.T) {
 		})
 	}
 }
+
+// TestWCUnlockWaitsForDrainAndAcks: under WC an unlock is a
+// synchronization access. The processor stalls until every earlier write
+// has retired and every invalidation ack has arrived, and then until the
+// release store itself retires. Process 0 computes to cycle 100 and takes
+// a lock homed on its own node (WC fences an empty buffer at once): a
+// local ownership miss of SecCheckWrite 2 + BusHold 4 + MemHold 6 +
+// WriteGrant 6 = 18 cycles after the issue cycle. It may then write a
+// line homed on node 1, which enters the write buffer at cycle 120, before
+// it unlocks. The release store is an owned hit, SecCheckWrite (2 cycles)
+// after the fence lifts. With no write the fence lifts when the unlock
+// issues. The write's request reaches the home's directory 35 cycles
+// after it enters the buffer (SecCheckWrite, BusHold, a hop of NIHold 4 +
+// Wire 15 + NIHold 4 = 23, MemHold). If nobody shares the line, ownership
+// comes back a hop and WriteGrant later, 64 cycles after entry (Table 1).
+// If process 2 shares it, the home also sends it an invalidation, whose
+// ack reaches process 0 a hop, InvalApply 4 and a hop later, 85 cycles
+// after entry; the fence waits for that ack.
+func TestWCUnlockWaitsForDrainAndAcks(t *testing.T) {
+	lat := config.Default().Lat
+	check := sim.Time(lat.SecCheckWrite)
+	own := check + sim.Time(lat.BusHold+lat.MemHold+lat.WriteGrant)
+	hop := sim.Time(2*lat.NIHold + lat.Wire)
+	atHome := check + sim.Time(lat.BusHold) + hop + sim.Time(lat.MemHold)
+	grant := atHome + hop + sim.Time(lat.WriteGrant)
+	ack := atHome + hop + sim.Time(lat.InvalApply) + hop
+	var x mem.Addr
+	var lk *msync.Lock
+	program := func(write, shared bool) *machine.Result {
+		return run(t, 3, &app{
+			cfg: func(c *config.Config) { c.Model = config.WC },
+			setup: func(m *machine.Machine) {
+				// One line into its page, x does not evict the lock line
+				// from the secondary cache.
+				x = m.AllocOnNode(2*mem.LineSize, 1) + mem.LineSize
+				lk = m.NewLockOnNode(0)
+			},
+			worker: func(e *cpu.Env, pid int) {
+				switch {
+				case pid == 2 && shared:
+					e.Read(x)
+				case pid == 0:
+					e.Compute(100)
+					e.Lock(lk)
+					if write {
+						e.Write(x)
+					}
+					e.Unlock(lk)
+					e.Compute(5)
+				}
+			},
+		})
+	}
+	entry := 100 + 1 + own + 1 // the write enters the buffer; so does an unlock with no write
+	checkBuckets(t, program(false, false), entry+check+5, map[stats.Bucket]sim.Time{
+		stats.Busy:      107,
+		stats.SyncStall: own + check,
+	})
+	checkBuckets(t, program(true, false), entry+grant+check+5, map[stats.Bucket]sim.Time{
+		stats.Busy:      108,
+		stats.SyncStall: own + grant - 1 + check,
+	})
+	checkBuckets(t, program(true, true), entry+ack+check+5, map[stats.Bucket]sim.Time{
+		stats.Busy:      108,
+		stats.SyncStall: own + ack - 1 + check,
+	})
+}
+
+// TestPrimaryPortLockout: a primary-cache fill holds the primary port for
+// its last FillPrim (6) cycles, and a read issued meanwhile waits for the
+// port. Each program below issues a read 3 cycles before the port frees,
+// so the lockout is 3 cycles, and its bucket names the fill's owner.
+//
+// A prefetch's fill: process 0 prefetches a line homed on node 1. The
+// issue is PrefetchIssueCycles (2) of overhead; the buffer checks the
+// secondary (SecCheckWrite 2) and sends the request, which crosses the bus
+// (BusHold 4), a hop (NIHold 4 + Wire 15 + NIHold 4 = 23), the home
+// (MemHold 6) and a hop back and fills the secondary (FillSec 2): the port
+// is held from cycle 62 to 68. Computing to 65, the read of that line
+// waits 3 cycles of prefetch overhead, then hits the primary.
+//
+// Another context's fill: processor 0 runs process 0 and process 2 as two
+// contexts. Process 0 misses on a line homed on node 1 at cycle 1: a
+// remote read of 72 cycles (Table 1), so its fill holds the port from 66
+// to 72. The processor switches to process 2 (SwitchPenalty 4), whose read
+// of a line homed on node 0 misses too (26 cycles, Table 1) and leaves the
+// processor idle from 6 to 31. Computing to 69, process 2 reads that line
+// again: 3 cycles of no-switch idle, then a primary hit. Process 2 ends at
+// 78 and the processor switches back to process 0, whose read is done.
+//
+// The context's own lock line, on one context: under RC process 0 takes a
+// lock homed on its own node (18 cycles, as in
+// TestRCUnlockWaitsForDrainAndAcks), writes a line homed on node 1 (it
+// enters the buffer at 120 and retires 64 cycles later) and unlocks; the
+// release retires behind the write, after its ownership check
+// (SecCheckWrite 2, the lock line is dirty). Meanwhile process 0 locks
+// again: the lock is still held, so it refetches the lock line from its
+// secondary (SecLookup 7, then FillPrim 6 holding the port) and waits. The
+// retired release hands it the lock after one more ownership check, at
+// 188, and its read of another line homed on node 1 issues while the
+// refetch still holds the port: 3 cycles of read stall, then a remote
+// miss.
+func TestPrimaryPortLockout(t *testing.T) {
+	def := config.Default()
+	lat := def.Lat
+	pen := sim.Time(def.SwitchPenalty)
+	check := sim.Time(lat.SecCheckWrite)
+	fill := sim.Time(lat.FillPrim)
+	hop := sim.Time(2*lat.NIHold + lat.Wire)
+	local := 1 + sim.Time(lat.SecLookup+lat.BusHold+lat.MemHold+lat.FillSec) + fill
+	remote := local + 2*hop
+	const lockout = 3
+
+	var a, b, x, y mem.Addr
+	pfHeld := sim.Time(def.PrefetchIssueCycles) + check + sim.Time(lat.BusHold+lat.MemHold+lat.FillSec) + 2*hop
+	res := run(t, 2, &app{
+		setup: func(m *machine.Machine) { a = m.AllocOnNode(mem.LineSize, 1) },
+		worker: func(e *cpu.Env, pid int) {
+			if pid != 0 {
+				return
+			}
+			e.Prefetch(a)
+			e.Compute(int(pfHeld+fill-lockout) - def.PrefetchIssueCycles)
+			e.Read(a)
+			e.Compute(5)
+		},
+	})
+	checkBuckets(t, res, pfHeld+fill+1+5, map[stats.Bucket]sim.Time{
+		stats.Busy:             pfHeld + fill - lockout - sim.Time(def.PrefetchIssueCycles) + 1 + 5,
+		stats.PrefetchOverhead: sim.Time(def.PrefetchIssueCycles) + lockout,
+	})
+	if st := res.Procs[0]; st.ReadPrimaryHit != 1 || st.Prefetches != 1 || st.PrefetchUseless != 0 {
+		t.Errorf("prefetch: ReadPrimaryHit %d, Prefetches %d, PrefetchUseless %d; want 1, 1 and 0",
+			st.ReadPrimaryHit, st.Prefetches, st.PrefetchUseless)
+	}
+
+	res = run(t, 2, &app{
+		cfg: func(c *config.Config) { c.Contexts = 2 },
+		setup: func(m *machine.Machine) {
+			a = m.AllocOnNode(mem.LineSize, 1)
+			// One line into its page, b does not share a cache set with a.
+			b = m.AllocOnNode(2*mem.LineSize, 0) + mem.LineSize
+		},
+		worker: func(e *cpu.Env, pid int) {
+			switch pid {
+			case 0:
+				e.Read(a)
+				e.Compute(5)
+			case 2:
+				e.Read(b)
+				e.Compute(int(remote - lockout - (1 + pen + local)))
+				e.Read(b)
+				e.Compute(5)
+			}
+		},
+	})
+	checkBuckets(t, res, remote+1+5+pen+5, map[stats.Bucket]sim.Time{
+		stats.Busy:         1 + 1 + (remote - lockout - (1 + pen + local)) + 1 + 5 + 5,
+		stats.Switching:    2 * pen,
+		stats.AllIdle:      local - 1,
+		stats.NoSwitchIdle: lockout,
+	})
+	if st := res.Procs[0]; st.ReadMisses != 2 || st.ReadPrimaryHit != 1 {
+		t.Errorf("two contexts: ReadMisses %d, ReadPrimaryHit %d; want 2 and 1", st.ReadMisses, st.ReadPrimaryHit)
+	}
+
+	own := check + sim.Time(lat.BusHold+lat.MemHold+lat.WriteGrant)
+	grant := check + sim.Time(lat.BusHold) + hop + sim.Time(lat.MemHold) + hop + sim.Time(lat.WriteGrant)
+	entry := 100 + 1 + own + 1 // the write enters the buffer
+	granted := entry + grant + 2*check
+	relock := granted + lockout - fill - sim.Time(lat.SecLookup) - 1 // the second Lock's issue cycle
+	var lk *msync.Lock
+	res = run(t, 2, &app{
+		cfg: func(c *config.Config) { c.Model = config.RC },
+		setup: func(m *machine.Machine) {
+			// x and y do not share a cache set with the lock line.
+			base := m.AllocOnNode(3*mem.LineSize, 1)
+			x, y = base+mem.LineSize, base+2*mem.LineSize
+			lk = m.NewLockOnNode(0)
+		},
+		worker: func(e *cpu.Env, pid int) {
+			if pid != 0 {
+				return
+			}
+			e.Compute(100)
+			e.Lock(lk)
+			e.Write(x)
+			e.Unlock(lk)
+			e.Compute(int(relock - (entry + 1)))
+			e.Lock(lk)
+			e.Read(y)
+			e.Compute(5)
+		},
+	})
+	checkBuckets(t, res, granted+lockout+remote+5, map[stats.Bucket]sim.Time{
+		stats.Busy:      100 + 1 + 1 + 1 + (relock - (entry + 1)) + 1 + 1 + 5,
+		stats.SyncStall: own + granted - (relock + 1),
+		stats.ReadStall: lockout + remote - 1,
+	})
+}

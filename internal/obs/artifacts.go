@@ -18,11 +18,11 @@ func (rep *Report) WriteArtifacts(dir, name string) (reportPath, tracePath strin
 	}
 	name = SanitizeName(name)
 	reportPath = filepath.Join(dir, name+".report.json")
-	b, err := json.MarshalIndent(rep, "", " ")
+	b, err := EncodeReport(rep)
 	if err != nil {
-		return "", "", fmt.Errorf("obs: encoding report: %w", err)
+		return "", "", err
 	}
-	if err := os.WriteFile(reportPath, append(b, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(reportPath, b, 0o644); err != nil {
 		return "", "", fmt.Errorf("obs: %w", err)
 	}
 	tracePath = filepath.Join(dir, name+".trace.json")
@@ -37,29 +37,48 @@ func (rep *Report) WriteArtifacts(dir, name string) (reportPath, tracePath strin
 	return reportPath, tracePath, nil
 }
 
+// EncodeReport returns a report's file format: indented JSON and a
+// newline. WriteArtifacts writes it, and so do obsdiff's baselines.
+func EncodeReport(rep *Report) ([]byte, error) {
+	b, err := json.MarshalIndent(rep, "", " ")
+	if err != nil {
+		return nil, fmt.Errorf("obs: encoding report: %w", err)
+	}
+	return append(b, '\n'), nil
+}
+
 // ReadReport loads a report written by WriteArtifacts (or any JSON
-// encoding of a Report), for re-rendering without re-simulating. A file
-// stamped with a schema version newer than this binary understands is
-// refused outright — decoding it would silently drop the fields the
-// newer writer cared about.
+// encoding of a Report), for re-rendering without re-simulating.
 func ReadReport(path string) (*Report, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("obs: %w", err)
 	}
+	rep, err := DecodeReport(b)
+	if err != nil {
+		return nil, fmt.Errorf("obs: %s: %w", path, err)
+	}
+	return rep, nil
+}
+
+// DecodeReport decodes a report file's bytes. A report stamped with a
+// schema version newer than this binary understands is refused outright
+// — decoding it would silently drop the fields the newer writer cared
+// about.
+func DecodeReport(b []byte) (*Report, error) {
 	var ver struct {
 		Schema int `json:"schema_version"`
 	}
 	if err := json.Unmarshal(b, &ver); err != nil {
-		return nil, fmt.Errorf("obs: decoding %s: %w", path, err)
+		return nil, fmt.Errorf("decoding: %w", err)
 	}
 	if ver.Schema > ReportSchema {
-		return nil, fmt.Errorf("obs: %s has schema version %d, but this binary supports schema versions 0 (pre-v4) through %d — re-render it with the latsim build that wrote it",
-			path, ver.Schema, ReportSchema)
+		return nil, fmt.Errorf("schema version %d, but this binary supports schema versions 0 (pre-v4) through %d — re-render it with the latsim build that wrote it",
+			ver.Schema, ReportSchema)
 	}
 	rep := &Report{}
 	if err := json.Unmarshal(b, rep); err != nil {
-		return nil, fmt.Errorf("obs: decoding %s: %w", path, err)
+		return nil, fmt.Errorf("decoding: %w", err)
 	}
 	return rep, nil
 }

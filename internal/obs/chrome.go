@@ -166,8 +166,8 @@ func bucketName(b uint64) string {
 	// stats.Bucket(b).String() — inlined via the report's series names to
 	// keep ordering independent of the stats package's internals.
 	names := []string{"busy", "pf_overhead", "read", "write", "sync", "switching", "no_switch", "all_idle"}
-	if int(b) < len(names) {
-		return names[int(b)]
+	if b < uint64(len(names)) {
+		return names[b]
 	}
 	return fmt.Sprintf("bucket(%d)", b)
 }

@@ -6,10 +6,11 @@
 // latency-distribution shift (an earth-mover-style distance over the
 // log2 histogram buckets plus p50/p90/p99 drift), per-processor
 // timeline divergence, directory/overflow counter deltas, critical-path
-// waterfall shifts and invalidation-accounting drift — and judges every
-// metric against configurable thresholds, producing a machine-readable
-// Diff with per-metric verdicts a CI gate can act on instead of a human
-// eyeballing two summaries.
+// waterfall shifts and invalidation-accounting drift. The judge is
+// exact: a metric that did not move is identical, and any movement at
+// all is improved or regressed by its direction, so the machine-readable
+// Diff names every metric that moved instead of a human eyeballing two
+// summaries.
 //
 // Like internal/obs the package is deterministic: comparing the same
 // two reports always serializes to identical JSON (no map ranges, no
@@ -28,7 +29,9 @@ import (
 
 // Schema versions the Diff document (stamped into every diff so
 // downstream tooling can detect format drift).
-const Schema = 1
+//
+// v2: no thresholds field and no within-tolerance verdict.
+const Schema = 2
 
 // Verdict classifies one metric's movement between base and new.
 type Verdict string
@@ -36,11 +39,9 @@ type Verdict string
 const (
 	// Identical: the metric did not move at all.
 	Identical Verdict = "identical"
-	// WithinTolerance: it moved, but within the configured threshold.
-	WithinTolerance Verdict = "within-tolerance"
-	// Improved: it moved past the threshold in the cheaper direction.
+	// Improved: it moved in the cheaper direction.
 	Improved Verdict = "improved"
-	// Regressed: it moved past the threshold in the costlier direction.
+	// Regressed: it moved in the costlier direction.
 	Regressed Verdict = "regressed"
 )
 
@@ -49,10 +50,8 @@ const (
 func severity(v Verdict) int {
 	switch v {
 	case Regressed:
-		return 3
-	case Improved:
 		return 2
-	case WithinTolerance:
+	case Improved:
 		return 1
 	}
 	return 0
@@ -66,62 +65,17 @@ func worse(a, b Verdict) Verdict {
 	return a
 }
 
-// Thresholds configure how far a metric may move before its verdict
-// leaves within-tolerance. The zero value is maximally strict: any
-// movement at all becomes regressed/improved — the right setting when
-// two runs of the same configuration must be bit-identical. Default()
-// gives the CI perf-gate's tolerances.
-type Thresholds struct {
-	// ElapsedPct bounds the relative drift of the end-to-end cycle
-	// count, in percent.
-	ElapsedPct float64 `json:"elapsed_pct"`
-	// CounterPct bounds the relative drift of scalar counters
-	// (directory transactions, mesh hops, switches, kernel events) and
-	// of per-bucket cycle totals, in percent.
-	CounterPct float64 `json:"counter_pct"`
-	// BucketPoints is the minimum normalized-points shift (share of
-	// elapsed, x100) a bucket must show before its relative drift
-	// counts: it keeps a 3-cycle wiggle of a near-empty bucket from
-	// tripping the percentage gate.
-	BucketPoints float64 `json:"bucket_points"`
-	// QuantilePct bounds the relative drift of histogram statistics
-	// (count, mean, p50/p90/p99), in percent.
-	QuantilePct float64 `json:"quantile_pct"`
-	// ShiftBuckets bounds the earth-mover distance between two latency
-	// distributions, in log2-bucket widths (1.0 = the whole mass moved
-	// one power of two).
-	ShiftBuckets float64 `json:"shift_buckets"`
-	// DivergencePts bounds the per-processor timeline divergence: half
-	// the L1 distance between the two bucket-share vectors of a
-	// processor's timeline, in points (0 = identical mix, 100 =
-	// disjoint).
-	DivergencePts float64 `json:"divergence_pts"`
-}
-
-// Default returns the perf-gate thresholds: tight enough to catch a
-// real latency-waterfall shift, loose enough to ignore sampling jitter
-// when comparing runs of slightly different configurations.
-func Default() Thresholds {
-	return Thresholds{
-		ElapsedPct:    0.5,
-		CounterPct:    1.0,
-		BucketPoints:  0.1,
-		QuantilePct:   2.0,
-		ShiftBuckets:  0.25,
-		DivergencePts: 1.0,
-	}
-}
-
 // Metric is one scalar comparison. Pct is the relative change against
 // base in percent; when base is zero and new is not, it is +/-100 by
-// convention (the direction still carries the verdict).
+// convention (the direction still carries the verdict). Verdict is empty
+// only for a processor count that moved, which is noted, not judged.
 type Metric struct {
 	Name    string  `json:"name"`
 	Base    float64 `json:"base"`
 	New     float64 `json:"new"`
 	Delta   float64 `json:"delta"`
 	Pct     float64 `json:"pct"`
-	Verdict Verdict `json:"verdict"`
+	Verdict Verdict `json:"verdict,omitempty"`
 }
 
 // BucketDelta compares one execution-time bucket: absolute cycles and
@@ -177,8 +131,8 @@ type TimelineDiff struct {
 
 // StallDelta compares one stall bucket of the critical-path waterfall:
 // total attributed stall cycles plus the dominant latency source on
-// each side (a dominance flip is worth a look even when the cycle
-// delta is tolerable, so it is carried explicitly).
+// each side (a dominance flip is worth a look even when the cycles did
+// not move, so it is carried explicitly, and noted at equal cycles).
 type StallDelta struct {
 	Bucket       string  `json:"bucket"`
 	Base         uint64  `json:"base"`
@@ -204,13 +158,13 @@ type InvalDelta struct {
 
 // Diff is the machine-readable comparison of two reports. Verdict is
 // the most severe per-metric verdict; Regressions names every metric
-// that regressed (the CI gate's failure message and the obsdiff exit
-// status both come from it).
+// that regressed (the obsdiff exit status comes from it). Notes carry
+// what moved without a cost direction: a processor-count change (Procs
+// then has no verdict) and a dominant-source flip at equal stall cycles.
 type Diff struct {
-	Schema     int        `json:"schema_version"`
-	BaseLabel  string     `json:"base,omitempty"`
-	NewLabel   string     `json:"new,omitempty"`
-	Thresholds Thresholds `json:"thresholds"`
+	Schema    int    `json:"schema_version"`
+	BaseLabel string `json:"base,omitempty"`
+	NewLabel  string `json:"new,omitempty"`
 
 	Elapsed  Metric        `json:"elapsed"`
 	Procs    Metric        `json:"procs"`
@@ -226,9 +180,8 @@ type Diff struct {
 	Notes       []string `json:"notes,omitempty"`
 }
 
-// scalar builds a Metric for a higher-is-costlier scalar under the
-// given relative tolerance (percent).
-func scalar(name string, base, cur, tolPct float64) Metric {
+// scalar builds a Metric for a higher-is-costlier scalar.
+func scalar(name string, base, cur float64) Metric {
 	m := Metric{Name: name, Base: base, New: cur, Delta: cur - base}
 	switch {
 	case m.Delta == 0:
@@ -241,44 +194,40 @@ func scalar(name string, base, cur, tolPct float64) Metric {
 	default:
 		m.Pct = -100
 	}
-	switch {
-	case math.Abs(m.Pct) <= tolPct:
-		m.Verdict = WithinTolerance
-	case m.Delta > 0:
+	m.Verdict = Improved
+	if m.Delta > 0 {
 		m.Verdict = Regressed
-	default:
-		m.Verdict = Improved
 	}
 	return m
 }
 
-// Compare diffs cur against base under the thresholds. Either report
-// nil yields a nil Diff (the caller decides what an absent side means).
-func Compare(base, cur *obs.Report, th Thresholds) *Diff {
+// Compare diffs cur against base. Either report nil yields a nil Diff
+// (the caller decides what an absent side means).
+func Compare(base, cur *obs.Report) *Diff {
 	if base == nil || cur == nil {
 		return nil
 	}
-	d := &Diff{Schema: Schema, Thresholds: th, Verdict: Identical}
+	d := &Diff{Schema: Schema, Verdict: Identical}
 
-	d.Elapsed = scalar("elapsed", float64(base.Elapsed), float64(cur.Elapsed), th.ElapsedPct)
+	d.Elapsed = scalar("elapsed", float64(base.Elapsed), float64(cur.Elapsed))
 	d.fold(d.Elapsed.Verdict, "elapsed")
 
 	// Processor-count drift is informational: a cross-configuration
 	// comparison legitimately changes it, and every cost it causes
-	// shows up in the judged metrics.
-	d.Procs = scalar("procs", float64(base.Procs), float64(cur.Procs), 0)
+	// shows up in the judged metrics. So it is a note, not a verdict.
+	d.Procs = scalar("procs", float64(base.Procs), float64(cur.Procs))
 	if d.Procs.Verdict != Identical {
-		d.Procs.Verdict = WithinTolerance
+		d.Procs.Verdict = ""
 		d.note("processor counts differ (%d vs %d); per-processor timelines not compared", base.Procs, cur.Procs)
 	}
 
-	d.compareBuckets(base, cur, th)
-	d.compareCounters(base, cur, th)
-	d.compareHists(base, cur, th)
+	d.compareBuckets(base, cur)
+	d.compareCounters(base, cur)
+	d.compareHists(base, cur)
 	if base.Procs == cur.Procs {
-		d.compareTimelines(base, cur, th)
+		d.compareTimelines(base, cur)
 	}
-	d.compareWaterfalls(base, cur, th)
+	d.compareWaterfalls(base, cur)
 	return d
 }
 
@@ -338,10 +287,9 @@ func points(cycles uint64, rep *obs.Report) float64 {
 	return 100 * float64(cycles) / float64(total)
 }
 
-// compareBuckets diffs the execution-time bucket totals: absolute
-// cycles under CounterPct, gated by a BucketPoints floor on the
-// normalized shift so a near-empty bucket cannot trip the gate.
-func (d *Diff) compareBuckets(base, cur *obs.Report, th Thresholds) {
+// compareBuckets diffs the execution-time bucket totals, in absolute
+// cycles and in normalized points.
+func (d *Diff) compareBuckets(base, cur *obs.Report) {
 	names, b, c := seriesTotals(base.BucketCycles, cur.BucketCycles)
 	for _, name := range names {
 		bd := BucketDelta{
@@ -353,14 +301,9 @@ func (d *Diff) compareBuckets(base, cur *obs.Report, th Thresholds) {
 			NewPoints:  points(c[name], cur),
 		}
 		bd.DeltaPoints = bd.NewPoints - bd.BasePoints
-		m := scalar("bucket/"+name, float64(bd.Base), float64(bd.New), th.CounterPct)
+		m := scalar("bucket/"+name, float64(bd.Base), float64(bd.New))
 		bd.Pct = m.Pct
 		bd.Verdict = m.Verdict
-		// Relative drift on a sliver of the run is noise, not a shift.
-		if (bd.Verdict == Regressed || bd.Verdict == Improved) &&
-			math.Abs(bd.DeltaPoints) <= th.BucketPoints {
-			bd.Verdict = WithinTolerance
-		}
 		d.Buckets = append(d.Buckets, bd)
 		d.fold(bd.Verdict, "bucket/"+name)
 	}
@@ -370,19 +313,19 @@ func (d *Diff) compareBuckets(base, cur *obs.Report, th Thresholds) {
 // transactions by kind, mesh hops, context switches, kernel events,
 // peak write-buffer depth, and (when both sides sampled at the same
 // stride) sampled span counts.
-func (d *Diff) compareCounters(base, cur *obs.Report, th Thresholds) {
+func (d *Diff) compareCounters(base, cur *obs.Report) {
 	add := func(m Metric) {
 		d.Counters = append(d.Counters, m)
 		d.fold(m.Verdict, m.Name)
 	}
 	names, b, c := seriesTotals(base.DirTxns, cur.DirTxns)
 	for _, name := range names {
-		add(scalar("dir/"+name, float64(b[name]), float64(c[name]), th.CounterPct))
+		add(scalar("dir/"+name, float64(b[name]), float64(c[name])))
 	}
-	add(scalar("mesh_hops", float64(sum(base.MeshHops)), float64(sum(cur.MeshHops)), th.CounterPct))
-	add(scalar("switches", float64(base.SwitchTotal()), float64(cur.SwitchTotal()), th.CounterPct))
-	add(scalar("kernel_events", float64(sum(base.KernelEvents)), float64(sum(cur.KernelEvents)), th.CounterPct))
-	add(scalar("wb_depth_peak", float64(peak(base.WBDepthMax)), float64(peak(cur.WBDepthMax)), th.CounterPct))
+	add(scalar("mesh_hops", float64(sum(base.MeshHops)), float64(sum(cur.MeshHops))))
+	add(scalar("switches", float64(base.SwitchTotal()), float64(cur.SwitchTotal())))
+	add(scalar("kernel_events", float64(sum(base.KernelEvents)), float64(sum(cur.KernelEvents))))
+	add(scalar("wb_depth_peak", float64(peak(base.WBDepthMax)), float64(peak(cur.WBDepthMax))))
 	switch {
 	case base.Spans == nil || cur.Spans == nil:
 		// Span sampling off on a side: nothing to compare.
@@ -390,7 +333,7 @@ func (d *Diff) compareCounters(base, cur *obs.Report, th Thresholds) {
 		d.note("span sample strides differ (1/%d vs 1/%d); sampled span counts not compared",
 			base.Spans.Every, cur.Spans.Every)
 	default:
-		add(scalar("spans_sampled", float64(base.Spans.Sampled), float64(cur.Spans.Sampled), th.CounterPct))
+		add(scalar("spans_sampled", float64(base.Spans.Sampled), float64(cur.Spans.Sampled)))
 	}
 }
 
@@ -406,7 +349,7 @@ func peak(vs []uint32) uint64 {
 
 // compareHists diffs every operation-latency histogram present on
 // either side, in base order with cur-only names appended sorted.
-func (d *Diff) compareHists(base, cur *obs.Report, th Thresholds) {
+func (d *Diff) compareHists(base, cur *obs.Report) {
 	var names []string
 	seen := map[string]bool{}
 	for i := range base.Hists {
@@ -423,7 +366,7 @@ func (d *Diff) compareHists(base, cur *obs.Report, th Thresholds) {
 	sort.Strings(extra)
 	for _, name := range append(names, extra...) {
 		hb, hc := base.Hist(name), cur.Hist(name)
-		hd := compareHist(name, hb, hc, th)
+		hd := compareHist(name, hb, hc)
 		d.Hists = append(d.Hists, hd)
 		d.fold(hd.Verdict, "hist/"+name)
 	}
@@ -432,7 +375,7 @@ func (d *Diff) compareHists(base, cur *obs.Report, th Thresholds) {
 // compareHist judges one histogram pair. A side with no observations is
 // represented by the zero Hist, so appearance/disappearance flows
 // through the count metric.
-func compareHist(name string, hb, hc *obs.Hist, th Thresholds) HistDelta {
+func compareHist(name string, hb, hc *obs.Hist) HistDelta {
 	var zero obs.Hist
 	hd := HistDelta{Name: name, Verdict: Identical}
 	switch {
@@ -446,11 +389,11 @@ func compareHist(name string, hb, hc *obs.Hist, th Thresholds) HistDelta {
 		hd.Note = "only in base report"
 	}
 	hd.Stats = []Metric{
-		scalar("count", float64(hb.Count), float64(hc.Count), th.QuantilePct),
-		scalar("mean", hb.Mean(), hc.Mean(), th.QuantilePct),
-		scalar("p50", hb.Quantile(0.50), hc.Quantile(0.50), th.QuantilePct),
-		scalar("p90", hb.Quantile(0.90), hc.Quantile(0.90), th.QuantilePct),
-		scalar("p99", hb.Quantile(0.99), hc.Quantile(0.99), th.QuantilePct),
+		scalar("count", float64(hb.Count), float64(hc.Count)),
+		scalar("mean", hb.Mean(), hc.Mean()),
+		scalar("p50", hb.Quantile(0.50), hc.Quantile(0.50)),
+		scalar("p90", hb.Quantile(0.90), hc.Quantile(0.90)),
+		scalar("p99", hb.Quantile(0.99), hc.Quantile(0.99)),
 	}
 	for _, m := range hd.Stats {
 		hd.Verdict = worse(hd.Verdict, m.Verdict)
@@ -458,16 +401,13 @@ func compareHist(name string, hb, hc *obs.Hist, th Thresholds) HistDelta {
 	hd.Shift = Shift(hb, hc)
 	hd.ShiftVerdict = Identical
 	if hd.Shift > 0 {
-		hd.ShiftVerdict = WithinTolerance
-		if hd.Shift > th.ShiftBuckets {
-			// The distance itself is unsigned; the mean carries the
-			// direction. An equal-mean reshape is still a regression —
-			// the distribution materially changed under an unchanged
-			// average, which is exactly what quantile gates miss.
-			hd.ShiftVerdict = Regressed
-			if hc.Mean() < hb.Mean() {
-				hd.ShiftVerdict = Improved
-			}
+		// The distance itself is unsigned; the mean carries the
+		// direction. An equal-mean reshape is still a regression — the
+		// distribution materially changed under an unchanged average,
+		// which is exactly what quantile gates miss.
+		hd.ShiftVerdict = Regressed
+		if hc.Mean() < hb.Mean() {
+			hd.ShiftVerdict = Improved
 		}
 	}
 	hd.Verdict = worse(hd.Verdict, hd.ShiftVerdict)
@@ -497,8 +437,8 @@ func Shift(a, b *obs.Hist) float64 {
 
 // compareTimelines measures per-processor divergence between the two
 // bucket timelines. Only called with matching processor counts; absent
-// timelines (trimmed baselines, MaxSegments 0) are skipped with a note.
-func (d *Diff) compareTimelines(base, cur *obs.Report, th Thresholds) {
+// timelines (compacted baselines) are skipped with a note.
+func (d *Diff) compareTimelines(base, cur *obs.Report) {
 	if len(base.Tracks) == 0 || len(cur.Tracks) == 0 {
 		if len(base.Tracks) != len(cur.Tracks) {
 			d.note("timeline absent on one side; per-processor divergence not compared")
@@ -553,12 +493,7 @@ func (d *Diff) compareTimelines(base, cur *obs.Report, th Thresholds) {
 		return
 	}
 	td.MeanPts /= float64(td.Procs)
-	switch {
-	case td.MaxPts == 0:
-		td.Verdict = Identical
-	case td.MaxPts <= th.DivergencePts:
-		td.Verdict = WithinTolerance
-	default:
+	if td.MaxPts > 0 {
 		td.Verdict = Regressed
 	}
 	d.Timeline = td
@@ -567,7 +502,7 @@ func (d *Diff) compareTimelines(base, cur *obs.Report, th Thresholds) {
 
 // compareWaterfalls diffs the critical-path stall attribution and the
 // invalidation accounting carried on the waterfall.
-func (d *Diff) compareWaterfalls(base, cur *obs.Report, th Thresholds) {
+func (d *Diff) compareWaterfalls(base, cur *obs.Report) {
 	wb, wc := base.Waterfall, cur.Waterfall
 	if wb == nil && wc == nil {
 		return
@@ -595,7 +530,7 @@ func (d *Diff) compareWaterfalls(base, cur *obs.Report, th Thresholds) {
 	}
 	sort.Strings(extra)
 	for _, name := range append(names, extra...) {
-		m := scalar("stall/"+name, float64(b[name].stall), float64(c[name].stall), th.CounterPct)
+		m := scalar("stall/"+name, float64(b[name].stall), float64(c[name].stall))
 		sd := StallDelta{
 			Bucket:       name,
 			Base:         b[name].stall,
@@ -607,7 +542,7 @@ func (d *Diff) compareWaterfalls(base, cur *obs.Report, th Thresholds) {
 			Verdict:      m.Verdict,
 		}
 		if sd.DominantBase != sd.DominantNew && sd.Verdict == Identical {
-			sd.Verdict = WithinTolerance
+			d.note("stall/%s: dominant source %s -> %s at equal stall cycles", name, sd.DominantBase, sd.DominantNew)
 		}
 		d.Stalls = append(d.Stalls, sd)
 		d.fold(sd.Verdict, "stall/"+name)
@@ -631,9 +566,9 @@ func (d *Diff) compareWaterfalls(base, cur *obs.Report, th Thresholds) {
 		id.Note = "directory organizations differ"
 	}
 	id.Metrics = []Metric{
-		scalar("inval/sent", float64(sentB), float64(sentC), th.CounterPct),
-		scalar("inval/spurious", float64(spurB), float64(spurC), th.CounterPct),
-		scalar("inval/overflows", float64(ovfB), float64(ovfC), th.CounterPct),
+		scalar("inval/sent", float64(sentB), float64(sentC)),
+		scalar("inval/spurious", float64(spurB), float64(spurC)),
+		scalar("inval/overflows", float64(ovfB), float64(ovfC)),
 	}
 	for _, m := range id.Metrics {
 		id.Verdict = worse(id.Verdict, m.Verdict)

@@ -2,17 +2,14 @@ package diff
 
 import (
 	"fmt"
-	"html"
 	"io"
 	"strings"
 )
 
-// This file renders a finished Diff for humans: a fixed-width text
-// digest (the obsdiff default and the CI gate's log output) and a
-// self-contained HTML page (no assets, no external scripts — it must
-// survive as a build artifact opened from disk). Both work from the
-// Diff alone, so cached or archived comparisons re-render without the
-// reports that produced them.
+// This file renders a finished Diff for humans as a fixed-width text
+// digest (obsdiff's default output, and what the baseline test prints
+// to explain a mismatch). It works from the Diff alone, so archived
+// comparisons re-render without the reports that produced them.
 
 // Render prints the text digest. Nil-safe: a nil Diff (an absent
 // comparison side) prints a single explanatory line.
@@ -97,167 +94,3 @@ func (d *Diff) Render(w io.Writer) {
 		}
 	}
 }
-
-// WriteHTML writes the self-contained HTML page for one or more diffs
-// (the gate emits one page covering the whole baseline matrix).
-// Nil diffs in the list are skipped. Nil-safe on the receiver-less
-// function: an empty list still produces a valid page.
-func WriteHTML(w io.Writer, title string, diffs []*Diff) error {
-	esc := html.EscapeString
-	var b strings.Builder
-	b.WriteString("<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")
-	fmt.Fprintf(&b, "<title>%s</title>\n", esc(title))
-	b.WriteString(htmlStyle)
-	b.WriteString("</head>\n<body>\n")
-	fmt.Fprintf(&b, "<h1>%s</h1>\n", esc(title))
-
-	worst := Identical
-	var regressed []string
-	n := 0
-	for _, d := range diffs {
-		if d == nil {
-			continue
-		}
-		n++
-		worst = worse(worst, d.Verdict)
-		if d.Verdict == Regressed {
-			regressed = append(regressed, d.BaseLabel+" vs "+d.NewLabel)
-		}
-	}
-	fmt.Fprintf(&b, "<p class=\"headline v-%s\">%d comparison(s) — overall <b>%s</b></p>\n",
-		worst, n, esc(string(worst)))
-	if len(regressed) > 0 {
-		fmt.Fprintf(&b, "<p class=\"v-regressed\">regressed: %s</p>\n", esc(strings.Join(regressed, ", ")))
-	}
-
-	for _, d := range diffs {
-		if d == nil {
-			continue
-		}
-		d.writeHTMLSection(&b)
-	}
-	b.WriteString("</body>\n</html>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func vcell(v Verdict) string {
-	return fmt.Sprintf("<td class=\"v-%s\">%s</td>", v, v)
-}
-
-func (d *Diff) writeHTMLSection(b *strings.Builder) {
-	esc := html.EscapeString
-	label := esc(d.BaseLabel) + " vs " + esc(d.NewLabel)
-	fmt.Fprintf(b, "<section>\n<h2 class=\"v-%s\">%s — %s</h2>\n", d.Verdict, label, d.Verdict)
-	if len(d.Regressions) > 0 {
-		fmt.Fprintf(b, "<p class=\"v-regressed\">regressed: %s</p>\n", esc(strings.Join(d.Regressions, ", ")))
-	}
-	for _, n := range d.Notes {
-		fmt.Fprintf(b, "<p class=\"note\">%s</p>\n", esc(n))
-	}
-
-	fmt.Fprintf(b, "<table><thead><tr><th>metric</th><th>base</th><th>new</th><th>&Delta;%%</th><th>verdict</th></tr></thead><tbody>\n")
-	fmt.Fprintf(b, "<tr><td>elapsed</td><td>%.0f</td><td>%.0f</td><td>%+.2f</td>%s</tr>\n",
-		d.Elapsed.Base, d.Elapsed.New, d.Elapsed.Pct, vcell(d.Elapsed.Verdict))
-	for _, m := range d.Counters {
-		fmt.Fprintf(b, "<tr><td>%s</td><td>%.0f</td><td>%.0f</td><td>%+.2f</td>%s</tr>\n",
-			esc(m.Name), m.Base, m.New, m.Pct, vcell(m.Verdict))
-	}
-	b.WriteString("</tbody></table>\n")
-
-	if len(d.Buckets) > 0 {
-		b.WriteString("<h3>execution-time buckets</h3>\n<table><thead><tr><th>bucket</th><th>base</th><th>new</th><th>&Delta;%</th><th>share (base &rarr; new)</th><th>&Delta;pts</th><th>verdict</th></tr></thead><tbody>\n")
-		for _, bd := range d.Buckets {
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%+.2f</td>"+
-				"<td><div class=\"bar\"><i style=\"width:%.1f%%\"></i></div>"+
-				"<div class=\"bar new\"><i style=\"width:%.1f%%\"></i></div></td><td>%+.2f</td>%s</tr>\n",
-				esc(bd.Bucket), bd.Base, bd.New, bd.Pct,
-				min100(bd.BasePoints), min100(bd.NewPoints), bd.DeltaPoints, vcell(bd.Verdict))
-		}
-		b.WriteString("</tbody></table>\n")
-	}
-
-	if len(d.Hists) > 0 {
-		b.WriteString("<h3>latency histograms</h3>\n<table><thead><tr><th>histogram</th><th>stat</th><th>base</th><th>new</th><th>&Delta;%</th><th>verdict</th></tr></thead><tbody>\n")
-		for _, h := range d.Hists {
-			name := esc(h.Name)
-			if h.Note != "" {
-				name += " <span class=\"note\">(" + esc(h.Note) + ")</span>"
-			}
-			for i, m := range h.Stats {
-				cell := ""
-				if i == 0 {
-					cell = name
-				}
-				fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td>%.1f</td><td>%.1f</td><td>%+.2f</td>%s</tr>\n",
-					cell, esc(m.Name), m.Base, m.New, m.Pct, vcell(m.Verdict))
-			}
-			fmt.Fprintf(b, "<tr><td></td><td>shift</td><td colspan=\"2\">%.3f log2-bucket widths</td><td></td>%s</tr>\n",
-				h.Shift, vcell(h.ShiftVerdict))
-		}
-		b.WriteString("</tbody></table>\n")
-	}
-
-	if d.Timeline != nil {
-		fmt.Fprintf(b, "<h3>timeline divergence</h3>\n<p class=\"v-%s\">mean %.2f pts, max %.2f pts (proc %d) over %d procs — %s</p>\n",
-			d.Timeline.Verdict, d.Timeline.MeanPts, d.Timeline.MaxPts,
-			d.Timeline.WorstProc, d.Timeline.Procs, d.Timeline.Verdict)
-	}
-
-	if len(d.Stalls) > 0 {
-		b.WriteString("<h3>critical-path waterfall</h3>\n<table><thead><tr><th>stall bucket</th><th>base</th><th>new</th><th>&Delta;%</th><th>dominant</th><th>verdict</th></tr></thead><tbody>\n")
-		for _, s := range d.Stalls {
-			dom := esc(s.DominantBase)
-			if s.DominantNew != s.DominantBase {
-				dom = esc(s.DominantBase) + " &rarr; <b>" + esc(s.DominantNew) + "</b>"
-			}
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%+.2f</td><td>%s</td>%s</tr>\n",
-				esc(s.Bucket), s.Base, s.New, s.Pct, dom, vcell(s.Verdict))
-		}
-		b.WriteString("</tbody></table>\n")
-	}
-
-	if d.Inval != nil {
-		org := esc(d.Inval.OrgBase)
-		if d.Inval.OrgNew != d.Inval.OrgBase {
-			org = esc(d.Inval.OrgBase) + " &rarr; " + esc(d.Inval.OrgNew)
-		}
-		fmt.Fprintf(b, "<h3>invalidation accounting (%s)</h3>\n<table><thead><tr><th>metric</th><th>base</th><th>new</th><th>&Delta;%%</th><th>verdict</th></tr></thead><tbody>\n", org)
-		for _, m := range d.Inval.Metrics {
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%.0f</td><td>%.0f</td><td>%+.2f</td>%s</tr>\n",
-				esc(m.Name), m.Base, m.New, m.Pct, vcell(m.Verdict))
-		}
-		b.WriteString("</tbody></table>\n")
-	}
-	b.WriteString("</section>\n")
-}
-
-func min100(v float64) float64 {
-	if v > 100 {
-		return 100
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-const htmlStyle = `<style>
-  body { font: 14px/1.5 ui-monospace, SFMono-Regular, Menlo, monospace;
-         margin: 2rem; background: #101418; color: #d6dde4; }
-  h1 { font-size: 18px; } h2 { font-size: 15px; margin: 1.5rem 0 .25rem; }
-  h3 { font-size: 13px; color: #8b98a5; margin: 1rem 0 .25rem; }
-  section { border-top: 1px solid #2a333c; padding-top: .5rem; }
-  table { border-collapse: collapse; }
-  th, td { text-align: right; padding: 2px 14px 2px 0; white-space: nowrap; }
-  th:first-child, td:first-child { text-align: left; }
-  th { color: #8b98a5; font-weight: normal; border-bottom: 1px solid #2a333c; }
-  .v-identical { color: #8b98a5; } .v-within-tolerance { color: #d6dde4; }
-  .v-improved { color: #7ee787; } .v-regressed { color: #ff7b72; }
-  .headline b { font-size: 16px; }
-  .note { color: #ffb86b; }
-  .bar { background: #2a333c; height: 5px; width: 140px; border-radius: 2px; margin: 2px 0; }
-  .bar i { display: block; background: #79c0ff; height: 5px; border-radius: 2px; }
-  .bar.new i { background: #d2a8ff; }
-</style>
-`

@@ -29,10 +29,10 @@ const DefaultInterval = 1024
 const DefaultSpanRate = 1.0 / 64
 
 // DefaultMaxSegments bounds the per-run bucket-timeline storage (summed
-// over processors) when Options.MaxSegments is zero. Beyond the cap the
-// time series and histograms keep recording; only the per-processor
-// timeline stops growing, and the report carries the dropped count so the
-// truncation is never silent.
+// over processors). Beyond the cap the time series and histograms keep
+// recording; only the per-processor timeline stops growing, and the
+// report carries the dropped count so the truncation is never silent.
+// Stored span records are capped likewise, at span.DefaultMaxRecs.
 const DefaultMaxSegments = 1 << 18
 
 // Options configure a Recorder. The zero value uses the defaults above.
@@ -41,15 +41,10 @@ const DefaultMaxSegments = 1 << 18
 type Options struct {
 	// Interval is the time-series sampling interval in cycles.
 	Interval uint64 `json:"interval,omitempty"`
-	// MaxSegments caps the stored per-processor bucket segments
-	// (0 = DefaultMaxSegments, < 0 = unlimited).
-	MaxSegments int `json:"max_segments,omitempty"`
 	// SpanRate enables transaction-level span tracing, sampling roughly
 	// this fraction of transactions (1 traces everything, 0 disables —
 	// the default). See internal/obs/span.
 	SpanRate float64 `json:"span_rate,omitempty"`
-	// MaxSpans caps stored span records (0 = span.DefaultMaxRecs).
-	MaxSpans int `json:"max_spans,omitempty"`
 }
 
 // Class identifies the operation kind of a latency observation.
@@ -131,9 +126,7 @@ type Segment [3]uint64
 // and call Finish once the run completes.
 type Recorder struct {
 	k        *sim.Kernel
-	opts     Options
 	interval uint64
-	maxSegs  int
 
 	// Per-processor bucket timeline. cursors[p] is the next unaccounted
 	// cycle of processor p: every Account call covers [cursor, cursor+d)
@@ -168,9 +161,7 @@ type Recorder struct {
 func NewRecorder(k *sim.Kernel, nprocs int, opts Options) *Recorder {
 	r := &Recorder{
 		k:        k,
-		opts:     opts,
 		interval: opts.Interval,
-		maxSegs:  opts.MaxSegments,
 		cursors:  make([]uint64, nprocs),
 		segs:     make([][]Segment, nprocs),
 		// Allocated here, not lazily in MeshHop: hook methods must not
@@ -181,10 +172,7 @@ func NewRecorder(k *sim.Kernel, nprocs int, opts Options) *Recorder {
 	if r.interval == 0 {
 		r.interval = DefaultInterval
 	}
-	if r.maxSegs == 0 {
-		r.maxSegs = DefaultMaxSegments
-	}
-	r.Spans = span.NewTracer(k, opts.SpanRate, opts.MaxSpans)
+	r.Spans = span.NewTracer(k, opts.SpanRate, span.DefaultMaxRecs)
 	return r
 }
 
@@ -254,7 +242,7 @@ func (r *Recorder) Account(proc int, b stats.Bucket, d sim.Time) {
 
 	// Append to the per-processor timeline, merging contiguous segments
 	// of the same bucket.
-	if r.maxSegs > 0 && r.nsegs >= r.maxSegs {
+	if r.nsegs >= DefaultMaxSegments {
 		r.dropped++
 		return
 	}
@@ -266,7 +254,7 @@ func (r *Recorder) Account(proc int, b stats.Bucket, d sim.Time) {
 			return
 		}
 	}
-	//hookpure:alloc per-processor timeline growth, hard-capped by maxSegs
+	//hookpure:alloc per-processor timeline growth, hard-capped by DefaultMaxSegments
 	r.segs[proc] = append(segs, Segment{uint64(b), start, dur})
 	r.nsegs++
 }

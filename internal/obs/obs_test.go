@@ -117,20 +117,30 @@ func TestAccountTilesAndSpreads(t *testing.T) {
 
 func TestSegmentCapIsNotSilent(t *testing.T) {
 	k := sim.NewKernel()
-	r := NewRecorder(k, 1, Options{MaxSegments: 2})
-	r.Account(0, stats.Busy, 10)
-	r.Account(0, stats.ReadStall, 10)
-	r.Account(0, stats.Busy, 10) // over the cap: dropped from the timeline...
-	rep := r.Finish(30)
+	r := NewRecorder(k, 1, Options{})
+	// Alternating buckets never merge, so every call is one segment, and
+	// the last, a busy one, is over the cap: dropped from the timeline...
+	for i := 0; i <= DefaultMaxSegments; i++ {
+		b := stats.Busy
+		if i%2 == 1 {
+			b = stats.ReadStall
+		}
+		r.Account(0, b, 10)
+	}
+	rep := r.Finish(10 * (DefaultMaxSegments + 1))
 	if rep.SegmentsDropped != 1 {
 		t.Errorf("dropped = %d", rep.SegmentsDropped)
 	}
-	if n := len(rep.Tracks[0].Segments); n != 2 {
+	if n := len(rep.Tracks[0].Segments); n != DefaultMaxSegments {
 		t.Errorf("segments = %d", n)
 	}
 	// ...but the time series still records the cycles.
-	if got := rep.Series(stats.Busy.String()); got[0] != 20 {
-		t.Errorf("busy cycles = %d, want 20", got[0])
+	var busy uint64
+	for _, v := range rep.Series(stats.Busy.String()) {
+		busy += v
+	}
+	if want := uint64(10 * (DefaultMaxSegments/2 + 1)); busy != want {
+		t.Errorf("busy cycles = %d, want %d", busy, want)
 	}
 }
 

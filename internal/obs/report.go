@@ -84,7 +84,7 @@ type Report struct {
 
 	// Tracks are the per-processor bucket timelines (the Chrome trace's
 	// thread tracks). SegmentsDropped counts timeline entries discarded
-	// after Options.MaxSegments was reached.
+	// after DefaultMaxSegments was reached.
 	Tracks          []Track `json:"tracks"`
 	SegmentsDropped uint64  `json:"segments_dropped,omitempty"`
 

@@ -186,7 +186,7 @@ func (t *Tracer) emit(r Rec) {
 		t.dropped++
 		return
 	}
-	//hookpure:alloc record buffer grows toward the MaxSpans cap, then emit only drops
+	//hookpure:alloc record buffer grows toward the maxRecs cap, then emit only drops
 	t.recs = append(t.recs, r)
 }
 

@@ -51,7 +51,10 @@ import (
 // always equals Scheduled now that every event is an Actor.
 //
 // v9: Job dropped the Trace field: a trace replay is not a runner job.
-const SchemaVersion = 9
+//
+// v10: obs.Options dropped MaxSegments and MaxSpans: the recorder's caps
+// are the constants obs.DefaultMaxSegments and span.DefaultMaxRecs.
+const SchemaVersion = 10
 
 // Job names one deterministic simulation: an application, a data-set
 // scale, an optional workload seed override (0 keeps the paper's seeds),

@@ -26,7 +26,7 @@ var schemaRecords = []struct {
 	fingerprint string
 	roots       []reflect.Type
 }{
-	{"runner.SchemaVersion", SchemaVersion, 9, "c7e9307d6c5b503d",
+	{"runner.SchemaVersion", SchemaVersion, 10, "34f17c3a4912152b",
 		[]reflect.Type{reflect.TypeFor[Job](), reflect.TypeFor[machine.Result]()}},
 	{"obs.ReportSchema", obs.ReportSchema, 5, "fc5e3f00b7088b4e",
 		[]reflect.Type{reflect.TypeFor[obs.Report]()}},
