@@ -235,7 +235,12 @@ func (a *App) Worker(e *cpu.Env, pid, nprocs int) {
 // prefetched (read-exclusive — it will be modified) two iterations before
 // it is moved; the space cell of the *next* particle, whose record is
 // already arriving, is determined and prefetched one iteration ahead.
+//
+// It opens the region (cpu.Env.Queue) that moveParticle's first one
+// continues. Its only native read, parts[i+1].cell, is written by the
+// particle's owner alone, which is this process.
 func (a *App) prefetchAhead(e *cpu.Env, i, hi int) {
+	e.Queue()
 	e.PFCompute(2)
 	if i+2 < hi {
 		e.PrefetchRange(a.partAddr(i+2, 0), particleBytes, true)
@@ -256,9 +261,9 @@ func (a *App) moveParticle(e *cpu.Env, i int, rng *rand.Rand) {
 	pt := &a.parts[i]
 
 	// Read the full particle record (position, velocity, energy, cell).
-	// A region (cpu.Env.Queue): no native code runs between the reads.
-	// It ends before pt's velocity is read, because a colliding process
-	// may write pt.vx.
+	// A region (cpu.Env.Queue), or the rest of prefetchAhead's: no native
+	// code runs between the reads. It ends before pt's velocity is read,
+	// because a colliding process may write pt.vx.
 	e.Queue()
 	for f := 0; f < 9; f++ {
 		e.Read(a.partAddr(i, f))
@@ -329,20 +334,29 @@ func (a *App) moveParticle(e *cpu.Env, i int, rng *rand.Rand) {
 		j := c.lastPart
 		if j != i && j >= 0 && j < len(a.parts) {
 			other := &a.parts[j]
-			// Read the partner's velocity.
+			// Read the partner's velocity. A region: no native code
+			// runs between these operations, and it ends before the
+			// swap reads the partner's velocity.
+			e.Queue()
 			for f := 3; f < 6; f++ {
 				e.Read(a.partAddr(j, f))
 			}
 			e.Compute(30)
+			e.Wait()
 			pt.vx, other.vx = other.vx, pt.vx
 			pt.energy = 0.5 * (pt.vx*pt.vx + pt.vy*pt.vy + pt.vz*pt.vz)
 			other.energy = 0.5 * (other.vx*other.vx + other.vy*other.vy + other.vz*other.vz)
 			c.collisions++
-			// Write the partner's updated velocity and energy.
+			// Write the partner's updated velocity and energy. A
+			// region: the swap above happens before it opens, no native
+			// code runs between the writes, and it ends before the cell
+			// update.
+			e.Queue()
 			for f := 3; f < 7; f++ {
 				e.Write(a.partAddr(j, f))
 			}
 			e.Write(a.cellAddr(ci, 2))
+			e.Wait()
 		}
 	}
 
@@ -364,10 +378,13 @@ func (a *App) moveParticle(e *cpu.Env, i int, rng *rand.Rand) {
 }
 
 // cellPhase updates collision statistics on this process's slice of cells.
+// It is one region (cpu.Env.Queue): between the barriers around this
+// phase no process writes a cell's count, the only shared state it reads.
 func (a *App) cellPhase(e *cpu.Env, pid, nprocs int) {
 	ncells := len(a.cells)
 	lo := pid * ncells / nprocs
 	hi := (pid + 1) * ncells / nprocs
+	e.Queue()
 	for ci := lo; ci < hi; ci++ {
 		e.Read(a.cellAddr(ci, 0))
 		e.Read(a.cellAddr(ci, 2))
@@ -376,6 +393,7 @@ func (a *App) cellPhase(e *cpu.Env, pid, nprocs int) {
 			e.Write(a.cellAddr(ci, 3))
 		}
 	}
+	e.Wait()
 }
 
 // boundaryPhase re-injects particles that left the domain in x.
@@ -398,10 +416,14 @@ func (a *App) boundaryPhase(e *cpu.Env, pid int, rng *rand.Rand, lo, hi int) {
 }
 
 // resetPhase clears per-step cell occupancy on this process's cell slice.
+// It is one region (cpu.Env.Queue): each process writes only its own
+// slice of cells, and no process reads those cells before the next
+// barrier.
 func (a *App) resetPhase(e *cpu.Env, pid, nprocs int) {
 	ncells := len(a.cells)
 	lo := pid * ncells / nprocs
 	hi := (pid + 1) * ncells / nprocs
+	e.Queue()
 	for ci := lo; ci < hi; ci++ {
 		if a.p.Prefetch && ci+4 < hi {
 			e.PFCompute(1)
@@ -413,6 +435,7 @@ func (a *App) resetPhase(e *cpu.Env, pid, nprocs int) {
 		e.Write(a.cellAddr(ci, 1))
 		e.Compute(4)
 	}
+	e.Wait()
 }
 
 // TotalEnergy returns the kinetic energy sum (physics sanity checks).

@@ -254,11 +254,13 @@ func globalStep(cycle, step int) int64 { return int64(cycle)<<32 | int64(step) }
 
 // Worker runs one process of the distributed-time simulation.
 func (a *App) Worker(e *cpu.Env, pid, nprocs int) {
+	w := &idler{a: a, e: e, pid: pid}
+	w.step = w.poll // bound once: a method value allocates
 	e.Barrier(a.bar)
 	for cyc := 0; cyc <= a.p.Cycles; cyc++ {
 		// Settle phase: evaluate activated elements until the whole
 		// machine is quiescent.
-		a.drainCycle(e, pid, cyc)
+		a.drainCycle(e, w, cyc)
 		e.Barrier(a.bar)
 		if cyc == a.p.Cycles {
 			break // final settle done; no further clock edge
@@ -275,69 +277,125 @@ func (a *App) Worker(e *cpu.Env, pid, nprocs int) {
 // windows) and the process always services its lowest-time bin first —
 // the conservative Chandy–Misra discipline applied locally — so elements
 // rarely evaluate before their inputs are final; cross-process stragglers
-// simply re-activate the element. A process whose queues run dry spins on
-// its task queue until new work arrives or the machine is quiescent; that
-// polling is ordinary instruction execution and shows up as busy time
-// (Section 2.2 of the paper).
-func (a *App) drainCycle(e *cpu.Env, pid, cyc int) {
-	stealFrom := pid
+// simply re-activate the element. Out of local tasks, the process polls
+// other processes' task queues and steals a batch (PTHOR's queues are
+// visible to every processor; polling them costs remote misses, which is
+// where an out-of-work processor spends its time). With nothing to steal
+// either, it checks for global quiescence and spins on its own queue
+// until new work arrives or the machine is quiescent. That polling is
+// ordinary instruction execution and shows up as busy time (Section 2.2
+// of the paper); the idler runs it on the simulator's side.
+func (a *App) drainCycle(e *cpu.Env, w *idler, cyc int) {
+	w.stealFrom = w.pid
 	for {
-		if a.runOwn(e, pid, cyc) {
+		if a.runBatch(e, w.pid, cyc, w.pid, popBatch) {
 			continue
 		}
-		// Out of local tasks: scan other processes' task queues and
-		// steal a batch (PTHOR's queues are visible to every
-		// processor; polling them costs remote misses, which is where
-		// an out-of-work processor spends its time).
-		stole := false
-		for probe := 0; probe < 3 && !stole; probe++ {
-			stealFrom = (stealFrom + 1) % a.nprocs
-			if stealFrom == pid {
-				stealFrom = (stealFrom + 1) % a.nprocs
-			}
-			v := stealFrom
-			e.Read(a.qRecAddr[v][0]) // poll the victim's descriptor
-			e.Compute(4)
-			for step := 0; step < a.maxSteps; step++ {
-				if len(a.queues[v][step]) == 0 {
-					continue
-				}
-				batch := a.popBatch(e, v, step, popBatch/2)
-				if len(batch) == 0 {
-					continue
-				}
-				stole = true
-				if a.p.Prefetch {
-					a.prefetchBatch(e, pid, batch)
-				}
-				for _, t := range batch {
-					a.evaluate(e, pid, cyc, step, int(t.gate))
-				}
+		w.probe, w.at = 0, idleStart
+		for {
+			e.Poll(w.step)
+			if w.at != idleProbed || a.runBatch(e, w.pid, cyc, w.stealFrom, popBatch/2) {
 				break
 			}
+			// Every pop from the victim came back empty: on to the
+			// round's next probe.
+			w.probe, w.at = w.probe+1, idleStart
 		}
-		if stole {
-			continue
+		if w.at == idleCounted {
+			return // globally quiescent
 		}
-		// Nothing to steal either: check for global quiescence, then
-		// spin on the local queue.
-		e.Read(a.pendingLineAddr(0))
-		e.Compute(4)
-		if a.pendingTotal == 0 {
-			return
-		}
-		e.Read(a.qRecAddr[pid][0])
-		e.SpinWait(6)
+		// A batch was stolen, or own work arrived during the spin.
 	}
 }
 
-// runOwn drains one batch from this process's lowest non-empty bucket.
-func (a *App) runOwn(e *cpu.Env, pid, cyc int) bool {
+// idlePhase is what the operations an idler queued last were for.
+type idlePhase uint8
+
+const (
+	idleStart   idlePhase = iota // nothing queued yet: probe next
+	idleProbed                   // a victim's descriptor was read
+	idleCounted                  // the pending counter was read
+	idleSpun                     // the spin on the own queue ended
+)
+
+// idler is one process's idle loop as a cpu.Env.Poll step: up to three
+// steal probes, the quiescence check and a spin on its own queue, round
+// after round. It meets the Poll contract. The processor calls step at
+// each instant the plain loop resumed (after each probe's Compute, the
+// quiescence check's Compute and the spin), so it reads the queue lengths
+// and the pending count exactly when the plain loop read them. It writes
+// only its own fields, which no other process reads, and queues only
+// Read, Compute and SpinWait. It returns true whenever the process has
+// something to do: lock a victim's queue (a probe found work), run its
+// own queue (work arrived during the spin), or leave the cycle (the
+// machine is quiescent).
+type idler struct {
+	a         *App
+	e         *cpu.Env
+	pid       int
+	stealFrom int // the victim probed last; carries over from poll to poll
+	probe     int // the round's current probe; 3 is the quiescence check
+	at        idlePhase
+	step      func() bool // poll, bound once per process
+}
+
+func (w *idler) poll() bool {
+	a, e := w.a, w.e
+	switch w.at {
+	case idleProbed:
+		if a.hasWork(w.stealFrom) {
+			return true
+		}
+		w.probe++
+	case idleCounted:
+		if a.pendingTotal == 0 {
+			return true
+		}
+		e.Read(a.qRecAddr[w.pid][0])
+		e.SpinWait(6)
+		w.at = idleSpun
+		return false
+	case idleSpun:
+		if a.hasWork(w.pid) {
+			return true
+		}
+		w.probe = 0
+	}
+	if w.probe < 3 {
+		w.stealFrom = (w.stealFrom + 1) % a.nprocs
+		if w.stealFrom == w.pid {
+			w.stealFrom = (w.stealFrom + 1) % a.nprocs
+		}
+		e.Read(a.qRecAddr[w.stealFrom][0]) // poll the victim's descriptor
+		e.Compute(4)
+		w.at = idleProbed
+	} else {
+		e.Read(a.pendingLineAddr(0))
+		e.Compute(4)
+		w.at = idleCounted
+	}
+	return false
+}
+
+// hasWork reports whether any of owner's step queues holds a task.
+func (a *App) hasWork(owner int) bool {
+	for _, q := range a.queues[owner] {
+		if len(q) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// runBatch pops up to max tasks from owner's lowest non-empty step queue
+// (the process's own, or a victim's) and evaluates them, reporting
+// whether it found any.
+func (a *App) runBatch(e *cpu.Env, pid, cyc, owner, max int) bool {
 	for step := 0; step < a.maxSteps; step++ {
-		if len(a.queues[pid][step]) == 0 {
+		if len(a.queues[owner][step]) == 0 {
 			continue
 		}
-		batch := a.popBatch(e, pid, step, popBatch)
+		batch := a.popBatch(e, owner, step, max)
 		if len(batch) == 0 {
 			continue
 		}
@@ -372,9 +430,13 @@ func (a *App) popBatch(e *cpu.Env, owner, step, max int) []task {
 		e.Read(a.qEntAddr[owner] + mem.Addr((int(batch[i].gate)%queueCap)*4))
 		a.queuedFor[batch[i].gate] = -1
 	}
+	// A region: no native code runs between these operations, and Unlock
+	// waits for the queued ones.
+	e.Queue()
 	e.Write(a.qRecAddr[owner][step])
 	e.Compute(8)
 	e.Unlock(a.qlocks[owner])
+	e.Wait()
 	return batch
 }
 
@@ -508,6 +570,10 @@ func (a *App) pushFanouts(e *cpu.Env, cyc, g int) {
 	if len(gt.Fanout) == 0 {
 		return
 	}
+	// A region: its native code reads only the immutable netlist, and
+	// Lock and Unlock wait for the queued operations themselves. It
+	// closes before the pushes read shared queue state.
+	e.Queue()
 	// Read the fanout list (two int32 entries per line half).
 	for i := range gt.Fanout {
 		if i%2 == 0 {
@@ -529,6 +595,7 @@ func (a *App) pushFanouts(e *cpu.Env, cyc, g int) {
 		e.Compute(6)
 		e.Unlock(a.elemLocks[tgt])
 	}
+	e.Wait()
 	// Group by owning process so each target queue is locked once.
 	var done [8]int32
 	nd := 0
@@ -559,6 +626,14 @@ func (a *App) pushFanouts(e *cpu.Env, cyc, g int) {
 // gates owned by that process, each at its own rank's timestep.
 func (a *App) pushToOwner(e *cpu.Env, own, cyc int, fanout []int32) {
 	first := true
+	// Regions, each from one target's Write, Write and Compute to the
+	// next target's Read. The queuedFor checks between them run before
+	// the queued operations complete, which is exact: the targets are
+	// own's gates, and a process's queuedFor entries and queue slices
+	// change only under that process's queue lock, which is held by then
+	// (the checks before the Lock run with nothing queued). Pollers read
+	// the queue slices and the pending counts without the lock, so a Wait
+	// comes before each update of them.
 	for _, tgt := range fanout {
 		if int(a.owner[tgt]) != own || a.c.Gates[tgt].Kind == FF {
 			continue
@@ -573,10 +648,12 @@ func (a *App) pushToOwner(e *cpu.Env, own, cyc int, fanout []int32) {
 			first = false
 		}
 		e.Read(a.qRecAddr[own][step])
+		e.Wait()
 		a.queuedFor[tgt] = gs
 		a.queues[own][step] = append(a.queues[own][step], task{gate: tgt})
 		a.pendingStep[step]++
 		a.pendingTotal++
+		e.Queue()
 		e.Write(a.qEntAddr[own] + mem.Addr((int(tgt)%queueCap)*4))
 		e.Write(a.qRecAddr[own][step])
 		e.Compute(6)
@@ -584,6 +661,7 @@ func (a *App) pushToOwner(e *cpu.Env, own, cyc int, fanout []int32) {
 	if !first {
 		e.Unlock(a.qlocks[own])
 	}
+	e.Wait()
 }
 
 // edgePhase latches this process's flip-flops and activates the fanouts of

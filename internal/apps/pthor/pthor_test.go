@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"latsim/internal/config"
+	"latsim/internal/cpu"
 	"latsim/internal/machine"
+	"latsim/internal/mem"
+	"latsim/internal/msync"
 )
 
 func run(t *testing.T, p Params, mut func(*config.Config)) (*App, *machine.Result) {
@@ -182,5 +185,50 @@ func TestRefSimTogglePropagates(t *testing.T) {
 	}
 	if changed == 0 {
 		t.Error("nothing changed after a clock cycle despite toggle stimulus")
+	}
+}
+
+// countingApp counts the operations PTHOR's processes submit.
+type countingApp struct {
+	*App
+	ops uint64
+}
+
+func (c *countingApp) Setup(m *machine.Machine) error {
+	if err := c.App.Setup(m); err != nil {
+		return err
+	}
+	for _, p := range m.Processors() {
+		p.SetTrace(func(int, cpu.TraceKind, mem.Addr, int, *msync.Lock, *msync.Barrier) { c.ops++ })
+	}
+	return nil
+}
+
+// TestIdlePollsDoNotResume guards the coroutine handoff: on 64 processors
+// most of PTHOR's operations are out-of-work processors polling the task
+// queues, and the idler's Poll step and the push and pop regions run them
+// without resuming the process. The processes are resumed at most once
+// per four submitted operations (11% on this circuit; 70% when each poll
+// resumed its process).
+func TestIdlePollsDoNotResume(t *testing.T) {
+	p := Default()
+	p.Circuit.Gates, p.Circuit.Depth, p.Cycles = 3000, 12, 2
+	cfg := config.Default()
+	cfg.Procs = 64
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := &countingApp{App: New(p)}
+	if _, err := m.Run(app); err != nil {
+		t.Fatal(err)
+	}
+	var resumes uint64
+	for _, p := range m.Processors() {
+		resumes += p.Resumes()
+	}
+	if resumes == 0 || resumes > app.ops/4 {
+		t.Errorf("%d resumes for %d operations (%.1f%%); want at most 25%%",
+			resumes, app.ops, 100*float64(resumes)/float64(app.ops))
 	}
 }

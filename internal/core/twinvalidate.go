@@ -132,8 +132,11 @@ type twinEntryResult struct {
 	// anchors).
 	Anchored bool
 	// TwinNS is the twin's prediction cost for this point in
-	// nanoseconds (wall clock, best of three).
+	// nanoseconds: the median of batchNS.
 	TwinNS int64
+	// batchNS holds the wall-clock mean cost of one prediction in each
+	// of three batches of 64 calls.
+	batchNS [3]int64
 }
 
 // twinReport is the machine-readable cross-validation result.
@@ -194,7 +197,7 @@ func (s *Session) twinValidate() (*twinReport, error) {
 		baseTotal := appRes[0].Breakdown.Total()
 		for k, e := range entries {
 			truthRes := appRes[1+k]
-			pred, twinNS, err := timedPredict(model, e.Cfg)
+			pred, batchNS, err := timedPredict(model, e.Cfg)
 			if err != nil {
 				return nil, fmt.Errorf("twin-validate: %s %s: %w", app, e.Label, err)
 			}
@@ -205,8 +208,9 @@ func (s *Session) twinValidate() (*twinReport, error) {
 				Truth:    truthRes.Breakdown.Normalized(baseTotal),
 				Pred:     pred.Normalized(float64(baseTotal)),
 				Anchored: pred.Anchored,
-				TwinNS:   twinNS,
+				batchNS:  batchNS,
 			}
+			er.TwinNS = median(batchNS[:])
 			for b := range er.Truth {
 				er.TruthTotal += er.Truth[b]
 				er.PredTotal += er.Pred[b]
@@ -236,26 +240,32 @@ func (s *Session) twinValidate() (*twinReport, error) {
 }
 
 // timedPredict evaluates the model once for correctness and then times
-// it (best of three batches) for the speedup accounting.
-func timedPredict(m *twin.Model, cfg config.Config) (*twin.Prediction, int64, error) {
+// three batches of 64 calls for the speedup accounting, returning each
+// batch's mean cost per call.
+func timedPredict(m *twin.Model, cfg config.Config) (*twin.Prediction, [3]int64, error) {
+	var means [3]int64
 	pred, err := m.Predict(cfg)
 	if err != nil {
-		return nil, 0, err
+		return nil, means, err
 	}
 	const batch = 64
-	best := int64(math.MaxInt64)
-	for round := 0; round < 3; round++ {
+	for round := range means {
 		start := time.Now()
 		for i := 0; i < batch; i++ {
 			if _, err := m.Predict(cfg); err != nil {
-				return nil, 0, err
+				return nil, means, err
 			}
 		}
-		if d := time.Since(start).Nanoseconds() / batch; d < best {
-			best = d
-		}
+		means[round] = time.Since(start).Nanoseconds() / batch
 	}
-	return pred, best, nil
+	return pred, means, nil
+}
+
+// median sorts xs and returns its middle element (the upper one of an
+// even count).
+func median(xs []int64) int64 {
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	return xs[len(xs)/2]
 }
 
 // twinBenchRounds is how many times the speed record runs the three
@@ -265,8 +275,9 @@ const twinBenchRounds = 3
 // twinBench is the speed side of the twin's contract: the cost of one
 // twin prediction against one detailed simulation.
 type twinBench struct {
-	// TwinNSPerConfig is the mean wall-clock cost of one Predict call
-	// across the validation matrix.
+	// TwinNSPerConfig is the median wall-clock cost of one Predict call:
+	// the median of the batch means of every matrix entry (three batches
+	// of 64 calls each), so both sides of Speedup are medians.
 	TwinNSPerConfig int64
 	// SimNSPerConfig is the median wall-clock cost of one detailed
 	// simulation over SimRuns samples: core.Exec on each application's
@@ -284,12 +295,12 @@ type twinBench struct {
 // the same measurement whatever the session's cache holds.
 func (s *Session) twinBenchFrom(rep *twinReport) (*twinBench, error) {
 	b := &twinBench{}
-	var sum int64
+	var batches []int64
 	for _, er := range rep.Entries {
-		sum += er.TwinNS
+		batches = append(batches, er.batchNS[:]...)
 	}
-	if len(rep.Entries) > 0 {
-		b.TwinNSPerConfig = sum / int64(len(rep.Entries))
+	if len(batches) > 0 {
+		b.TwinNSPerConfig = median(batches)
 	}
 	var samples []int64
 	for round := 0; round < twinBenchRounds; round++ {
@@ -302,9 +313,9 @@ func (s *Session) twinBenchFrom(rep *twinReport) (*twinBench, error) {
 			samples = append(samples, time.Since(start).Nanoseconds())
 		}
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	b.SimRuns = len(samples)
-	b.SimNSMin, b.SimNSPerConfig, b.SimNSMax = samples[0], samples[len(samples)/2], samples[len(samples)-1]
+	b.SimNSPerConfig = median(samples)
+	b.SimNSMin, b.SimNSMax = samples[0], samples[len(samples)-1]
 	if b.TwinNSPerConfig > 0 {
 		b.Speedup = float64(b.SimNSPerConfig) / float64(b.TwinNSPerConfig)
 	}

@@ -130,7 +130,9 @@ func TestReportCheck(t *testing.T) {
 // from a cold session, which executes the whole matrix; a session that
 // has executed nothing (the state of a fully cache-warm run) gives a
 // record with the same fields. Each record is the median of nine
-// samples, between their min and max. No wall-clock bound.
+// samples, between their min and max. The twin side is a median too: of
+// every entry's batch means, not a mean of per-entry figures. No
+// wall-clock bound.
 func TestTwinBenchOneMethod(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times nine simulations")
@@ -148,13 +150,17 @@ func TestTwinBenchOneMethod(t *testing.T) {
 	if n := fresh.Metrics().Executed; n != 0 {
 		t.Fatalf("fresh session executed %d jobs", n)
 	}
-	rep := &twinReport{Entries: []twinEntryResult{{TwinNS: 5000}, {TwinNS: 7000}}}
+	rep := &twinReport{Entries: []twinEntryResult{
+		{batchNS: [3]int64{4000, 9000, 5000}},
+		{batchNS: [3]int64{6000, 7000, 8000}},
+		{batchNS: [3]int64{1000, 2000, 3000}},
+	}}
 	b, err := fresh.twinBenchFrom(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.TwinNSPerConfig != 6000 || b.Speedup != float64(b.SimNSPerConfig)/6000 {
-		t.Errorf("twin %d ns, speedup %v; want 6000 ns and median/6000", b.TwinNSPerConfig, b.Speedup)
+	if b.TwinNSPerConfig != 5000 || b.Speedup != float64(b.SimNSPerConfig)/5000 {
+		t.Errorf("twin %d ns, speedup %v; want 5000 ns and median/5000", b.TwinNSPerConfig, b.Speedup)
 	}
 	timed, err := json.Marshal(b)
 	if err != nil {

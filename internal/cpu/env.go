@@ -20,8 +20,10 @@ import (
 // the applications rely on when they poll shared Go state (PTHOR's task
 // queues) — except inside a region (Queue … Wait), where memory and
 // compute operations are queued and the process runs on without
-// observing their completion. A compute block costs one kernel event and
-// no allocation (see Processor.delayThen).
+// observing their completion, and inside a Poll step, which the processor
+// runs on the simulator's side at each of those completion times instead
+// of switching back to the process. A compute block costs one kernel
+// event and no allocation (see Processor.delayThen).
 type Env struct {
 	c      *Context
 	pid    int
@@ -48,6 +50,7 @@ func (e *Env) NodeID() int { return e.c.p.node.ID() }
 // measure per-operation latencies. Inside a region it first waits for the
 // queued operations, so it reads the same time there.
 func (e *Env) Now() sim.Time {
+	e.outsideStep("Now")
 	e.drain()
 	return e.c.p.k.Now()
 }
@@ -56,22 +59,64 @@ func (e *Env) Now() sim.Time {
 // PFCompute, Read, Write, Prefetch and PrefetchExcl queue their operation
 // and return at once: the processor issues them in order, exactly as it
 // would without the region, but without switching back to the process
-// between them. Lock, Unlock, Barrier, SpinWait and Now wait for the
-// queued operations first and leave the region open.
+// between them. Lock, Unlock, Barrier, SpinWait, Now and Poll wait for
+// the queued operations first and leave the region open.
 //
 // The native code inside a region runs before the queued operations have
 // completed in simulated time, so it must not read state that another
 // process writes, nor write state that another process reads, while the
 // region runs. Under that contract a region changes no simulated result;
 // it only saves the coroutine switch per operation.
-func (e *Env) Queue() { e.region = true }
+func (e *Env) Queue() {
+	e.outsideStep("Queue")
+	e.region = true
+}
 
 // Wait blocks until every queued operation has completed and closes the
 // region. A worker that returns inside a region still has its queued
 // operations simulated.
 func (e *Env) Wait() {
+	e.outsideStep("Wait")
 	e.drain()
 	e.region = false
+}
+
+// Poll runs a polling loop on the simulator's side. It waits for any
+// queued operations (leaving a region open), then calls step, which
+// queues up to 16 operations and reports whether the loop is done. While
+// it is not, the processor runs the queued operations and, when they have
+// completed, calls step again, at the simulated instant the process would
+// have resumed after them. So step reads shared Go state exactly when the
+// plain loop would, and the process resumes only once step has returned
+// true and the operations it queued have completed.
+//
+// step runs on the process's goroutine the first time and on the
+// simulator's after that. Inside it, Compute, PFCompute, Read, Write,
+// Prefetch, PrefetchExcl and SpinWait queue their operation and return
+// (SpinWait queues its spin behind the step's other operations instead
+// of waiting for them). Lock, Unlock, Barrier, Now, Queue, Wait and Poll
+// panic there, because each would yield on the simulator's goroutine,
+// and so does a step that returns false with nothing queued, which would
+// poll forever at one simulated instant. The trace hook runs once per
+// operation, when the step queues it. Native code after a step's first
+// operation runs before that operation completes, so, as in a region, it
+// must not use state another process uses. A step built on every call
+// allocates: build it once per process and reuse it.
+func (e *Env) Poll(step func() bool) {
+	e.outsideStep("Poll")
+	e.drain()
+	c := e.c
+	c.pollStep = step
+	if !c.poll() || c.qlen > 0 {
+		c.co.Yield()
+	}
+}
+
+// outsideStep panics when a Poll step makes call.
+func (e *Env) outsideStep(call string) {
+	if e.c.pollStep != nil {
+		panic("cpu: " + call + " inside a Poll step")
+	}
 }
 
 // drain yields until the processor has run every queued operation.
@@ -112,14 +157,17 @@ func (e *Env) trace(k TraceKind, addr mem.Addr, n int, lock *msync.Lock, bar *ms
 }
 
 // submit traces and queues a memory or compute operation. Outside a
-// region, and whenever the queue fills, the process yields until the
-// processor has run every queued operation.
+// region and a Poll step, and whenever a region fills the queue, the
+// process yields until the processor has run every queued operation.
 func (e *Env) submit(k TraceKind, a mem.Addr, n int) {
 	e.trace(k, a, n, nil, nil)
 	c := e.c
+	if c.qlen == queueCap { // only a Poll step gets here: a region yields when it fills
+		panic(fmt.Sprintf("cpu: a Poll step queued more than %d operations", queueCap))
+	}
 	c.q[c.qlen] = op{addr: a, cycles: cycles(n), kind: k}
 	c.qlen++
-	if !e.region || c.qlen == queueCap {
+	if c.pollStep == nil && (!e.region || c.qlen == queueCap) {
 		c.co.Yield()
 	}
 }
@@ -172,6 +220,10 @@ func (e *Env) SpinWait(n int) {
 	if n <= 0 {
 		n = 1
 	}
+	if e.c.pollStep != nil {
+		e.submit(TSpin, 0, n)
+		return
+	}
 	e.submitAlone(TSpin, n, nil, nil)
 }
 
@@ -223,11 +275,20 @@ func (e *Env) lines(k TraceKind, a mem.Addr, bytes int) {
 }
 
 // Lock acquires lk (an acquire access: the process blocks until granted).
-func (e *Env) Lock(lk *msync.Lock) { e.submitAlone(TLock, 0, lk, nil) }
+func (e *Env) Lock(lk *msync.Lock) {
+	e.outsideStep("Lock")
+	e.submitAlone(TLock, 0, lk, nil)
+}
 
 // Unlock releases lk (a release access: under RC it waits, inside the
 // write buffer, for all previous writes and their invalidations).
-func (e *Env) Unlock(lk *msync.Lock) { e.submitAlone(TUnlock, 0, lk, nil) }
+func (e *Env) Unlock(lk *msync.Lock) {
+	e.outsideStep("Unlock")
+	e.submitAlone(TUnlock, 0, lk, nil)
+}
 
 // Barrier waits until every participant arrives at b.
-func (e *Env) Barrier(b *msync.Barrier) { e.submitAlone(TBarrier, 0, nil, b) }
+func (e *Env) Barrier(b *msync.Barrier) {
+	e.outsideStep("Barrier")
+	e.submitAlone(TBarrier, 0, nil, b)
+}

@@ -79,6 +79,7 @@ type Context struct {
 	q           [queueCap]op
 	lock        *msync.Lock    // lock of the current Lock or Unlock
 	bar         *msync.Barrier // barrier of the current Barrier
+	pollStep    func() bool    // the active Env.Poll step, nil outside one
 
 	stallStart sim.Time     // start of a short no-switch stall
 	stallCause stats.Bucket // its bucket before inline attribution
@@ -93,6 +94,19 @@ type Context struct {
 // Act implements sim.Actor: the single entry through which kernel events
 // and memory-system or synchronization completions re-enter the context.
 func (c *Context) Act() { c.p.step(c) }
+
+// poll runs the active Poll step once and reports whether it is done,
+// ending the poll then.
+func (c *Context) poll() bool {
+	if c.pollStep() {
+		c.pollStep = nil
+		return true
+	}
+	if c.qlen == 0 {
+		panic("cpu: a Poll step returned false with nothing queued")
+	}
+	return false
+}
 
 // Processor is one node's processor with its hardware contexts.
 type Processor struct {
@@ -109,6 +123,7 @@ type Processor struct {
 	doneAt    sim.Time
 	busyRun   sim.Time
 	writeRun  uint32
+	resumes   uint64 // coroutine resumes of the processes (host-side only)
 
 	switchTo *Context // context a pending switch-penalty event resumes
 
@@ -182,6 +197,11 @@ func (p *Processor) Done() bool { return len(p.ctxs) == 0 || p.finished == len(p
 
 // DoneAt returns the time the last context finished.
 func (p *Processor) DoneAt() sim.Time { return p.doneAt }
+
+// Resumes returns how many times the processor has resumed its
+// processes' coroutines. It measures the simulator, not the simulated
+// machine, so no result carries it.
+func (p *Processor) Resumes() uint64 { return p.resumes }
 
 // Stats returns the processor's statistics accumulator.
 func (p *Processor) Stats() *stats.Proc { return p.st }
@@ -341,12 +361,11 @@ func (p *Processor) pickReady() *Context {
 }
 
 // exec simulates a context's next operation: the next queued one, or, when
-// the queue is empty, the first one the process submits once resumed (it
-// runs native code until it yields or returns).
+// the queue is empty, the first one refill queues.
 func (p *Processor) exec(c *Context) {
 	c.state = ctxRunning
 	p.lastRun = c
-	if c.qlen == 0 && !c.co.Resume() {
+	if c.qlen == 0 && !p.refill(c) {
 		c.state = ctxDone
 		p.finished++
 		p.recordRun()
@@ -359,6 +378,17 @@ func (p *Processor) exec(c *Context) {
 		c.qhead, c.qlen = 0, 0
 	}
 	p.handleOp(c)
+}
+
+// refill fills a context's empty queue: by running its Poll step, if one
+// is active, or by resuming the process, which runs native code until it
+// yields or returns. It reports whether the process is still alive.
+func (p *Processor) refill(c *Context) bool {
+	if c.pollStep != nil && (!c.poll() || c.qlen > 0) {
+		return true
+	}
+	p.resumes++
+	return c.co.Resume()
 }
 
 // blockOn marks the context blocked (a long-latency operation) and

@@ -100,28 +100,47 @@ func TestComputeAfterCompletion(t *testing.T) {
 	}
 }
 
+// submission is one operation a trace hook saw: who submitted it, what it
+// was and the simulated time it was submitted at.
+type submission struct {
+	pid  int
+	kind cpu.TraceKind
+	at   sim.Time
+}
+
+// traced runs a on procs processors and returns every operation the
+// processes of node 0 submit, with its submission time.
+func traced(t *testing.T, procs int, a *app) ([]submission, *machine.Result) {
+	t.Helper()
+	var subs []submission
+	setup := a.setup
+	a.setup = func(m *machine.Machine) {
+		if setup != nil {
+			setup(m)
+		}
+		m.Processors()[0].SetTrace(func(pid int, k cpu.TraceKind, _ mem.Addr, _ int, _ *msync.Lock, _ *msync.Barrier) {
+			subs = append(subs, submission{pid, k, m.Kernel().Now()})
+		})
+	}
+	res := run(t, procs, a)
+	return subs, res
+}
+
 // issueTimes runs worker on a 2-processor machine and returns, per
 // operation process 0 submits, the simulated time its trace hook ran.
 func issueTimes(t *testing.T, setup func(m *machine.Machine), worker func(e *cpu.Env, pid int)) ([]cpu.TraceKind, []sim.Time, *machine.Result) {
 	t.Helper()
+	subs, res := traced(t, 2, &app{setup: setup, worker: func(e *cpu.Env, pid int) {
+		if pid == 0 {
+			worker(e, pid)
+		}
+	}})
 	var kinds []cpu.TraceKind
 	var times []sim.Time
-	res := run(t, 2, &app{
-		setup: func(m *machine.Machine) {
-			if setup != nil {
-				setup(m)
-			}
-			m.Processors()[0].SetTrace(func(pid int, k cpu.TraceKind, _ mem.Addr, _ int, _ *msync.Lock, _ *msync.Barrier) {
-				kinds = append(kinds, k)
-				times = append(times, m.Kernel().Now())
-			})
-		},
-		worker: func(e *cpu.Env, pid int) {
-			if pid == 0 {
-				worker(e, pid)
-			}
-		},
-	})
+	for _, s := range subs {
+		kinds = append(kinds, s.kind)
+		times = append(times, s.at)
+	}
 	return kinds, times, res
 }
 

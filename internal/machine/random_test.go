@@ -14,8 +14,10 @@ import (
 
 // randomApp is a property-test workload: every process runs a seeded
 // random mix of reads, writes, computes, prefetches and critical sections
-// over a shared region, with barrier-separated phases. It exercises the
-// full machine under every technique combination.
+// over a shared region, with barrier-separated phases, and then waits for
+// a flag: process 0 writes the flag's line and sets the flag natively,
+// while the others read the line and spin until they see it. It
+// exercises the full machine under every technique combination.
 type randomApp struct {
 	seed   int64
 	phases int
@@ -25,16 +27,22 @@ type randomApp struct {
 	// only native state is the private rng, which meets the region
 	// contract.
 	queued bool
+	// polled runs the flag wait as a cpu.Env.Poll step, which reads the
+	// flag when the plain loop does.
+	polled bool
 
-	base  mem.Addr
-	locks []*msync.Lock
-	bar   *msync.Barrier
+	base     mem.Addr
+	flagLine mem.Addr
+	flag     bool
+	locks    []*msync.Lock
+	bar      *msync.Barrier
 }
 
 func (a *randomApp) Name() string { return "random" }
 
 func (a *randomApp) Setup(m *Machine) error {
 	a.base = m.Alloc(512 * mem.LineSize)
+	a.flagLine = m.Alloc(mem.LineSize)
 	for i := 0; i < 4; i++ {
 		a.locks = append(a.locks, m.NewLock())
 	}
@@ -79,6 +87,27 @@ func (a *randomApp) Worker(e *cpu.Env, pid, nprocs int) {
 			e.Wait()
 		}
 	}
+	switch {
+	case pid == 0:
+		e.Compute(rng.Intn(200) + 1)
+		e.Write(a.flagLine)
+		a.flag = true
+	case a.polled:
+		e.Poll(func() bool {
+			if a.flag {
+				return true
+			}
+			e.Read(a.flagLine)
+			e.SpinWait(3)
+			return false
+		})
+	default:
+		for !a.flag {
+			e.Read(a.flagLine)
+			e.SpinWait(3)
+		}
+	}
+	e.Barrier(a.bar)
 }
 
 // configMatrix is the technique combinations the random programs run
@@ -151,26 +180,43 @@ func TestRandomProgramsAcrossConfigMatrix(t *testing.T) {
 	}
 }
 
+// TestPolledMatchesUnpolled: a Poll step changes no simulated result. The
+// random programs, with their flag wait run as a Poll step, must match
+// the runs with the plain loop exactly under every technique
+// combination.
+func TestPolledMatchesUnpolled(t *testing.T) {
+	matchesPlain(t, func(a *randomApp) { a.polled = true })
+}
+
 // TestQueuedMatchesUnqueued: a region changes no simulated result. The
 // random programs, run with each phase inside one region, must match
 // their unqueued runs exactly under every technique combination.
 func TestQueuedMatchesUnqueued(t *testing.T) {
+	matchesPlain(t, func(a *randomApp) { a.queued = true })
+}
+
+// matchesPlain runs the random programs as they are and as set changes
+// them, under every technique combination and both seeds, and requires
+// equal Elapsed, Breakdown, Procs and Kernel.
+func matchesPlain(t *testing.T, set func(*randomApp)) {
 	for _, seed := range []int64{3, 17} {
 		for _, mc := range configMatrix {
 			t.Run(fmt.Sprintf("%s/seed%d", mc.name, seed), func(t *testing.T) {
 				plain := runRandom(t, mc.mut, &randomApp{seed: seed, phases: 3, ops: 120})
-				queued := runRandom(t, mc.mut, &randomApp{seed: seed, phases: 3, ops: 120, queued: true})
-				if plain.Elapsed != queued.Elapsed {
-					t.Errorf("Elapsed: unqueued %d, queued %d", plain.Elapsed, queued.Elapsed)
+				app := &randomApp{seed: seed, phases: 3, ops: 120}
+				set(app)
+				changed := runRandom(t, mc.mut, app)
+				if plain.Elapsed != changed.Elapsed {
+					t.Errorf("Elapsed: plain %d, changed %d", plain.Elapsed, changed.Elapsed)
 				}
-				if !reflect.DeepEqual(plain.Breakdown, queued.Breakdown) {
-					t.Errorf("Breakdown: unqueued %+v, queued %+v", plain.Breakdown, queued.Breakdown)
+				if !reflect.DeepEqual(plain.Breakdown, changed.Breakdown) {
+					t.Errorf("Breakdown: plain %+v, changed %+v", plain.Breakdown, changed.Breakdown)
 				}
-				if !reflect.DeepEqual(plain.Procs, queued.Procs) {
-					t.Errorf("Procs differ:\nunqueued %+v\nqueued   %+v", plain.Procs, queued.Procs)
+				if !reflect.DeepEqual(plain.Procs, changed.Procs) {
+					t.Errorf("Procs differ:\nplain   %+v\nchanged %+v", plain.Procs, changed.Procs)
 				}
-				if plain.Kernel != queued.Kernel {
-					t.Errorf("Kernel: unqueued %+v, queued %+v", plain.Kernel, queued.Kernel)
+				if plain.Kernel != changed.Kernel {
+					t.Errorf("Kernel: plain %+v, changed %+v", plain.Kernel, changed.Kernel)
 				}
 			})
 		}

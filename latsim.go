@@ -29,7 +29,8 @@
 // Custom workloads implement the App interface and use the Env API
 // (Compute, Read, Write, Prefetch, Lock, Unlock, Barrier) from each
 // worker process; Env.Queue and Env.Wait bracket stretches that observe
-// nothing, so their operations skip the per-operation process switch.
+// nothing, so their operations skip the per-operation process switch,
+// and Env.Poll runs a polling loop's step on the simulator's side.
 package latsim
 
 import (
