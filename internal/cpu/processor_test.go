@@ -579,6 +579,38 @@ func TestTwoContextsSwitchAndStall(t *testing.T) {
 	}
 }
 
+// TestSpinSwitchHint: on one node with two contexts, a spin ends in a
+// switch hint. Process 0 spins for 10 cycles and yields to process 1,
+// which computes for 30 cycles, sets the flag and finishes; process 0
+// then sees the flag without spinning again. Every cycle is busy or a
+// switch: 10 + 30 busy and two switch penalties. Without the hint the
+// spinner would never let process 1 run, and the watchdog would end the
+// run.
+func TestSpinSwitchHint(t *testing.T) {
+	pen := sim.Time(config.Default().SwitchPenalty)
+	flag := false
+	res := run(t, 1, &app{
+		cfg: func(c *config.Config) { c.Contexts, c.MaxCycles = 2, 10_000 },
+		worker: func(e *cpu.Env, pid int) {
+			if pid == 0 {
+				for !flag {
+					e.SpinWait(10)
+				}
+				return
+			}
+			e.Compute(30)
+			flag = true
+		},
+	})
+	checkBuckets(t, res, 40+2*pen, map[stats.Bucket]sim.Time{
+		stats.Busy:      40,
+		stats.Switching: 2 * pen,
+	})
+	if st := res.Procs[0]; st.Switches != 2 {
+		t.Errorf("Switches = %d, want 2", st.Switches)
+	}
+}
+
 // TestRCUnlockWaitsForDrainAndAcks: under RC an unlock is a buffered
 // release. The processor continues at once, and the release store leaves
 // the write buffer only after every earlier write has retired and every

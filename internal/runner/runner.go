@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -225,7 +226,12 @@ func (r *Runner) runTask(t *Task) {
 	}
 	r.opts.Hooks.AttemptStart(t.Key, t.Job, 1)
 	r.tracef("  running %s...", t.Job)
-	res, err := r.safeExec(ctx, t.Job)
+	// The labels split a CPU profile of a batch per job (go tool pprof
+	// -tagfocus); the processes' goroutines inherit them.
+	var res *machine.Result
+	var err error
+	labels := pprof.Labels("app", t.Job.App, "config", t.Job.Cfg.Name())
+	pprof.Do(ctx, labels, func(ctx context.Context) { res, err = r.safeExec(ctx, t.Job) })
 	r.opts.Hooks.AttemptDone(t.Key, t.Job, 1, err)
 	if err == nil && r.cache != nil {
 		if serr := r.cache.Store(t.Key, t.Job, res); serr != nil {

@@ -3,6 +3,8 @@ package runner
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -272,6 +274,36 @@ func TestTraceOutput(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "running fake on SC (small scale)") || !strings.Contains(out, "done fake on SC") {
 		t.Fatalf("unexpected trace:\n%s", out)
+	}
+}
+
+// TestExecRunsUnderJobLabels: each job's exec runs under the profiler
+// labels app and config (the configuration's name), so a CPU profile of
+// a batch splits per job.
+func TestExecRunsUnderJobLabels(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string]string{}
+	r, err := New(Options{Workers: 2}, func(ctx context.Context, j Job) (*machine.Result, error) {
+		app, _ := pprof.Label(ctx, "app")
+		cfg, _ := pprof.Label(ctx, "config")
+		mu.Lock()
+		seen[app] = cfg
+		mu.Unlock()
+		return fakeResult(j), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := testJob(0), testJob(1)
+	b.App = "other"
+	b.Cfg.Model = config.RC
+	b.Cfg.Contexts = 2
+	if _, err := r.RunAll(context.Background(), []Job{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{a.App: a.Cfg.Name(), b.App: b.Cfg.Name()}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("labels (app: config) seen in exec: %v, want %v", seen, want)
 	}
 }
 

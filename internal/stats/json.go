@@ -1,13 +1,20 @@
 package stats
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"fmt"
+
+	"latsim/internal/sim"
+)
 
 // Proc's run-length histogram is unexported, but the persistent result
 // cache (internal/runner) round-trips whole results through JSON and a
 // warm-cache run must reproduce the cold run byte for byte — including
 // MedianRunLength and MeanRunLength. The custom (un)marshalers below
-// carry the histogram as sparse (length, count) pairs alongside the
-// exported fields. Every field is integral, so the round trip is exact.
+// carry the histogram as sparse (length, count) pairs in ascending order
+// of length alongside the exported fields, whichever part of the
+// histogram holds a length, so the encoding does not depend on where the
+// dense part ends. Every field is integral, so the round trip is exact.
 
 // MarshalJSON serializes all statistics including the run histogram.
 func (p *Proc) MarshalJSON() ([]byte, error) {
@@ -16,12 +23,11 @@ func (p *Proc) MarshalJSON() ([]byte, error) {
 		*alias
 		RunHist [][2]uint64 `json:"run_hist,omitempty"`
 		Runs    uint64      `json:"runs,omitempty"`
-	}{alias: (*alias)(p), Runs: p.runs}
-	for l, c := range p.runHist {
-		if c != 0 {
-			aux.RunHist = append(aux.RunHist, [2]uint64{uint64(l), uint64(c)})
-		}
-	}
+	}{alias: (*alias)(p), Runs: p.numRuns()}
+	p.eachRunLength(func(l, c uint32) bool {
+		aux.RunHist = append(aux.RunHist, [2]uint64{uint64(l), uint64(c)})
+		return true
+	})
 	return json.Marshal(aux)
 }
 
@@ -36,14 +42,18 @@ func (p *Proc) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &aux); err != nil {
 		return err
 	}
-	p.runHist = [maxRunLength + 1]uint32{}
+	p.runHist = [denseRuns]uint32{}
+	p.longRuns = nil
 	for _, lc := range aux.RunHist {
-		l := lc[0]
-		if l > maxRunLength {
-			l = maxRunLength
+		switch l, n := lc[0], uint32(lc[1]); {
+		case l < denseRuns:
+			p.runHist[l] += n
+		case n != 0:
+			p.addLongRuns(sim.Time(l), n)
 		}
-		p.runHist[l] += uint32(lc[1])
 	}
-	p.runs = aux.Runs
+	if n := p.numRuns(); n != aux.Runs {
+		return fmt.Errorf("stats: run histogram counts %d runs, document says %d", n, aux.Runs)
+	}
 	return nil
 }
