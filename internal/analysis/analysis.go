@@ -1,7 +1,8 @@
 // Package analysis is the repo's custom static-analysis suite: a small,
-// dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// driver model plus four codebase-specific analyzers that enforce the
-// correctness contracts the simulator's performance work depends on:
+// dependency-free framework in the style of golang.org/x/tools/go/analysis
+// (Analyzer, Pass, Diagnostic) plus four codebase-specific analyzers that
+// enforce the correctness contracts the simulator's performance work
+// depends on:
 //
 //   - poolsafety: no use of a sim.Pool-managed object after Put, no
 //     double-Put, no storing a recycled pointer somewhere it outlives
@@ -20,13 +21,13 @@
 //     everything they call, must not allocate, schedule kernel work or
 //     write simulation state — the same §4b contract, transitively.
 //
-// The framework mirrors the x/tools API surface (Analyzer, Pass,
-// Diagnostic) on purpose: the module is built hermetically with no
-// third-party dependencies, so the driver loads packages and their test
-// variants itself with `go list -export -test` and the standard
-// library's gc export-data importer instead of go/packages. Should the
-// real x/tools dependency ever become available, the analyzers port
-// over with trivial changes.
+// The module is built hermetically with no third-party dependencies,
+// so Run loads packages and their test variants itself with
+// `go list -export -test` and the standard library's gc export-data
+// importer instead of go/packages. It walks them in dependency order
+// and keeps, as plain Go values, what each package's functions tell the
+// packages that import them: their side effects (hookpure, poolsafety)
+// and whether they dereference their receiver unguarded (nilsafe).
 //
 // Run the suite via `go run ./cmd/latsimvet ./...`.
 package analysis
@@ -38,9 +39,8 @@ import (
 	"go/types"
 )
 
-// Analyzer describes one static-analysis pass. It mirrors
-// x/tools/go/analysis.Analyzer: Run is invoked once per loaded package
-// with a fully type-checked Pass.
+// Analyzer describes one static-analysis pass: Run is invoked once per
+// loaded package with a fully type-checked Pass.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics.
 	Name string
@@ -49,10 +49,6 @@ type Analyzer struct {
 	// Run reports diagnostics through the Pass. A non-nil error aborts
 	// the whole run (reserved for internal failures, not findings).
 	Run func(*Pass) error
-	// FactTypes lists prototype values of the Fact types this analyzer
-	// exports and imports. An analyzer with no FactTypes is purely
-	// intraprocedural.
-	FactTypes []Fact
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -64,7 +60,14 @@ type Pass struct {
 	Info     *types.Info
 
 	diags *[]Diagnostic
-	env   *factEnv
+	// effects holds the side effects of every function the package
+	// declares, computed once and shared by every analyzer's pass.
+	effects *effectsComputer
+	// unguarded collects the package's methods that nilsafe finds
+	// dereferencing their receiver before any nil guard.
+	unguarded map[types.Object]bool
+	// summaries is what the plain packages analyzed so far published.
+	summaries map[string]*summary
 }
 
 // Diagnostic is one finding, positioned in the file set it was found in.

@@ -19,6 +19,10 @@ func runGolden(t *testing.T, a *Analyzer, pattern string) {
 	}
 }
 
+// TestPoolsafetyGolden also crosses a package boundary: b.Box.Keep
+// stores its pointer parameter, which package a learns only from the
+// effects summary published for package b, so the matched want on
+// the Put after box.Keep(x) fails if publishing or lookup breaks.
 func TestPoolsafetyGolden(t *testing.T) {
 	runGolden(t, NewPoolsafety(), "./testdata/src/poolsafety/a")
 }
@@ -75,10 +79,10 @@ func TestPartitionEmptyMarker(t *testing.T) {
 	}
 }
 
-// TestHookpureGolden also covers the facts round trip across a package
-// boundary: helper's global write reaches the hooks package only
-// through helper's exported FnEffects fact, so the matched want on
-// Tally's call site fails if the export or the import breaks.
+// TestHookpureGolden also crosses a package boundary: helper's global
+// write reaches the hooks package only through the effects summary
+// published for helper, so the matched want on Tally's call site
+// fails if publishing or lookup breaks.
 func TestHookpureGolden(t *testing.T) {
 	runGolden(t, NewHookpure("latsim/internal/analysis/testdata/src/hookpure/hooks.Recorder"),
 		"./testdata/src/hookpure/hooks")

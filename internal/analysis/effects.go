@@ -9,44 +9,8 @@ import (
 	"sort"
 )
 
-// FnEffects is the interprocedural side-effect summary of one function,
-// exported as an object fact so dependent packages can reason about
-// calls into it without seeing its body. hookpure computes and exports
-// these under its own namespace.
-type FnEffects struct {
-	// Allocs are the heap-allocation sites (make/new/append, escaping
-	// composite literals, string building, fmt) not justified by a
-	// //hookpure:alloc marker.
-	Allocs []EffectSite `json:"allocs,omitempty"`
-	// Schedules are calls that enqueue or perturb kernel work
-	// (sim.Kernel scheduling, sim.Resource acquisition).
-	Schedules []EffectSite `json:"schedules,omitempty"`
-	// ModelWrites are writes that land in simulation-model state — the
-	// target is reached through a pointer into a model package's type.
-	ModelWrites []EffectSite `json:"model_writes,omitempty"`
-	// GlobalWrites are writes to package-level variables.
-	GlobalWrites []EffectSite `json:"global_writes,omitempty"`
-	// MutRecv records that the function writes through its receiver.
-	MutRecv bool `json:"mut_recv,omitempty"`
-	// MutParams lists parameter indices the function writes through.
-	MutParams []int `json:"mut_params,omitempty"`
-	// EscapeParams lists parameter indices whose pointer is stored in a
-	// location that outlives the call (a field, element, global, or an
-	// escaping callee) — the interprocedural half of poolsafety.
-	EscapeParams []int `json:"escape_params,omitempty"`
-}
-
-// AFact marks FnEffects as a fact type.
-func (*FnEffects) AFact() {}
-
-// EffectSite locates and describes one effect for diagnostics.
-type EffectSite struct {
-	Pos  string `json:"pos"`
-	What string `json:"what"`
-}
-
-// maxEffectSites bounds each category in the serialized fact: one site
-// proves the effect; a few more help diagnostics, cascades do not.
+// maxEffectSites bounds each category of a function's effects: one
+// site proves the effect; a few more help diagnostics, cascades do not.
 const maxEffectSites = 4
 
 // DefaultModelPackages are the packages whose state is "the simulation"
@@ -64,19 +28,34 @@ var DefaultModelPackages = []string{
 	"latsim/internal/config",
 }
 
-// effects is the in-package working form of FnEffects, with real
-// positions for local reporting.
+// effects is the interprocedural side-effect summary of one function.
+// Callers in the same package and, through the summaries a package
+// publishes, callers in dependent packages fold it in at each call site.
 type effects struct {
-	allocs       []localSite
-	schedules    []localSite
-	modelWrites  []localSite
-	globalWrites []localSite
-	mutRecv      bool
-	mutParams    map[int]bool
+	// allocs are the heap-allocation sites (make/new/append, escaping
+	// composite literals, string building, fmt) not justified by a
+	// //hookpure:alloc marker.
+	allocs []effectAt
+	// schedules are calls that enqueue or perturb kernel work
+	// (sim.Kernel scheduling, sim.Resource acquisition).
+	schedules []effectAt
+	// modelWrites are writes that land in simulation-model state — the
+	// target is reached through a pointer into a model package's type.
+	modelWrites []effectAt
+	// globalWrites are writes to package-level variables.
+	globalWrites []effectAt
+	// mutRecv records that the function writes through its receiver.
+	mutRecv bool
+	// mutParams holds the parameter indices the function writes through.
+	mutParams map[int]bool
+	// escapeParams holds the parameter indices whose pointer is stored
+	// in a location that outlives the call (a field, element or global)
+	// — the interprocedural half of poolsafety.
 	escapeParams map[int]bool
 }
 
-type localSite struct {
+// effectAt locates and describes one effect site for diagnostics.
+type effectAt struct {
 	pos  token.Pos
 	what string
 }
@@ -92,39 +71,15 @@ func (e *effects) addGlobal(pos token.Pos, what string) {
 	e.globalWrites = addSite(e.globalWrites, pos, what)
 }
 
-func addSite(s []localSite, pos token.Pos, what string) []localSite {
+func addSite(s []effectAt, pos token.Pos, what string) []effectAt {
 	if len(s) >= maxEffectSites {
 		return s
 	}
-	return append(s, localSite{pos, what})
+	return append(s, effectAt{pos, what})
 }
 
 func newEffects() *effects {
 	return &effects{mutParams: map[int]bool{}, escapeParams: map[int]bool{}}
-}
-
-// fact converts to the serialized form.
-func (e *effects) fact(fset *token.FileSet) *FnEffects {
-	conv := func(sites []localSite) []EffectSite {
-		var out []EffectSite
-		for _, s := range sites {
-			p := fset.Position(s.pos)
-			out = append(out, EffectSite{
-				Pos:  fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line),
-				What: s.what,
-			})
-		}
-		return out
-	}
-	return &FnEffects{
-		Allocs:       conv(e.allocs),
-		Schedules:    conv(e.schedules),
-		ModelWrites:  conv(e.modelWrites),
-		GlobalWrites: conv(e.globalWrites),
-		MutRecv:      e.mutRecv,
-		MutParams:    sortedKeys(e.mutParams),
-		EscapeParams: sortedKeys(e.escapeParams),
-	}
 }
 
 func sortedKeys(m map[int]bool) []int {
@@ -136,18 +91,23 @@ func sortedKeys(m map[int]bool) []int {
 	return out
 }
 
-// effectsComputer computes per-function effects bottom-up within one
-// package, consulting imported FnEffects facts for cross-package calls
-// and exporting facts for this package's own functions.
+// effectsComputer computes the effects of every function one package
+// declares, bottom-up, consulting the summaries of imported packages
+// for cross-package calls.
 type effectsComputer struct {
 	pass       *Pass
 	modelPkgs  map[string]bool
 	allocMarks map[string]map[int]markerAt // //hookpure:alloc suppressions
+	funcs      []*types.Func               // declared functions, in source order
 	decls      map[types.Object]*ast.FuncDecl
 	memo       map[types.Object]*effects
 	active     map[types.Object]bool
 }
 
+// newEffectsComputer computes the effects of every function declared
+// in pass's files. It walks them in source order: a recursion cycle's
+// effects depend on which member is entered first, so every reader
+// must see the memo this one order fills.
 func newEffectsComputer(pass *Pass, modelPkgs []string, allocMarks map[string]map[int]markerAt) *effectsComputer {
 	ec := &effectsComputer{
 		pass:       pass,
@@ -163,26 +123,29 @@ func newEffectsComputer(pass *Pass, modelPkgs []string, allocMarks map[string]ma
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				if obj := pass.Info.Defs[fn.Name]; obj != nil {
+				if obj, ok := pass.Info.Defs[fn.Name].(*types.Func); ok {
+					ec.funcs = append(ec.funcs, obj)
 					ec.decls[obj] = fn
 				}
 			}
 		}
 	}
+	for _, fn := range ec.funcs {
+		ec.of(fn)
+	}
 	return ec
 }
 
-// exportAll computes and exports a FnEffects fact for every function
-// declared in the package, in deterministic order.
-func (ec *effectsComputer) exportAll() {
-	objs := make([]types.Object, 0, len(ec.decls))
-	for obj := range ec.decls {
-		objs = append(objs, obj)
+// calleeEffects returns the effects of fn: this package's own, or the
+// summary fn's package published; nil when neither knows fn.
+func (ec *effectsComputer) calleeEffects(fn *types.Func) *effects {
+	if fn.Pkg() == ec.pass.Pkg {
+		return ec.of(fn)
 	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
-	for _, obj := range objs {
-		ec.pass.ExportObjectFact(obj, ec.of(obj).fact(ec.pass.Fset))
+	if s := ec.pass.imported(fn); s != nil {
+		return s.eff
 	}
+	return nil
 }
 
 // of returns the effects of a package-level function by object,
@@ -468,37 +431,30 @@ func (ec *effectsComputer) call(call *ast.CallExpr, recv types.Object, params ma
 		return
 	}
 
-	var callee FnEffects
-	known := false
-	if fn.Pkg() == ec.pass.Pkg {
-		callee = *ec.of(obj).fact(ec.pass.Fset)
-		known = true
-	} else if ec.pass.ImportObjectFact(fn, &callee) {
-		known = true
-	} else if fn.Pkg().Path() == "fmt" {
-		// The one stdlib package hooks reach for by accident; everything
-		// in it formats through reflection and allocates.
-		ec.alloc(call.Pos(), "fmt."+fn.Name(), eff)
-		return
-	}
-	if !known {
-		return // out-of-module with no fact: assumed pure
+	callee := ec.calleeEffects(fn)
+	if callee == nil {
+		if fn.Pkg().Path() == "fmt" {
+			// The one stdlib package hooks reach for by accident;
+			// everything in it formats through reflection and allocates.
+			ec.alloc(call.Pos(), "fmt."+fn.Name(), eff)
+		}
+		return // out-of-module with no summary: assumed pure
 	}
 
 	name := calleeName(fn)
-	if len(callee.Allocs) > 0 {
-		ec.alloc(call.Pos(), fmt.Sprintf("call to %s (%s at %s)", name, callee.Allocs[0].What, callee.Allocs[0].Pos), eff)
+	if len(callee.allocs) > 0 {
+		ec.alloc(call.Pos(), fmt.Sprintf("call to %s (%s)", name, ec.site(callee.allocs[0])), eff)
 	}
-	if len(callee.Schedules) > 0 {
-		eff.addSchedule(call.Pos(), fmt.Sprintf("call to %s (%s)", name, callee.Schedules[0].What))
+	if len(callee.schedules) > 0 {
+		eff.addSchedule(call.Pos(), fmt.Sprintf("call to %s (%s)", name, callee.schedules[0].what))
 	}
-	if len(callee.ModelWrites) > 0 {
-		eff.addModel(call.Pos(), fmt.Sprintf("call to %s (%s at %s)", name, callee.ModelWrites[0].What, callee.ModelWrites[0].Pos))
+	if len(callee.modelWrites) > 0 {
+		eff.addModel(call.Pos(), fmt.Sprintf("call to %s (%s)", name, ec.site(callee.modelWrites[0])))
 	}
-	if len(callee.GlobalWrites) > 0 {
-		eff.addGlobal(call.Pos(), fmt.Sprintf("call to %s (%s at %s)", name, callee.GlobalWrites[0].What, callee.GlobalWrites[0].Pos))
+	if len(callee.globalWrites) > 0 {
+		eff.addGlobal(call.Pos(), fmt.Sprintf("call to %s (%s)", name, ec.site(callee.globalWrites[0])))
 	}
-	if callee.MutRecv {
+	if callee.mutRecv {
 		if isKernelMethod(fn) {
 			// Mutating the kernel or a resource is scheduling no matter
 			// how the receiver was reached (field, local, parameter).
@@ -517,7 +473,7 @@ func (ec *effectsComputer) call(call *ast.CallExpr, recv types.Object, params ma
 			}
 		}
 	}
-	for _, pi := range callee.MutParams {
+	for _, pi := range sortedKeys(callee.mutParams) {
 		if pi >= len(call.Args) {
 			continue
 		}
@@ -537,6 +493,12 @@ func (ec *effectsComputer) call(call *ast.CallExpr, recv types.Object, params ma
 			eff.mutParams[idx] = true
 		}
 	}
+}
+
+// site renders a callee's effect site as "what at file.go:line".
+func (ec *effectsComputer) site(s effectAt) string {
+	p := ec.pass.Fset.Position(s.pos)
+	return fmt.Sprintf("%s at %s:%d", s.what, filepath.Base(p.Filename), p.Line)
 }
 
 // isKernelMethod reports whether fn is a method on the simulation

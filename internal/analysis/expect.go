@@ -26,7 +26,7 @@ type expectation struct {
 // mismatch: a diagnostic with no matching want, or a want with no
 // matching diagnostic. An empty result means the fixture is golden.
 //
-// Dependencies of the matched packages are analyzed for facts (so
+// Dependencies of the matched packages are analyzed for summaries (so
 // multi-package fixtures exercise the interprocedural path exactly like
 // the production driver) but contribute neither wants nor diagnostics;
 // list every package whose findings matter as a pattern. A test variant

@@ -32,8 +32,9 @@ const ColdMarker = "//hookpure:cold"
 
 // NewHookpure returns the hookpure analyzer for the given fully
 // qualified hook type names (DefaultHookpureTypes when empty). Every
-// method on a hook type — and, through exported FnEffects facts,
-// everything it transitively calls in any in-module package — must not:
+// method on a hook type — and, through the per-function effect summaries
+// every package publishes, everything it transitively calls in any
+// in-module package — must not:
 //
 //   - allocate (make/new/append, escaping composite literals, string
 //     building, fmt, closures) unless the site carries //hookpure:alloc
@@ -54,17 +55,13 @@ func NewHookpure(typeNames ...string) *Analyzer {
 		hook[t] = true
 	}
 	a := &Analyzer{
-		Name:      "hookpure",
-		Doc:       "enforce the zero-perturbation contract: hook methods must not allocate, schedule kernel work or mutate simulation state",
-		FactTypes: []Fact{(*FnEffects)(nil)},
+		Name: "hookpure",
+		Doc:  "enforce the zero-perturbation contract: hook methods must not allocate, schedule kernel work or mutate simulation state",
 	}
 	a.Run = func(pass *Pass) error {
-		allocMarks := reportEmptyMarkers(pass, AllocMarker)
-		coldMarks := reportEmptyMarkers(pass, ColdMarker)
-		// Every package exports effects facts so hook packages can see
-		// through cross-package calls (sim.Pool.Get, kernel methods, ...).
-		ec := newEffectsComputer(pass, DefaultModelPackages, allocMarks)
-		ec.exportAll()
+		reportEmptyMarkers(pass, pass.effects.allocMarks, AllocMarker)
+		coldMarks := markersByFile(pass.Fset, pass.Files, ColdMarker)
+		reportEmptyMarkers(pass, coldMarks, ColdMarker)
 		for _, file := range pass.Files {
 			if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
 				continue
@@ -85,7 +82,7 @@ func NewHookpure(typeNames ...string) *Analyzer {
 				if obj == nil {
 					continue
 				}
-				reportImpurity(pass, typeName, fn, ec.of(obj))
+				reportImpurity(pass, typeName, fn, pass.effects.of(obj))
 			}
 		}
 		return nil

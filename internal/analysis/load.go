@@ -27,8 +27,9 @@ type Package struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
-	// Dep marks a package loaded only because a target imports it: the
-	// driver analyzes it for facts but does not report its diagnostics.
+	// Dep marks a package loaded only because a target imports it: it
+	// is analyzed for its summaries, but its diagnostics are not
+	// reported.
 	Dep bool
 	// ForTest names the package under test when this is a test variant
 	// (Path "p [p.test]" or "p_test [p.test]"), and is empty otherwise.
@@ -70,8 +71,8 @@ type listPkg struct {
 //
 // The result is in dependency order: every package appears after all of
 // the plain packages it imports, so a driver walking the slice forward
-// always has dependency facts before it needs them. Packages loaded only
-// as dependencies are marked Dep.
+// always has dependency summaries before it needs them. Packages loaded
+// only as dependencies are marked Dep.
 //
 // dir is the directory patterns are resolved from ("" = current).
 func Load(dir string, patterns ...string) ([]*Package, error) {
@@ -273,8 +274,8 @@ func (im importMapper) Import(path string) (*types.Package, error) {
 }
 
 // basePkgPath strips the go command's test-variant suffix
-// ("pkg [pkg.test]" -> "pkg") so package-keyed configuration and facts
-// apply to a package and its test variant alike.
+// ("pkg [pkg.test]" -> "pkg") so package-keyed configuration and
+// summaries apply to a package and its test variant alike.
 func basePkgPath(p string) string {
 	if i := strings.Index(p, " ["); i >= 0 {
 		return p[:i]

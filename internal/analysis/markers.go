@@ -54,15 +54,21 @@ func markerLines(fset *token.FileSet, file *ast.File, prefix string) map[int]mar
 	return lines
 }
 
+// markersByFile collects every marker with the given prefix in files,
+// keyed by file name and then by the line each marker annotates.
+func markersByFile(fset *token.FileSet, files []*ast.File, prefix string) map[string]map[int]markerAt {
+	byFile := map[string]map[int]markerAt{}
+	for _, file := range files {
+		byFile[fset.Position(file.Pos()).Filename] = markerLines(fset, file, prefix)
+	}
+	return byFile
+}
+
 // reportEmptyMarkers emits one diagnostic per marker whose reason is
 // missing: a justification that does not justify suppresses nothing.
-func reportEmptyMarkers(pass *Pass, prefix string) map[string]map[int]markerAt {
-	byFile := map[string]map[int]markerAt{}
-	for _, file := range pass.Files {
-		marks := markerLines(pass.Fset, file, prefix)
-		name := pass.Fset.Position(file.Pos()).Filename
-		byFile[name] = marks
-		seen := map[token.Pos]bool{}
+func reportEmptyMarkers(pass *Pass, byFile map[string]map[int]markerAt, prefix string) {
+	seen := map[token.Pos]bool{}
+	for _, marks := range byFile {
 		for _, m := range marks {
 			if m.reason == "" && !seen[m.pos] {
 				seen[m.pos] = true
@@ -70,7 +76,6 @@ func reportEmptyMarkers(pass *Pass, prefix string) map[string]map[int]markerAt {
 			}
 		}
 	}
-	return byFile
 }
 
 // suppressed reports whether the line of pos carries (or follows) a

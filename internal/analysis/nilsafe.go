@@ -19,23 +19,14 @@ var DefaultNilsafeTypes = []string{
 	"latsim/internal/obs/diff.Diff",
 }
 
-// UnguardedDeref is nilsafe's exported fact: the method dereferences
-// its receiver without an initial nil guard. Calling it on a possibly
-// nil receiver is therefore as unsafe as a direct field access, and the
-// caller must guard first — including callers in other packages, who
-// learn this through the fact rather than the body.
-type UnguardedDeref struct{}
-
-// AFact marks UnguardedDeref as a fact type.
-func (*UnguardedDeref) AFact() {}
-
 // NewNilsafe returns the nilsafe analyzer for the given fully qualified
 // type names ("pkgpath.TypeName"). Every exported pointer-receiver
 // method on a listed type must begin with a receiver nil check before it
 // reads or writes any receiver field — or calls another method that
-// itself dereferences the receiver unguarded (known interprocedurally
-// via the UnguardedDeref fact); methods that never touch the receiver's
-// fields need no guard.
+// itself dereferences the receiver unguarded, which callers in other
+// packages learn from the summaries its package publishes rather than
+// the body; methods that never touch the receiver's fields need no
+// guard.
 func NewNilsafe(typeNames ...string) *Analyzer {
 	if len(typeNames) == 0 {
 		typeNames = DefaultNilsafeTypes
@@ -45,24 +36,21 @@ func NewNilsafe(typeNames ...string) *Analyzer {
 		guarded[t] = true
 	}
 	a := &Analyzer{
-		Name:      "nilsafe",
-		Doc:       "check that exported methods on nil-guarded hook types test the receiver before any field access",
-		FactTypes: []Fact{(*UnguardedDeref)(nil)},
+		Name: "nilsafe",
+		Doc:  "check that exported methods on nil-guarded hook types test the receiver before any field access",
 	}
 	a.Run = func(pass *Pass) error {
 		// First pass: every method (exported or not) on a guarded type
-		// that dereferences its receiver without a guard, published as a
-		// fact so callers anywhere treat the call like a field access.
-		unguarded := map[types.Object]bool{}
+		// that dereferences its receiver without a guard; the package
+		// publishes these so callers anywhere treat the call like a
+		// field access.
 		forEachGuardedMethod(pass, guarded, func(fn *ast.FuncDecl, recvObj types.Object, typeName string) {
 			for _, stmt := range fn.Body.List {
 				if isNilGuard(pass, stmt, recvObj) {
 					return
 				}
 				if findFieldAccess(pass, stmt, recvObj) != nil {
-					obj := pass.Info.Defs[fn.Name]
-					unguarded[obj] = true
-					pass.ExportObjectFact(obj, &UnguardedDeref{})
+					pass.unguarded[pass.Info.Defs[fn.Name]] = true
 					return
 				}
 			}
@@ -70,7 +58,7 @@ func NewNilsafe(typeNames ...string) *Analyzer {
 		// Second pass: exported methods must guard before any unsafe use.
 		forEachGuardedMethod(pass, guarded, func(fn *ast.FuncDecl, recvObj types.Object, typeName string) {
 			if fn.Name.IsExported() {
-				checkNilGuard(pass, fn, recvObj, typeName, unguarded)
+				checkNilGuard(pass, fn, recvObj, typeName)
 			}
 		})
 		return nil
@@ -122,7 +110,7 @@ func receiverInfo(pass *Pass, fn *ast.FuncDecl) (types.Object, string) {
 // access (or dereference) of the receiver — or a call to a method known
 // to dereference it unguarded — before a top-level
 // `if recv == nil { return ... }` guard is a violation.
-func checkNilGuard(pass *Pass, fn *ast.FuncDecl, recv types.Object, typeName string, unguarded map[types.Object]bool) {
+func checkNilGuard(pass *Pass, fn *ast.FuncDecl, recv types.Object, typeName string) {
 	for _, stmt := range fn.Body.List {
 		if isNilGuard(pass, stmt, recv) {
 			return // everything below is protected
@@ -133,7 +121,7 @@ func checkNilGuard(pass *Pass, fn *ast.FuncDecl, recv types.Object, typeName str
 				typeName, fn.Name.Name, recv.Name(), recv.Name())
 			return // one report per method
 		}
-		if bad, callee := findUnguardedCall(pass, stmt, recv, unguarded); bad != nil {
+		if bad, callee := findUnguardedCall(pass, stmt, recv); bad != nil {
 			pass.Reportf(bad.Pos(),
 				"%s.%s calls %s, which dereferences the receiver without its own nil guard, before the nil guard; guard %s first (zero-perturbation contract)",
 				typeName, fn.Name.Name, callee, recv.Name())
@@ -144,9 +132,9 @@ func checkNilGuard(pass *Pass, fn *ast.FuncDecl, recv types.Object, typeName str
 
 // findUnguardedCall returns the first call `recv.m(...)` in stmt whose
 // target method dereferences the receiver without a guard — known from
-// this package's first pass or, cross-package, from an imported
-// UnguardedDeref fact.
-func findUnguardedCall(pass *Pass, stmt ast.Stmt, recv types.Object, unguarded map[types.Object]bool) (ast.Node, string) {
+// this package's first pass or, cross-package, from the summary its
+// package published.
+func findUnguardedCall(pass *Pass, stmt ast.Stmt, recv types.Object) (ast.Node, string) {
 	var bad ast.Node
 	var name string
 	ast.Inspect(stmt, func(n ast.Node) bool {
@@ -169,7 +157,7 @@ func findUnguardedCall(pass *Pass, stmt ast.Stmt, recv types.Object, unguarded m
 		if !ok {
 			return true
 		}
-		if unguarded[callee] || pass.ImportObjectFact(callee, &UnguardedDeref{}) {
+		if s := pass.imported(callee); pass.unguarded[callee.Origin()] || s != nil && s.unguarded {
 			bad = call
 			name = callee.Name()
 		}

@@ -13,18 +13,6 @@ import (
 // tracks.
 const poolPkgPath = "latsim/internal/sim"
 
-// Escapes is poolsafety's exported fact: the parameter indices a
-// function stores into a location that outlives the call (a field, an
-// element, a global, or an escaping callee). A caller that passes a
-// pooled pointer through such a parameter has effectively stored it,
-// and must not Put the object while the store stands.
-type Escapes struct {
-	Params []int `json:"params"`
-}
-
-// AFact marks Escapes as a fact type.
-func (*Escapes) AFact() {}
-
 // NewPoolsafety returns the poolsafety analyzer: misuse of sim.Pool[T]
 // objects. The pool contract (see sim.Pool) is LIFO recycling with no
 // poisoning, so every violation silently aliases live state:
@@ -42,13 +30,10 @@ func (*Escapes) AFact() {}
 // the violations on purpose to pin down what misuse does.
 func NewPoolsafety() *Analyzer {
 	a := &Analyzer{
-		Name:      "poolsafety",
-		Doc:       "check sim.Pool objects for use-after-Put, double-Put and stores that outlive Put",
-		FactTypes: []Fact{(*Escapes)(nil)},
+		Name: "poolsafety",
+		Doc:  "check sim.Pool objects for use-after-Put, double-Put and stores that outlive Put",
 	}
 	a.Run = func(pass *Pass) error {
-		ec := newEffectsComputer(pass, nil, nil)
-		exportEscapes(pass, ec)
 		for _, file := range pass.Files {
 			if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
 				continue
@@ -57,7 +42,7 @@ func NewPoolsafety() *Analyzer {
 				switch fn := n.(type) {
 				case *ast.FuncDecl:
 					if fn.Body != nil {
-						ps := &poolState{pass: pass, ec: ec}
+						ps := &poolState{pass: pass}
 						ps.block(fn.Body.List, newPoolFlow())
 					}
 					return false // nested FuncLits are walked inside block
@@ -68,21 +53,6 @@ func NewPoolsafety() *Analyzer {
 		return nil
 	}
 	return a
-}
-
-// exportEscapes publishes an Escapes fact for every function whose
-// pointer parameters it stores beyond the call, in declaration order.
-func exportEscapes(pass *Pass, ec *effectsComputer) {
-	objs := make([]types.Object, 0, len(ec.decls))
-	for obj := range ec.decls {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
-	for _, obj := range objs {
-		if e := ec.of(obj); len(e.escapeParams) > 0 {
-			pass.ExportObjectFact(obj, &Escapes{Params: sortedKeys(e.escapeParams)})
-		}
-	}
 }
 
 // isPoolType reports whether t is sim.Pool[T] or *sim.Pool[T].
@@ -155,13 +125,12 @@ func (f *poolFlow) merge(g *poolFlow) {
 
 type poolState struct {
 	pass *Pass
-	ec   *effectsComputer
 }
 
 // recordEscapes scans e for calls that let a pooled pointer argument
-// escape, per the callee's Escapes fact (imported for other packages,
-// computed directly for this one), and records each as a live store:
-// Put while the store stands is then reported by the existing logic.
+// escape, per the callee's effects (this package's, or the summary its
+// package published), and records each as a live store: Put while the
+// store stands is then reported by the existing logic.
 func (ps *poolState) recordEscapes(e ast.Expr, f *poolFlow) {
 	if e == nil {
 		return
@@ -184,18 +153,11 @@ func (ps *poolState) recordEscapes(e ast.Expr, f *poolFlow) {
 		if !ok || fn.Pkg() == nil {
 			return true
 		}
-		var escapes []int
-		if fn.Pkg() == ps.pass.Pkg {
-			if obj := ps.pass.Info.Uses[id]; obj != nil {
-				escapes = sortedKeys(ps.ec.of(obj).escapeParams)
-			}
-		} else {
-			var fact Escapes
-			if ps.pass.ImportObjectFact(fn, &fact) {
-				escapes = fact.Params
-			}
+		callee := ps.pass.effects.calleeEffects(fn)
+		if callee == nil {
+			return true
 		}
-		for _, pi := range escapes {
+		for _, pi := range sortedKeys(callee.escapeParams) {
 			if pi >= len(call.Args) {
 				continue
 			}

@@ -25,7 +25,7 @@ func (r *Recorder) Tick(n int) {
 }
 
 // Defer schedules kernel work; the hazard is visible only through the
-// sim package's exported FnEffects facts.
+// effects summary published for the sim package.
 func (r *Recorder) Defer(fn func()) {
 	r.k.AfterActor(1, sim.Func(fn)) // want `hook method \(hooks\.Recorder\)\.Defer schedules kernel work`
 }
@@ -42,7 +42,7 @@ func (r *Recorder) Count() {
 }
 
 // Tally calls into another package that writes its own global; the
-// hazard arrives here only through helper's exported FnEffects fact.
+// hazard arrives here only through helper's published effects summary.
 func (r *Recorder) Tally() {
 	helper.Bump() // want `hook method \(hooks\.Recorder\)\.Tally writes package-level state: call to helper\.Bump`
 }

@@ -3,7 +3,10 @@
 // must stay silent.
 package a
 
-import "latsim/internal/sim"
+import (
+	"latsim/internal/analysis/testdata/src/poolsafety/b"
+	"latsim/internal/sim"
+)
 
 type obj struct {
 	id   int
@@ -44,6 +47,12 @@ func mapStoreOutlives(p *sim.Pool[obj], h *holder) {
 	x := p.Get()
 	h.m[1] = x
 	p.Put(x) // want `still stored in h.m\[1\]`
+}
+
+func keptAcrossPackages(p *sim.Pool[int], box *b.Box) {
+	x := p.Get()
+	box.Keep(x)
+	p.Put(x) // want `recycled while still stored in a location kept by \(b.Box\).Keep`
 }
 
 func branchPut(p *sim.Pool[obj], done bool) int {

@@ -263,10 +263,3 @@ func (a *App) Verify() float64 {
 }
 
 var _ machine.App = (*App)(nil)
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

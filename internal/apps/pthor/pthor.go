@@ -695,17 +695,3 @@ func (a *App) edgePhase(e *cpu.Env, pid, cyc int) {
 }
 
 var _ machine.App = (*App)(nil)
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -287,7 +287,7 @@ func (c *Config) Validate() error {
 		}
 	}
 	if c.MeshNetwork {
-		if w := isqrt(c.Procs); w*w != c.Procs {
+		if w := Isqrt(c.Procs); w*w != c.Procs {
 			return fmt.Errorf("config: MeshNetwork needs a square processor count, got Procs = %d", c.Procs)
 		}
 		if c.MeshHopCycles <= 0 {
@@ -342,8 +342,9 @@ func ValidateListenAddr(addr string) error {
 	return nil
 }
 
-// isqrt returns the integer square root of n.
-func isqrt(n int) int {
+// Isqrt returns the integer square root of n: the largest w with
+// w*w <= n. A mesh machine is Isqrt(Procs) nodes wide.
+func Isqrt(n int) int {
 	w := 0
 	for (w+1)*(w+1) <= n {
 		w++

@@ -803,6 +803,61 @@ func TestWCUnlockWaitsForDrainAndAcks(t *testing.T) {
 	})
 }
 
+// TestWCUnlockFenceCoversSiblingWrites: with several contexts, the WC
+// unlock's drain fence waits until the shared write buffer is empty,
+// including writes another context buffers while the unlock waits; a
+// release entry alone would wait only for the entries ahead of it. One
+// node runs two contexts, and the lock, homed there, is held from the
+// start. Process 0 writes x, which enters the buffer at cycle 1, and
+// unlocks, blocking at cycle 2; the processor switches to process 1
+// (SwitchPenalty 4), whose write of y enters the buffer at cycle 7, and
+// process 1 ends. Each write is a local ownership miss that retires
+// SecCheckWrite 2 + BusHold 4 + MemHold 6 + WriteGrant 6 = 18 cycles
+// after it enters: x at 19, y at 25. The fence lifts when y retires, and
+// the release store, another local ownership miss, completes 18 cycles
+// later, at 43; the idle processor then switches back to process 0.
+// Enqueued at the unlock instead, the release would follow only x and
+// complete at 37.
+func TestWCUnlockFenceCoversSiblingWrites(t *testing.T) {
+	def := config.Default()
+	lat := def.Lat
+	pen := sim.Time(def.SwitchPenalty)
+	own := sim.Time(lat.SecCheckWrite + lat.BusHold + lat.MemHold + lat.WriteGrant)
+	var x, y mem.Addr
+	var lk *msync.Lock
+	var resumed sim.Time
+	res := run(t, 1, &app{
+		cfg: func(c *config.Config) { c.Model, c.Contexts = config.WC, 2 },
+		setup: func(m *machine.Machine) {
+			x = m.AllocOnNode(2*mem.LineSize, 0) + mem.LineSize
+			y = m.AllocOnNode(4*mem.LineSize, 0) + 2*mem.LineSize
+			lk = m.NewLockOnNode(0)
+			lk.SetHeld()
+		},
+		worker: func(e *cpu.Env, pid int) {
+			switch pid {
+			case 0:
+				e.Write(x)
+				e.Unlock(lk)
+				resumed = e.Now()
+			case 1:
+				e.Write(y)
+			}
+		},
+	})
+	yRetired := 2 + pen + 1 + own
+	released := yRetired + own
+	if resumed != released+pen {
+		t.Errorf("process 0 resumed at %d, want %d: the release completes %d cycles after y retires at %d",
+			resumed, released+pen, own, yRetired)
+	}
+	checkBuckets(t, res, released+pen, map[stats.Bucket]sim.Time{
+		stats.Busy:      3,
+		stats.Switching: 2 * pen,
+		stats.AllIdle:   released + pen - 3 - 2*pen,
+	})
+}
+
 // TestPrimaryPortLockout: a primary-cache fill holds the primary port for
 // its last FillPrim (6) cycles, and a read issued meanwhile waits for the
 // port. Each program below issues a read 3 cycles before the port frees,

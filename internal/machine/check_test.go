@@ -63,13 +63,17 @@ func TestCheckCleanAcrossVariants(t *testing.T) {
 			variants = append(variants, variant{model, cached, 1, 1})
 		}
 	}
-	// Multi-context SC shares the write buffer between contexts; the
+	// Multi-context runs share the write buffer between contexts; the
 	// FIFO assertion must relax to per-context order (regression: the
 	// strict node-level assertion fired on legal cross-context
-	// interleaving). Set-associative caches pin the checker's Peek-only
-	// probing (regression: State's LRU touch perturbed replacement).
+	// interleaving under SC), and every model's buffered releases and
+	// fences meet writes from sibling contexts. Set-associative caches
+	// pin the checker's Peek-only probing (regression: State's LRU touch
+	// perturbed replacement).
 	variants = append(variants,
 		variant{config.SC, true, 2, 1},
+		variant{config.PC, true, 2, 1},
+		variant{config.WC, true, 2, 1},
 		variant{config.RC, true, 2, 1},
 		variant{config.SC, true, 1, 2},
 		variant{config.RC, true, 1, 4})

@@ -3,6 +3,7 @@ package memsys
 import (
 	"fmt"
 
+	"latsim/internal/config"
 	"latsim/internal/obs"
 	"latsim/internal/obs/span"
 	"latsim/internal/sim"
@@ -15,11 +16,10 @@ import (
 // grows with Manhattan distance and traffic contends for individual
 // links. Used by the network-topology ablation.
 type Mesh struct {
-	k     *sim.Kernel
-	w, h  int
-	nodes int
-	hop   int // router + wire cycles per hop
-	occ   int // link occupancy per message (flits)
+	k   *sim.Kernel
+	w   int // nodes per row and per column
+	hop int // router + wire cycles per hop
+	occ int // link occupancy per message (flits)
 
 	links map[[2]int]*sim.Resource // directed neighbor edges
 	rec   *obs.Recorder            // optional observability recorder (nil = off)
@@ -28,29 +28,27 @@ type Mesh struct {
 // SetObs installs an observability recorder on the mesh (nil disables).
 func (m *Mesh) SetObs(rec *obs.Recorder) { m.rec = rec }
 
-// NewMesh builds a near-square mesh for the given node count. hop is the
-// per-hop latency in cycles and occ the per-link occupancy per message.
+// NewMesh builds a w×w mesh for a square node count (config.Validate
+// rejects any other with MeshNetwork) and panics on a count that is not
+// a square. hop is the per-hop latency in cycles and occ the per-link
+// occupancy per message.
 func NewMesh(k *sim.Kernel, nodes, hop, occ int) *Mesh {
-	w := 1
-	for w*w < nodes {
-		w++
+	w := config.Isqrt(nodes)
+	if w*w != nodes {
+		panic(fmt.Sprintf("memsys: a mesh needs a square node count, got %d", nodes))
 	}
-	h := (nodes + w - 1) / w
-	m := &Mesh{k: k, w: w, h: h, nodes: nodes, hop: hop, occ: occ, links: map[[2]int]*sim.Resource{}}
+	m := &Mesh{k: k, w: w, hop: hop, occ: occ, links: map[[2]int]*sim.Resource{}}
 	link := func(a, b int) {
-		if _, ok := m.links[[2]int{a, b}]; !ok {
-			m.links[[2]int{a, b}] = sim.NewResource(k)
-		}
+		m.links[[2]int{a, b}] = sim.NewResource(k)
+		m.links[[2]int{b, a}] = sim.NewResource(k)
 	}
 	for id := 0; id < nodes; id++ {
 		x, y := id%w, id/w
-		if x+1 < w && id+1 < nodes {
+		if x+1 < w {
 			link(id, id+1)
-			link(id+1, id)
 		}
-		if y+1 < h && id+w < nodes {
+		if y+1 < w {
 			link(id, id+w)
-			link(id+w, id)
 		}
 	}
 	return m
@@ -70,33 +68,19 @@ func (m *Mesh) Hops(from, to int) int {
 	return dx + dy
 }
 
-// nextHop is dimension-ordered (X then Y) routing; on a ragged mesh (the
-// last row shorter than the rest) an X-move into a missing node is
-// replaced by the Y-move, which always exists.
+// nextHop is dimension-ordered (X then Y) routing.
 func (m *Mesh) nextHop(cur, to int) int {
 	cx, cy := cur%m.w, cur/m.w
 	tx, ty := to%m.w, to/m.w
-	yMove := func() int {
-		if cy < ty {
-			return cur + m.w
-		}
-		return cur - m.w
-	}
 	switch {
 	case cx < tx:
-		if cur+1 < m.nodes {
-			return cur + 1
-		}
-		return yMove()
+		return cur + 1
 	case cx > tx:
 		return cur - 1
-	case cy != ty:
-		n := yMove()
-		if n >= m.nodes {
-			// Moving down into a shorter last row: step left first.
-			return cur - 1
-		}
-		return n
+	case cy < ty:
+		return cur + m.w
+	case cy > ty:
+		return cur - m.w
 	}
 	return cur
 }

@@ -401,7 +401,7 @@ func (m *Model) queues(cfg *config.Config, op *OpPoint, w, T float64) queueWaits
 	q.dirtyExtra = 2*wNI + wBus
 	if cfg.MeshNetwork {
 		dist := meshAvgDistance(cfg.Procs)
-		width := float64(isqrtf(cfg.Procs))
+		width := float64(config.Isqrt(cfg.Procs))
 		links := 4 * width * (width - 1)
 		if links > 0 {
 			// Total hop rate over the machine spread across all
@@ -644,13 +644,4 @@ func total(t *[stats.NumBuckets]float64) float64 {
 // converged reports the fixed point moved less than a tenth cycle.
 func converged(prev, next float64) bool {
 	return math.Abs(next-prev) < 0.1
-}
-
-// isqrtf is config's integer square root, local to avoid exporting it.
-func isqrtf(n int) int {
-	w := 0
-	for (w+1)*(w+1) <= n {
-		w++
-	}
-	return w
 }

@@ -85,11 +85,7 @@ func Compose(cfg *config.Config) ServiceTimes {
 // meshAvgDistance is the mean Manhattan distance between two uniformly
 // random nodes of a w x w mesh (w = sqrt(procs)): 2*(w^2-1)/(3*w) hops.
 func meshAvgDistance(procs int) float64 {
-	w := 1
-	for (w+1)*(w+1) <= procs {
-		w++
-	}
-	fw := float64(w)
+	fw := float64(config.Isqrt(procs))
 	return 2 * (fw*fw - 1) / (3 * fw)
 }
 
