@@ -49,8 +49,9 @@ type effects struct {
 	// mutParams holds the parameter indices the function writes through.
 	mutParams map[int]bool
 	// escapeParams holds the parameter indices whose pointer is stored
-	// in a location that outlives the call (a field, element or global)
-	// — the interprocedural half of poolsafety.
+	// in a location that outlives the call (a field, element or global),
+	// here or by a callee it is passed on to — the interprocedural half
+	// of poolsafety.
 	escapeParams map[int]bool
 }
 
@@ -82,6 +83,18 @@ func newEffects() *effects {
 	return &effects{mutParams: map[int]bool{}, escapeParams: map[int]bool{}}
 }
 
+// weight counts e's recorded effects. Each part only grows as a
+// function's callees' effects grow, so an unchanged weight means
+// unchanged effects.
+func (e *effects) weight() int {
+	w := len(e.allocs) + len(e.schedules) + len(e.modelWrites) + len(e.globalWrites) +
+		len(e.mutParams) + len(e.escapeParams)
+	if e.mutRecv {
+		w++
+	}
+	return w
+}
+
 func sortedKeys(m map[int]bool) []int {
 	var out []int
 	for k := range m {
@@ -102,12 +115,11 @@ type effectsComputer struct {
 	decls      map[types.Object]*ast.FuncDecl
 	memo       map[types.Object]*effects
 	active     map[types.Object]bool
+	recursive  bool // a call reached a function whose effects were still being computed
 }
 
 // newEffectsComputer computes the effects of every function declared
-// in pass's files. It walks them in source order: a recursion cycle's
-// effects depend on which member is entered first, so every reader
-// must see the memo this one order fills.
+// in pass's files, in source order.
 func newEffectsComputer(pass *Pass, modelPkgs []string, allocMarks map[string]map[int]markerAt) *effectsComputer {
 	ec := &effectsComputer{
 		pass:       pass,
@@ -133,6 +145,20 @@ func newEffectsComputer(pass *Pass, modelPkgs []string, allocMarks map[string]ma
 	for _, fn := range ec.funcs {
 		ec.of(fn)
 	}
+	// A call that reached a function whose effects were still being
+	// computed read them as none. Recompute every function, each reading
+	// the others' latest effects, until a round changes no function's
+	// weight: effects only grow as their callees' do, and they are
+	// bounded, so that is a fixpoint, and every member of a recursion
+	// cycle carries all the cycle reaches, whichever was entered first.
+	for changed := ec.recursive; changed; {
+		changed = false
+		for _, fn := range ec.funcs {
+			e := ec.compute(ec.decls[fn])
+			changed = changed || e.weight() != ec.memo[fn].weight()
+			ec.memo[fn] = e
+		}
+	}
 	return ec
 }
 
@@ -149,13 +175,14 @@ func (ec *effectsComputer) calleeEffects(fn *types.Func) *effects {
 }
 
 // of returns the effects of a package-level function by object,
-// computing and memoizing on first use. Recursion cycles contribute
-// nothing (lint fixpoint: a cycle's effects surface at its entry edges).
+// computing and memoizing on first use. A recursive call reads none
+// (newEffectsComputer then recomputes to a fixpoint).
 func (ec *effectsComputer) of(obj types.Object) *effects {
 	if e, ok := ec.memo[obj]; ok {
 		return e
 	}
 	if ec.active[obj] {
+		ec.recursive = true
 		return newEffects()
 	}
 	decl, ok := ec.decls[obj]
@@ -491,6 +518,21 @@ func (ec *effectsComputer) call(call *ast.CallExpr, recv types.Object, params ma
 			eff.mutRecv = true
 		case tParam:
 			eff.mutParams[idx] = true
+		}
+	}
+	// A pointer parameter passed on to a callee that keeps it escapes
+	// here too, so poolsafety sees through forwarding wrappers.
+	for _, pi := range sortedKeys(callee.escapeParams) {
+		if pi >= len(call.Args) {
+			continue
+		}
+		if id, ok := ast.Unparen(call.Args[pi]).(*ast.Ident); ok {
+			obj := ec.pass.ObjectOf(id)
+			if idx, isParam := params[obj]; isParam {
+				if _, ok := obj.Type().(*types.Pointer); ok {
+					eff.escapeParams[idx] = true
+				}
+			}
 		}
 	}
 }

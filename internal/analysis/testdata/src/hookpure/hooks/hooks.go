@@ -75,3 +75,35 @@ func (r *Recorder) Finish() []int {
 	copy(out, r.counts)
 	return out
 }
+
+// cycA allocates and calls cycB, which only calls back: declared in this
+// order, cycA is computed first, and cycB must still carry its cycle's
+// allocation.
+func cycA(n int) []int {
+	if n == 0 {
+		return make([]int, 1)
+	}
+	return cycB(n - 1)
+}
+
+func cycB(n int) []int { return cycA(n) }
+
+// Spin reaches the allocation only through the cycle's second member.
+func (r *Recorder) Spin() {
+	r.last = len(cycB(r.last)) // want `hook method \(hooks\.Recorder\)\.Spin allocates on the hot path: call to hooks\.cycB`
+}
+
+// cycD only calls cycC, which allocates: the reverse declaration order.
+func cycD(n int) []int { return cycC(n) }
+
+func cycC(n int) []int {
+	if n == 0 {
+		return make([]int, 1)
+	}
+	return cycD(n - 1)
+}
+
+// Whirl reaches the allocation through the member declared first.
+func (r *Recorder) Whirl() {
+	r.last = len(cycD(r.last)) // want `hook method \(hooks\.Recorder\)\.Whirl allocates on the hot path: call to hooks\.cycD`
+}

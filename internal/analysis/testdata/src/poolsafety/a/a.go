@@ -55,6 +55,22 @@ func keptAcrossPackages(p *sim.Pool[int], box *b.Box) {
 	p.Put(x) // want `recycled while still stored in a location kept by \(b.Box\).Keep`
 }
 
+func keptThroughWrapper(p *sim.Pool[int], box *b.Box) {
+	x := p.Get()
+	box.KeepVia(x)
+	p.Put(x) // want `recycled while still stored in a location kept by \(b.Box\).KeepVia`
+}
+
+func (h *holder) keep(x *obj) { h.cur = x }
+
+func (h *holder) keepVia(x *obj) { h.keep(x) }
+
+func keptThroughLocalWrapper(p *sim.Pool[obj], h *holder) {
+	x := p.Get()
+	h.keepVia(x)
+	p.Put(x) // want `recycled while still stored in a location kept by \(a.holder\).keepVia`
+}
+
 func branchPut(p *sim.Pool[obj], done bool) int {
 	x := p.Get()
 	if done {

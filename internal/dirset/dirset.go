@@ -11,15 +11,16 @@
 //   - coarse-vector: one bit per group of k consecutive nodes; a write
 //     invalidates every node of every marked group.
 //
-// A sharer set is a plain value (Set) stored inside its directory entry.
-// The organization and its parameters (Layout) are held once per
+// A sharer set is a one-word value (Set) stored inside its directory
+// entry. The organization and its parameters (Layout) are held once per
 // directory, and every set is read and written through them. Each
 // organization keeps a bit vector: full-map and limited-pointer one bit
 // per node (a limited-pointer set records its pointers as a node mask),
-// coarse-vector one bit per group. A vector of at most 64 bits lives in
-// the Set itself, so on machines of 64 nodes or fewer no organization
-// allocates; a wider vector is one word slice, allocated the first time
-// a node is added to the set.
+// coarse-vector one bit per group. A vector of at most 64 bits is the
+// Set's word itself, so on machines of 64 nodes or fewer no organization
+// allocates. A wider vector lives in a word store the Layout owns: the
+// first time a node is added to the set, the store grows by the
+// vector's words and the Set records where they start.
 //
 // Every organization obeys the superset contract: the represented set
 // always contains every true sharer, and may contain more (the imprecise
@@ -35,7 +36,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"unsafe"
 )
 
 // Org selects a directory organization.
@@ -106,6 +106,12 @@ type Layout struct {
 	ptrs  int // limited-pointer: the number of pointers i
 	k     int // coarse-vector: nodes per group
 	width int // bits in a set's vector: procs, or the number of groups
+
+	// store holds the vectors of every set wider than 64 bits, each in
+	// (width+63)/64 consecutive words; nil when the layout is at most 64
+	// bits wide. Copies of a Layout share it, and it only grows, so a set
+	// keeps its offset for its life.
+	store *[]uint64
 }
 
 // NewLayout returns the layout of org on a machine of procs nodes.
@@ -117,6 +123,9 @@ func NewLayout(org Org, procs, pointers, coarseness int) Layout {
 	l := Layout{org: org, procs: procs, ptrs: max(pointers, 1), k: max(coarseness, 1), width: procs}
 	if org == CoarseVector {
 		l.width = (procs + l.k - 1) / l.k
+	}
+	if l.width > 64 {
+		l.store = new([]uint64)
 	}
 	return l
 }
@@ -135,34 +144,39 @@ func (l Layout) Bits() int {
 	return l.procs
 }
 
-// Set is one line's sharer set. The zero Set is empty. A Set must be
-// used with a single Layout; copies of a Set wider than 64 bits share
-// their words.
+// Set is one line's sharer set, one word. When the layout is at most 64
+// bits wide the word is the vector; when it is wider the word is 0 until
+// the set's first Add, and then 1 plus the offset of the set's words in
+// the layout's store. The zero Set is empty. A Set must be used with a
+// single Layout; copies of a Set wider than 64 bits share their words.
 type Set struct {
-	w   [1]uint64 // the vector, when the layout is at most 64 bits wide
-	ext *uint64   // first word of a wider vector (nil until the first Add)
+	w [1]uint64
 }
 
-// words returns s's bit vector: the inline word, or the wide vector
-// (nil before its first Add).
+// words returns s's bit vector: the set's own word, or the wide vector
+// in the store (nil before its first Add).
 func (l Layout) words(s *Set) []uint64 {
-	if l.width <= 64 {
+	if l.store == nil {
 		return s.w[:]
 	}
-	if s.ext == nil {
+	if s.w[0] == 0 {
 		return nil
 	}
-	// ext is the first element of a slice of exactly this many words
-	// (see Add), so this rebuilds that slice.
-	return unsafe.Slice(s.ext, (l.width+63)/64)
+	off := s.w[0] - 1
+	return (*l.store)[off : off+uint64(l.width+63)/64]
 }
 
 // Add includes node id in s. It returns true when this call pushed a
 // limited-pointer set into broadcast mode (the overflow event the
 // directory counts); every other call returns false.
 func (l Layout) Add(s *Set, id int) (overflowed bool) {
-	if l.width > 64 && s.ext == nil {
-		s.ext = &make([]uint64, (l.width+63)/64)[0]
+	if l.store != nil && s.w[0] == 0 {
+		s.w[0] = uint64(len(*l.store)) + 1
+		// One word at a time: append(store, make(...)...) would allocate
+		// its temporary on every call under the race detector.
+		for range (l.width + 63) / 64 {
+			*l.store = append(*l.store, 0)
+		}
 	}
 	ws := l.words(s)
 	b := id

@@ -463,29 +463,80 @@ func firstAtOrAbove(ids []int, id int) int {
 	return -1
 }
 
-// TestAllocations: a set of at most 64 bits never allocates, and a wider
-// one allocates its word slice once, on its first Add.
+// TestAllocations: a set of at most 64 bits never allocates. A wider
+// set's first Add grows the layout's shared word store, as append grows
+// a slice, so over many sets a first Add allocates nothing on average;
+// later operations on the set never allocate.
 func TestAllocations(t *testing.T) {
 	for _, c := range []struct {
 		org            Org
 		procs, ptrs, k int
-		first          float64
+		runs           int // first Adds averaged over
 	}{
-		{FullMap, 64, 0, 0, 0},
-		{LimitedPtr, 64, 4, 0, 0},
-		{CoarseVector, 64, 0, 1, 0},
-		{CoarseVector, 1024, 0, 16, 0},
-		{FullMap, 65, 0, 0, 1},
-		{LimitedPtr, 1024, 4, 0, 1},
-		{CoarseVector, 65, 0, 1, 1},
+		{FullMap, 64, 0, 0, 1},
+		{LimitedPtr, 64, 4, 0, 1},
+		{CoarseVector, 64, 0, 1, 1},
+		{CoarseVector, 1024, 0, 16, 1},
+		{FullMap, 65, 0, 0, 1000},
+		{LimitedPtr, 1024, 4, 0, 1000},
+		{CoarseVector, 65, 0, 1, 1000},
 	} {
 		l := NewLayout(c.org, c.procs, c.ptrs, c.k)
 		var s Set
-		first := testing.AllocsPerRun(1, func() { s = Set{}; l.Add(&s, c.procs-1) })
+		first := testing.AllocsPerRun(c.runs, func() { s = Set{}; l.Add(&s, c.procs-1) })
 		later := testing.AllocsPerRun(10, func() { l.Add(&s, 0); l.Remove(&s, 0); l.Clear(&s) })
-		if first != c.first || later != 0 {
-			t.Errorf("%v at %d nodes: first Add allocates %v, later ops %v; want %v and 0",
-				c.org, c.procs, first, later, c.first)
+		if first != 0 || later != 0 {
+			t.Errorf("%v at %d nodes: a first Add allocates %v (mean of %d), later ops %v; want 0 and 0",
+				c.org, c.procs, first, c.runs, later)
+		}
+	}
+}
+
+// TestStoreKeepsEverySet: the wide sets of one layout share its word
+// store, which grows, and moves, as sets take their first members.
+// Every set must read back its own members after many growths, and a
+// copy of a set must see the original's later Add, since both name the
+// same words.
+func TestStoreKeepsEverySet(t *testing.T) {
+	const procs, sets = 1024, 1000
+	for _, c := range []struct {
+		org     Org
+		ptrs, k int
+	}{{FullMap, 0, 0}, {LimitedPtr, 4, 0}, {CoarseVector, 0, 4}} {
+		l := NewLayout(c.org, procs, c.ptrs, c.k)
+		ss := make([]Set, sets)
+		refs := make([]*refSet, sets)
+		growths, capacity := 0, 0
+		// Set i takes node i first and a second node later, after every
+		// set has its words, so both Adds land in a store that has since
+		// moved.
+		for _, member := range []func(i int) int{
+			func(i int) int { return i },
+			func(i int) int { return (i*37 + 11) % procs },
+		} {
+			for i := range ss {
+				if refs[i] == nil {
+					refs[i] = newRef(c.org, procs, max(c.ptrs, 1), max(c.k, 1))
+				}
+				l.Add(&ss[i], member(i))
+				refs[i].add(member(i))
+				if cp := cap(*l.store); cp != capacity {
+					growths, capacity = growths+1, cp
+				}
+			}
+		}
+		if growths < 10 {
+			t.Fatalf("%v: the store grew %d times, want at least 10", c.org, growths)
+		}
+		for i, s := range ss {
+			if got, want := collect(l.View(s)), refs[i].members(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: set %d reads back %v, want %v", c.org, i, got, want)
+			}
+		}
+		dup := ss[0]
+		l.Add(&ss[0], procs-1)
+		if !l.View(dup).Contains(procs-1) || l.View(dup).Len() != l.View(ss[0]).Len() {
+			t.Errorf("%v: a copy of a set does not see the original's later Add", c.org)
 		}
 	}
 }

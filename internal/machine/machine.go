@@ -65,8 +65,8 @@ func New(cfg config.Config) (*Machine, error) {
 	if cfg.MeshNetwork {
 		m.mesh = memsys.NewMesh(m.k, cfg.Procs, cfg.MeshHopCycles, cfg.MeshLinkOccupancy)
 	}
+	memsys.Connect(m.nodes)
 	for i, n := range m.nodes {
-		n.Connect(m.nodes)
 		if m.mesh != nil {
 			n.AttachMesh(m.mesh)
 		}

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -161,8 +162,52 @@ func TestSpaceWaitsAllocateNothing(t *testing.T) {
 // of a page once any line of it reaches its home, so the entry's size
 // multiplies into the live heap.
 func TestDirEntryStaysSmall(t *testing.T) {
-	if size := unsafe.Sizeof(dirEntry{}); size > 24 {
-		t.Errorf("dirEntry is %d bytes, want at most 24", size)
+	if size := unsafe.Sizeof(dirEntry{}); size > 16 {
+		t.Errorf("dirEntry is %d bytes, want at most 16", size)
+	}
+}
+
+// TestFanOutsShareFreeLists: every node of a machine draws its records
+// from the machine's free lists, so once one invalidation fan-out has
+// grown them, fan-outs from seven other homes allocate nothing. (With a
+// free list per node, each new home would grow its own list of network
+// messages to the fan-out's width.)
+func TestFanOutsShareFreeLists(t *testing.T) {
+	const procs, homes = 64, 8
+	const writer = procs - 1
+	r := newRig(procs, nil)
+	var done countTask
+	lines := make([]mem.Addr, homes)
+	for h := range lines {
+		// Each line takes its own cache set, so the writer's dirty copy of
+		// one is not evicted (and written back) by the next.
+		lines[h] = r.alloc.AllocOnNode(mem.PageSize, h) + mem.Addr(h*mem.LineSize)
+		for id := 0; id < procs; id++ {
+			r.nodes[id].Read(lines[h], &done)
+			r.k.Run(nil)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for h, a := range lines {
+		invals := r.sts[h].InvalsSent
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.nodes[writer].AcquireOwnership(a, &done)
+		r.k.Run(nil)
+		runtime.ReadMemStats(&after)
+		allocs := after.Mallocs - before.Mallocs
+		if got := r.sts[h].InvalsSent - invals; got != procs-1 {
+			t.Fatalf("home %d sent %d invalidations, want %d", h, got, procs-1)
+		}
+		if h == 0 && allocs == 0 {
+			t.Fatal("the first fan-out allocated nothing; the measurement is not seeing the free lists grow")
+		}
+		if h > 0 && allocs != 0 {
+			t.Errorf("the fan-out from home %d allocates %d objects, want 0", h, allocs)
+		}
+	}
+	if done.n != homes*procs+homes {
+		t.Fatalf("%d of %d accesses completed", done.n, homes*procs+homes)
 	}
 }
 

@@ -35,9 +35,7 @@ func newRig(nprocs int, mut func(*config.Config)) *rig {
 		r.sts = append(r.sts, st)
 		r.nodes = append(r.nodes, NewNode(k, i, &cfg, alloc, st))
 	}
-	for _, n := range r.nodes {
-		n.Connect(r.nodes)
-	}
+	Connect(r.nodes)
 	return r
 }
 
@@ -598,17 +596,18 @@ func TestProtocolDeterminism(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsReportsLowestDirtyLine: two directory entries say
-// Dirty at a node that caches neither line. The walk runs in page and
-// line order, so the error names the lower line whichever was marked
-// first.
+// TestCheckInvariantsReportsLowestDirtyLine: three directory entries say
+// Dirty at a node that caches none of the lines. Each page is read at its
+// home, in page and line order, so the error names the lowest line at the
+// lowest home, whichever was marked first, although home 2's line sits on
+// a lower page than home 1's.
 func TestCheckInvariantsReportsLowestDirtyLine(t *testing.T) {
 	r := newRig(4, nil)
+	other := r.alloc.AllocOnNode(mem.LineSize, 2)
 	lo := r.alloc.AllocOnNode(mem.LineSize, 1)
 	hi := r.alloc.AllocOnNode(mem.PageSize, 1) // the next page
-	home := r.nodes[1]
-	for _, a := range []mem.Addr{hi, lo} {
-		e := home.entry(mem.LineOf(a))
+	for _, a := range []mem.Addr{other, hi, lo} {
+		e := r.nodes[r.alloc.Home(a)].entry(mem.LineOf(a))
 		e.state, e.owner = DirDirty, 2
 	}
 	err := CheckInvariants(r.nodes)

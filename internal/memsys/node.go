@@ -27,12 +27,12 @@ const (
 )
 
 // dirEntry is the directory entry for one line. The sharer set is a
-// value in the organization the home's layout picks (Config.DirOrg:
+// value in the organization the machine's layout picks (Config.DirOrg:
 // exact full-map by default; limited-pointer and coarse-vector for
 // scaled machines) and always holds a superset of the nodes with shared
-// copies. The entry is kept to 24 bytes because the directory stores one
+// copies. The entry is kept to 16 bytes because the directory stores one
 // for every line of each page that has reached its home, touched or not
-// (see Node.dir). A slot that is not used has never been touched and
+// (see shared.dir). A slot that is not used has never been touched and
 // reads as no entry.
 type dirEntry struct {
 	sharers dirset.Set // nodes with (potential) shared copies
@@ -170,13 +170,10 @@ type Node struct {
 	prim *primaryCache
 	sec  *secondaryCache
 
-	// dir is this node's slice of the directory: one chunk per page homed
-	// here, indexed by page number and allocated when a line of the page
-	// first reaches this home (nil until then). layout is the organization
-	// every entry's sharer set is stored in. parked holds the requests
-	// waiting on busy entries, in arrival order.
-	dir    []*dirChunk
-	layout dirset.Layout
+	// sh is what this node shares with the rest of its machine: the
+	// directory table and the record free lists. parked holds the
+	// requests waiting on busy entries homed here, in arrival order.
+	sh     *shared
 	parked []parkedReq
 
 	// mshrs and victims hold the lines with a miss or a writeback in
@@ -208,11 +205,26 @@ type Node struct {
 	// the AcquireOwnership call; see DESIGN.md's span lifecycle contract).
 	syncDepth int
 	spanAdopt *span.Span
+}
 
-	// Free lists for the transient transaction records on the hot paths.
-	// They are per-node (per-kernel), matching the kernel's single-threaded
-	// discipline — the runner simulates many machines concurrently, so
-	// package-level pools would race.
+// shared is the state all nodes of one machine share, so that the host
+// holds what the machine holds at once rather than every node's peak.
+//
+// dir is the directory: one chunk per page, indexed by page number and
+// allocated when a line of the page first reaches its home (nil until
+// then). Only a page's home reads or writes its chunk. layout is the
+// organization every entry's sharer set is stored in.
+//
+// The free lists hold the transient transaction records of the hot
+// paths. Every node draws records from them and returns records to
+// them, so each list keeps the machine's in-flight peak, not the sum of
+// every node's. They belong to one machine (one kernel), matching the
+// kernel's single-threaded discipline — the runner simulates many
+// machines concurrently, so package-level pools would race.
+type shared struct {
+	dir    []*dirChunk
+	layout dirset.Layout
+
 	msgs         sim.Pool[netMsg]
 	mshrPool     sim.Pool[mshr]
 	secFills     sim.Pool[secFill]
@@ -221,9 +233,10 @@ type Node struct {
 	victimPool   sim.Pool[victimEntry]
 	fwds         sim.Pool[fwdMsg]
 	retries      sim.Pool[retryOp]
+	wbEntries    sim.Pool[wbEntry]
 }
 
-// NewNode constructs node id. Call Connect with the full node slice before
+// NewNode constructs node id. Connect the machine's nodes before
 // simulating.
 func NewNode(k *sim.Kernel, id int, cfg *config.Config, alloc *mem.Allocator, st *stats.Proc) *Node {
 	n := &Node{
@@ -244,11 +257,16 @@ func NewNode(k *sim.Kernel, id int, cfg *config.Config, alloc *mem.Allocator, st
 	return n
 }
 
-// Connect wires the node to the rest of the machine, whose size sets
-// the directory's layout.
-func (n *Node) Connect(nodes []*Node) {
-	n.nodes = nodes
-	n.layout = dirset.NewLayout(n.cfg.DirOrg, len(nodes), n.cfg.DirPointers, n.cfg.DirCoarseness)
+// Connect wires nodes, built by NewNode with one configuration, into one
+// machine: each learns the others, and all share one directory table
+// and one set of record free lists. The machine's size sets the
+// directory's layout.
+func Connect(nodes []*Node) {
+	cfg := nodes[0].cfg
+	sh := &shared{layout: dirset.NewLayout(cfg.DirOrg, len(nodes), cfg.DirPointers, cfg.DirCoarseness)}
+	for _, n := range nodes {
+		n.nodes, n.sh = nodes, sh
+	}
 }
 
 // SetObs installs an observability recorder (nil disables, the default).
@@ -299,40 +317,41 @@ func (n *Node) home(a mem.Addr) *Node { return n.nodes[n.alloc.Home(a)] }
 // serviced without network traffic).
 func (n *Node) IsLocal(a mem.Addr) bool { return n.alloc.Home(a) == n.id }
 
-// entry returns (creating if needed) the directory entry for a line homed
-// at this node.
+// entry returns (creating if needed) the directory entry for line l;
+// only l's home may call it.
 func (n *Node) entry(l mem.Line) *dirEntry {
+	sh := n.sh
 	p := mem.PageOf(mem.AddrOf(l))
-	if p >= uint64(len(n.dir)) {
-		n.dir = append(n.dir, make([]*dirChunk, p+1-uint64(len(n.dir)))...)
+	if p >= uint64(len(sh.dir)) {
+		sh.dir = append(sh.dir, make([]*dirChunk, p+1-uint64(len(sh.dir)))...)
 	}
-	c := n.dir[p]
+	c := sh.dir[p]
 	if c == nil {
 		c = new(dirChunk)
-		n.dir[p] = c
+		sh.dir[p] = c
 	}
 	e := &c[l%mem.LinesPerPage]
 	e.used = true
 	return e
 }
 
-// lookup returns the directory entry for a line homed at this node, or
-// nil if no request for the line has reached this home. Unlike entry it
-// creates nothing, so observers can read the directory freely.
+// lookup returns the directory entry for line l, or nil if no request
+// for the line has reached its home; only l's home may call it. Unlike
+// entry it creates nothing, so observers can read the directory freely.
 func (n *Node) lookup(l mem.Line) *dirEntry {
+	dir := n.sh.dir
 	p := mem.PageOf(mem.AddrOf(l))
-	if p >= uint64(len(n.dir)) || n.dir[p] == nil {
+	if p >= uint64(len(dir)) || dir[p] == nil {
 		return nil
 	}
-	if e := &n.dir[p][l%mem.LinesPerPage]; e.used {
+	if e := &dir[p][l%mem.LinesPerPage]; e.used {
 		return e
 	}
 	return nil
 }
 
-// sharers returns the read-only view of e's sharer set; e must be an
-// entry of this home's directory.
-func (n *Node) sharers(e *dirEntry) dirset.View { return n.layout.View(e.sharers) }
+// sharers returns the read-only view of e's sharer set.
+func (n *Node) sharers(e *dirEntry) dirset.View { return n.sh.layout.View(e.sharers) }
 
 // lineTable maps each line with a transaction in flight at a node to the
 // transaction's record. A node has few such lines at a time (measured
@@ -405,7 +424,7 @@ func (m *netMsg) Act() {
 	case msgDeliver:
 		d := m.done
 		m.done = nil
-		m.n.msgs.Put(m)
+		m.n.sh.msgs.Put(m)
 		d.Act()
 	}
 }
@@ -430,7 +449,7 @@ func (n *Node) sendSpanTask(to *Node, wire int, done sim.Actor, sp *span.Span) {
 		}))
 		return
 	}
-	m := n.msgs.Get()
+	m := n.sh.msgs.Get()
 	m.n, m.to, m.wire, m.done = n, to, wire, done
 	m.stage = msgPostOut
 	n.niOut.AcquireActor(sim.Time(n.lat().NIHold), m)
@@ -573,27 +592,34 @@ func CheckInvariants(nodes []*Node) error {
 		}
 	}
 	// Dirty directory entries must have exactly one Dirty cached copy.
-	// Pages and lines are walked in ascending order, so the first
-	// violation reported is the lowest line at the lowest home.
-	for _, home := range nodes {
-		for p, c := range home.dir {
-			if c == nil {
+	// Each page is read at its home. Pages and lines are walked in
+	// ascending order, and a page is skipped once a home no higher than
+	// its own has a violation, so the one reported is the lowest line at
+	// the lowest home.
+	bad := len(nodes)
+	for p, c := range nodes[0].sh.dir {
+		if c == nil {
+			continue
+		}
+		home := nodes[0].alloc.Home(mem.Addr(p * mem.PageSize))
+		if home >= bad {
+			continue
+		}
+		for i := range c {
+			e := &c[i]
+			if !e.used || e.state != DirDirty {
 				continue
 			}
-			for i := range c {
-				e := &c[i]
-				if !e.used || e.state != DirDirty {
-					continue
-				}
-				l := mem.Line(p*mem.LinesPerPage + i)
-				if st := nodes[e.owner].sec.Peek(l); st != Dirty {
-					return fmt.Errorf("directory at node %d says line %#x dirty at node %d, but that cache has state %v",
-						home.id, l, e.owner, st)
-				}
+			l := mem.Line(p*mem.LinesPerPage + i)
+			if st := nodes[e.owner].sec.Peek(l); st != Dirty {
+				bad = home
+				err = fmt.Errorf("directory at node %d says line %#x dirty at node %d, but that cache has state %v",
+					home, l, e.owner, st)
+				break
 			}
 		}
 	}
-	return nil
+	return err
 }
 
 // CacheSnapshot returns the node's valid secondary-cache lines as

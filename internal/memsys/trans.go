@@ -103,13 +103,13 @@ func (m *mshr) issue() {
 	m.n.bus.AcquireActor(sim.Time(m.n.lat().BusHold), m)
 }
 
-// newMSHR allocates a miss record from the node's free list. If a
+// newMSHR allocates a miss record from the machine's free list. If a
 // write-buffer entry is handing its span down (spanAdopt), the miss
 // continues that span; otherwise the miss is a transaction root and may
 // start its own. Either way the secondary lookup in progress becomes the
 // span's first segment.
 func (n *Node) newMSHR(a mem.Addr, kind mshrKind, excl bool) *mshr {
-	m := n.mshrPool.Get()
+	m := n.sh.mshrPool.Get()
 	m.n, m.a, m.line = n, a, mem.LineOf(a)
 	m.kind, m.excl = kind, excl
 	m.invalidated = false
@@ -162,7 +162,7 @@ func (s *secFill) Act() {
 		s.span = nil
 		d := s.done
 		s.done = nil
-		n.secFills.Put(s)
+		n.sh.secFills.Put(s)
 		if d != nil {
 			d.Act()
 		}
@@ -184,7 +184,7 @@ func (n *Node) Read(a mem.Addr, done sim.Actor) {
 	}
 	if n.sec.State(l) != Invalid {
 		// Secondary hit: fill the primary.
-		s := n.secFills.Get()
+		s := n.sh.secFills.Get()
 		s.n, s.line, s.done = n, l, done
 		s.stage = sfLock
 		kind := span.KTxnRead
@@ -268,9 +268,10 @@ type retryOp struct {
 	done  sim.Actor
 }
 
-// retry draws a retry record for an access to a from the node's pool.
+// retry draws a retry record for an access to a from the machine's
+// free list.
 func (n *Node) retry(a mem.Addr, write bool, done sim.Actor) *retryOp {
-	r := n.retries.Get()
+	r := n.sh.retries.Get()
 	r.n, r.a, r.write, r.done = n, a, write, done
 	return r
 }
@@ -279,7 +280,7 @@ func (n *Node) retry(a mem.Addr, write bool, done sim.Actor) *retryOp {
 func (r *retryOp) Act() {
 	n, a, write, done := r.n, r.a, r.write, r.done
 	r.done = nil
-	n.retries.Put(r)
+	n.sh.retries.Put(r)
 	if write {
 		n.AcquireOwnership(a, done)
 	} else {
@@ -308,14 +309,14 @@ func (h *Node) dirRead(a mem.Addr, req *Node, m *mshr) {
 			// subsequent write by the reader hits locally.
 			e.state = DirDirty
 			e.owner = int32(req.id)
-			h.layout.Clear(&e.sharers)
+			h.sh.layout.Clear(&e.sharers)
 			m.excl = true
 			h.dirEvent(l)
 			h.replyFill(req, m)
 			return
 		}
 		e.state = DirShared
-		h.layout.Clear(&e.sharers)
+		h.sh.layout.Clear(&e.sharers)
 		h.sharerAdd(e, req.id)
 		h.dirEvent(l)
 		h.replyFill(req, m)
@@ -329,7 +330,7 @@ func (h *Node) dirRead(a mem.Addr, req *Node, m *mshr) {
 		}
 		owner := h.nodes[e.owner]
 		e.state = DirShared
-		h.layout.Clear(&e.sharers)
+		h.sh.layout.Clear(&e.sharers)
 		h.sharerAdd(e, owner.id)
 		h.sharerAdd(e, req.id)
 		e.busy = true
@@ -353,7 +354,7 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 	case DirUncached:
 		e.state = DirDirty
 		e.owner = int32(req.id)
-		h.layout.Clear(&e.sharers)
+		h.sh.layout.Clear(&e.sharers)
 		h.dirEvent(l)
 		h.replyFill(req, m)
 	case DirShared:
@@ -379,7 +380,7 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 				h.chk.InvalSent(id, l)
 			}
 			sharer := h.nodes[id]
-			im := sharer.invals.Get()
+			im := h.sh.invals.Get()
 			im.n, im.req, im.line = sharer, req, l
 			im.stage = invArrive
 			im.span = m.span.Child(span.KSegInval, id)
@@ -387,7 +388,7 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 		}
 		e.state = DirDirty
 		e.owner = int32(req.id)
-		h.layout.Clear(&e.sharers)
+		h.sh.layout.Clear(&e.sharers)
 		h.dirEvent(l)
 		req.addAcks(count)
 		h.replyFill(req, m)
@@ -419,8 +420,8 @@ func (h *Node) replyFill(req *Node, m *mshr) {
 // For a read the owner downgrades to Shared; for a write it relinquishes
 // the line. Either way it replies directly to the requester and sends a
 // completion (sharing writeback / transfer notice) to the home, whose
-// controller then clears the entry's busy state. The record comes from
-// the home's pool and returns to it at the last stage.
+// controller then clears the entry's busy state. The home draws the
+// record from the machine's free list and returns it at the last stage.
 type fwdMsg struct {
 	home, owner *Node
 	m           *mshr // the requester's miss
@@ -447,7 +448,7 @@ func (h *Node) forward(owner *Node, m *mshr, write bool) {
 		h.rec.DirTxn(obs.DirForward)
 	}
 	m.span.Seg(span.KSegNet, h.id)
-	f := h.fwds.Get()
+	f := h.sh.fwds.Get()
 	f.home, f.owner, f.m, f.line, f.write = h, owner, m, m.line, write
 	f.stage = fwdArrive
 	h.sendSpanTask(owner, h.lat().WireForward, f, m.span)
@@ -503,7 +504,7 @@ func (f *fwdMsg) Act() {
 	case fwdUnbusy:
 		h := f.home
 		f.home, f.owner, f.m = nil, nil, nil
-		h.fwds.Put(f)
+		h.sh.fwds.Put(f)
 		h.dirUnbusy(l)
 	}
 }
@@ -543,7 +544,7 @@ func (h *Node) dirEvent(l mem.Line) {
 // overflow when the add tipped a limited-pointer entry into broadcast
 // mode (the Dir_i B overflow event).
 func (h *Node) sharerAdd(e *dirEntry, id int) {
-	if h.layout.Add(&e.sharers, id) {
+	if h.sh.layout.Add(&e.sharers, id) {
 		h.st.DirOverflows++
 		if h.rec != nil {
 			h.rec.DirTxn(obs.DirOverflow)
@@ -624,7 +625,7 @@ func (im *invalMsg) Act() {
 		im.span = nil
 		im.req.ackArrived()
 		im.req = nil
-		n.invals.Put(im)
+		n.sh.invals.Put(im)
 	}
 }
 
@@ -705,7 +706,7 @@ func (n *Node) completeFill(m *mshr) {
 	m.waiters = m.waiters[:0]
 	clear(m.queuedMsgs)
 	m.queuedMsgs = m.queuedMsgs[:0]
-	n.mshrPool.Put(m)
+	n.sh.mshrPool.Put(m)
 }
 
 // startWriteback sends a dirty victim back to its home. The data stays in
@@ -717,7 +718,7 @@ func (n *Node) startWriteback(l mem.Line, parent *span.Span) {
 	if n.victims.get(l) != nil {
 		panic(fmt.Sprintf("memsys: duplicate writeback for line %#x", l))
 	}
-	v := n.victimPool.Get()
+	v := n.sh.victimPool.Get()
 	v.n, v.line = n, l
 	n.victims.put(l, v)
 	v.stage = vbToHome
@@ -739,13 +740,13 @@ func (h *Node) dirWriteback(v *victimEntry) {
 	}
 	if e.state == DirDirty && int(e.owner) == from.id {
 		e.state = DirUncached
-		h.layout.Clear(&e.sharers)
+		h.sh.layout.Clear(&e.sharers)
 	} else {
 		// Stale writeback: the line was forwarded away before the
 		// writeback arrived. Drop the data; clear any stale sharer entry
 		// (best-effort — an imprecise representation may keep the node as
 		// part of its superset).
-		h.layout.Remove(&e.sharers, from.id)
+		h.sh.layout.Remove(&e.sharers, from.id)
 		if e.state == DirShared && h.sharers(e).Len() == 0 {
 			e.state = DirUncached
 		}
@@ -771,7 +772,7 @@ func (n *Node) writebackAcked(v *victimEntry) {
 	}
 	clear(v.waiters)
 	v.waiters = v.waiters[:0]
-	n.victimPool.Put(v)
+	n.sh.victimPool.Put(v)
 }
 
 // uncachedOp carries a shared access when shared data is not cacheable
@@ -850,7 +851,7 @@ func (u *uncachedOp) Act() {
 		u.span, u.spanAdopted = nil, false
 		d := u.done
 		u.done = nil
-		n.uncachedPool.Put(u)
+		n.sh.uncachedPool.Put(u)
 		if d != nil {
 			d.Act()
 		}
@@ -861,7 +862,7 @@ func (u *uncachedOp) Act() {
 func (n *Node) uncachedRead(a mem.Addr, done sim.Actor) {
 	n.st.ReadMisses++
 	lat := n.lat()
-	u := n.uncachedPool.Get()
+	u := n.sh.uncachedPool.Get()
 	u.n, u.home, u.read, u.done = n, n.home(a), true, done
 	u.started = n.k.Now()
 	n.spanUncached(u, span.KTxnRead)
@@ -878,7 +879,7 @@ func (n *Node) uncachedRead(a mem.Addr, done sim.Actor) {
 func (n *Node) uncachedWrite(a mem.Addr, done sim.Actor) {
 	n.st.WriteMisses++
 	lat := n.lat()
-	u := n.uncachedPool.Get()
+	u := n.sh.uncachedPool.Get()
 	u.n, u.home, u.read, u.done = n, n.home(a), false, done
 	u.started = n.k.Now()
 	n.spanUncached(u, span.KTxnWrite)

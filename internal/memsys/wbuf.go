@@ -48,7 +48,6 @@ type writeBuffer struct {
 	releaseArmed bool // the buffer is registered with onAllAcked for a blocked release
 	spaceWaiters []sim.Actor
 	drainWaiters []sim.Actor // fences waiting for the buffer to empty
-	pool         sim.Pool[wbEntry]
 }
 
 func newWriteBuffer(n *Node) *writeBuffer { return &writeBuffer{n: n} }
@@ -135,7 +134,7 @@ func (w *writeBuffer) enqueue(a mem.Addr, release bool, rel Releaser, onRetire s
 	if len(w.entries) >= w.n.cfg.WriteBufferDepth {
 		return false
 	}
-	e := w.pool.Get()
+	e := w.n.sh.wbEntries.Get()
 	e.w = w
 	e.addr, e.line = a, l
 	e.release, e.issued = release, false
@@ -231,7 +230,7 @@ func (w *writeBuffer) retire(e *wbEntry) {
 	e.rel = nil
 	e.span.End()
 	e.span = nil
-	w.pool.Put(e)
+	w.n.sh.wbEntries.Put(e)
 	if len(w.spaceWaiters) > 0 {
 		// Dequeue in place, so WBOnSpace keeps reusing the same storage.
 		done := w.spaceWaiters[0]

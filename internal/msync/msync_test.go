@@ -27,9 +27,7 @@ func newRig(n int) *rig {
 	for i := 0; i < n; i++ {
 		r.nodes = append(r.nodes, memsys.NewNode(k, i, &c, alloc, &stats.Proc{}))
 	}
-	for _, nd := range r.nodes {
-		nd.Connect(r.nodes)
-	}
+	memsys.Connect(r.nodes)
 	return r
 }
 
