@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -158,12 +159,89 @@ func TestSpaceWaitsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestDirEntryStaysSmall: the directory allocates an entry for every line
-// of a page once any line of it reaches its home, so the entry's size
-// multiplies into the live heap.
+// TestDirEntryStaysSmall: the directory holds an entry for every line a
+// request has reached the home of, so the entry's size multiplies into
+// the live heap.
 func TestDirEntryStaysSmall(t *testing.T) {
 	if size := unsafe.Sizeof(dirEntry{}); size > 16 {
 		t.Errorf("dirEntry is %d bytes, want at most 16", size)
+	}
+}
+
+// TestSecLinePacksTagAndState: a secondary-cache way is one word, and
+// packing a line and a state gives both back, also for a tag past 32
+// bits; a state wider than 2 bits cannot reach the tag.
+func TestSecLinePacksTagAndState(t *testing.T) {
+	if size := unsafe.Sizeof(secLine(0)); size != 8 {
+		t.Errorf("secLine is %d bytes, want 8", size)
+	}
+	for _, tag := range []mem.Line{1, 1<<40 + 5} {
+		for _, st := range []LineState{Invalid, Shared, Dirty} {
+			if s := packLine(tag, st); s.tag() != tag || s.state() != st {
+				t.Errorf("packLine(%#x, %v) unpacks to (%#x, %v)", tag, st, s.tag(), s.state())
+			}
+		}
+		if s := packLine(tag, LineState(0xff)); s.tag() != tag {
+			t.Errorf("packLine(%#x, 0xff) unpacks to tag %#x", tag, s.tag())
+		}
+	}
+}
+
+// TestDirectoryHoldsTouchedLinesOnly: a page's first request gives it an
+// index, and each line's first request takes the next entry of the
+// store, so the store holds the touched lines only, whatever their order,
+// and an entry stays where it is while the store grows.
+func TestDirectoryHoldsTouchedLinesOnly(t *testing.T) {
+	const procs, pages, stride = 16, 40, 8
+	r := newRig(procs, nil)
+	first := mem.LineOf(r.alloc.Alloc(pages * mem.PageSize))
+	last := first + pages*mem.LinesPerPage - 1
+	homeOf := func(l mem.Line) *Node { return r.nodes[r.alloc.Home(mem.AddrOf(l))] }
+	var early *dirEntry
+	var earlyLine mem.Line
+	touched := 0
+	for l := last; l >= first; l-- { // highest line first: store order is not line order
+		if (l-first)%stride != 0 {
+			continue
+		}
+		e := homeOf(l).entry(l)
+		if touched == 0 {
+			early, earlyLine = e, l
+			e.state, e.owner = DirDirty, procs-1
+		}
+		touched++
+	}
+	if touched-1 < 1000 {
+		t.Fatalf("only %d first touches after the early entry, want at least 1000", touched-1)
+	}
+	sh := r.nodes[0].sh
+	if want := (touched + dirBlockLen - 1) / dirBlockLen; len(sh.blocks) != want {
+		t.Errorf("%d touched lines fill %d store blocks, want %d", touched, len(sh.blocks), want)
+	}
+	if int(sh.entries) != touched {
+		t.Errorf("the store holds %d entries for %d touched lines", sh.entries, touched)
+	}
+	indexes := 0
+	for _, ix := range sh.dir {
+		if ix != nil {
+			indexes++
+		}
+	}
+	if indexes != pages {
+		t.Errorf("the table holds %d page indexes, want %d", indexes, pages)
+	}
+	for l := first; l <= last; l++ {
+		e := homeOf(l).lookup(l)
+		if (l-first)%stride != 0 {
+			if e != nil {
+				t.Fatalf("untouched line %#x has an entry", l)
+			}
+		} else if e == nil {
+			t.Fatalf("touched line %#x has no entry", l)
+		}
+	}
+	if e := homeOf(earlyLine).lookup(earlyLine); e != early || e.state != DirDirty || e.owner != procs-1 {
+		t.Errorf("line %#x's entry moved while the store grew", earlyLine)
 	}
 }
 
@@ -212,25 +290,47 @@ func TestFanOutsShareFreeLists(t *testing.T) {
 }
 
 // TestFirstTouchAllocatesNothing: a line's sharer set is a value inside
-// its directory entry, so on machines of up to 64 nodes the first request
-// for a line of a page whose chunk exists, and the first sharer it adds,
-// allocate nothing in any organization.
+// its directory entry, and the entry store grows a 256-entry block at a
+// time, so on machines of up to 64 nodes the first requests for lines of
+// pages that have an index, and the first sharer each adds, allocate one
+// block per 256 lines and nothing else, in any organization. The count
+// is taken over 1,024 first touches (testing.AllocsPerRun truncates its
+// average, which would hide the blocks); the store's list of blocks is
+// given room beforehand, as append's doubling amortizes its growth.
 func TestFirstTouchAllocatesNothing(t *testing.T) {
+	const pages, touches = 5, 1024
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, procs := range []int{16, 64} {
 		for _, org := range []dirset.Org{dirset.FullMap, dirset.LimitedPtr, dirset.CoarseVector} {
 			r := newRig(procs, func(c *config.Config) { c.DirOrg = org })
 			h := r.nodes[0]
-			l := mem.LineOf(r.alloc.AllocOnNode(mem.PageSize, 0))
-			h.entry(l) // allocates the page's chunk
-			allocs := testing.AllocsPerRun(100, func() {
-				l++
+			first := mem.LineOf(r.alloc.AllocOnNode(pages*mem.PageSize, 0))
+			for p := 0; p < pages; p++ {
+				h.entry(first + mem.Line(p*mem.LinesPerPage)) // allocates the page's index
+			}
+			sh := h.sh
+			sh.blocks = slices.Grow(sh.blocks, touches/dirBlockLen)
+			blocks := len(sh.blocks)
+			l := first
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for n := 0; n < touches; n++ {
+				if l++; l%mem.LinesPerPage == 0 {
+					l++ // the page's first line, touched above
+				}
 				if h.lookup(l) != nil {
 					t.Fatalf("line %#x has an entry before its first request", l)
 				}
 				h.sharerAdd(h.entry(l), procs-1)
-			})
-			if allocs != 0 {
-				t.Errorf("%v at %d nodes: a first touch allocates %.1f objects, want 0", org, procs, allocs)
+			}
+			runtime.ReadMemStats(&after)
+			if allocs := after.Mallocs - before.Mallocs; allocs > touches/dirBlockLen {
+				t.Errorf("%v at %d nodes: %d first touches allocate %d objects, want at most %d",
+					org, procs, touches, allocs, touches/dirBlockLen)
+			}
+			if got := len(sh.blocks) - blocks; got != touches/dirBlockLen {
+				t.Errorf("%v at %d nodes: %d first touches added %d store blocks, want %d",
+					org, procs, touches, got, touches/dirBlockLen)
 			}
 			if !h.sharers(h.lookup(l)).Contains(procs - 1) {
 				t.Errorf("%v at %d nodes: node %d missing from the last line's sharers", org, procs, procs-1)

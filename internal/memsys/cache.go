@@ -8,8 +8,9 @@ import (
 	"latsim/internal/mem"
 )
 
-// LineState is the state of a line in the secondary cache.
-type LineState int
+// LineState is the state of a line in the secondary cache. It fits the
+// low 2 bits of a secLine.
+type LineState uint8
 
 const (
 	// Invalid: the line is not present.
@@ -64,11 +65,16 @@ func (c *primaryCache) Invalidate(l mem.Line) {
 	}
 }
 
-// secLine is one secondary-cache way.
-type secLine struct {
-	tag   mem.Line
-	state LineState
-}
+// secLine is one secondary-cache way in one word: the line's tag shifted
+// left by 2, with its LineState in the low 2 bits. An Invalid way keeps
+// its stale tag, which no lookup reads.
+type secLine uint64
+
+// packLine makes the way holding line l in state st.
+func packLine(l mem.Line, st LineState) secLine { return secLine(l)<<2 | secLine(st&3) }
+
+func (s secLine) tag() mem.Line    { return mem.Line(s >> 2) }
+func (s secLine) state() LineState { return LineState(s & 3) }
 
 // secondaryCache is the 256 KB (scaled: 4 KB) write-back secondary cache.
 // The paper's machine is direct-mapped (one way); higher associativity is
@@ -95,8 +101,8 @@ func newSecondaryCache(bytes, ways int) *secondaryCache {
 func (c *secondaryCache) find(l mem.Line) (set []secLine, way int) {
 	i := int(uint64(l)&c.mask) * c.ways
 	set = c.lines[i : i+c.ways : i+c.ways]
-	for w := range set {
-		if set[w].tag == l && set[w].state != Invalid {
+	for w, s := range set {
+		if s.tag() == l && s.state() != Invalid {
 			return set, w
 		}
 	}
@@ -119,7 +125,7 @@ func (c *secondaryCache) State(l mem.Line) LineState {
 	if w < 0 {
 		return Invalid
 	}
-	st := set[w].state
+	st := set[w].state()
 	touch(set, w)
 	return st
 }
@@ -131,7 +137,7 @@ func (c *secondaryCache) Peek(l mem.Line) LineState {
 	if w < 0 {
 		return Invalid
 	}
-	return set[w].state
+	return set[w].state()
 }
 
 // Victim returns the line that installing l would evict (the LRU way), if
@@ -141,13 +147,13 @@ func (c *secondaryCache) Victim(l mem.Line) (mem.Line, LineState, bool) {
 	if w >= 0 {
 		return 0, Invalid, false // l already present: no eviction
 	}
-	for i := range set {
-		if set[i].state == Invalid {
+	for _, s := range set {
+		if s.state() == Invalid {
 			return 0, Invalid, false // a free way exists
 		}
 	}
 	lru := set[len(set)-1]
-	return lru.tag, lru.state, true
+	return lru.tag(), lru.state(), true
 }
 
 // Install fills line l in the given state, evicting the LRU way if the
@@ -158,15 +164,14 @@ func (c *secondaryCache) Install(l mem.Line, st LineState) {
 	if w < 0 {
 		// Prefer a free way; otherwise replace the LRU way.
 		w = len(set) - 1
-		for i := range set {
-			if set[i].state == Invalid {
+		for i, s := range set {
+			if s.state() == Invalid {
 				w = i
 				break
 			}
 		}
-		set[w].tag = l
 	}
-	set[w].state = st
+	set[w] = packLine(l, st)
 	touch(set, w)
 }
 
@@ -176,22 +181,22 @@ func (c *secondaryCache) SetState(l mem.Line, st LineState) {
 	if w < 0 {
 		panic("memsys: SetState on absent line")
 	}
-	set[w].state = st
+	set[w] = packLine(l, st)
 }
 
 // Invalidate removes line l if present.
 func (c *secondaryCache) Invalidate(l mem.Line) {
 	set, w := c.find(l)
 	if w >= 0 {
-		set[w].state = Invalid
+		set[w] = packLine(l, Invalid)
 	}
 }
 
 // forEachValid calls fn for every valid line (used by invariant checks).
 func (c *secondaryCache) forEachValid(fn func(mem.Line, LineState)) {
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
-			fn(c.lines[i].tag, c.lines[i].state)
+	for _, s := range c.lines {
+		if s.state() != Invalid {
+			fn(s.tag(), s.state())
 		}
 	}
 }

@@ -599,14 +599,15 @@ func TestProtocolDeterminism(t *testing.T) {
 // TestCheckInvariantsReportsLowestDirtyLine: three directory entries say
 // Dirty at a node that caches none of the lines. Each page is read at its
 // home, in page and line order, so the error names the lowest line at the
-// lowest home, whichever was marked first, although home 2's line sits on
-// a lower page than home 1's.
+// lowest home, although home 2's line sits on a lower page than home 1's.
+// The entries are created highest line first, so the entry store holds
+// them in the opposite order to the lines.
 func TestCheckInvariantsReportsLowestDirtyLine(t *testing.T) {
 	r := newRig(4, nil)
 	other := r.alloc.AllocOnNode(mem.LineSize, 2)
 	lo := r.alloc.AllocOnNode(mem.LineSize, 1)
 	hi := r.alloc.AllocOnNode(mem.PageSize, 1) // the next page
-	for _, a := range []mem.Addr{other, hi, lo} {
+	for _, a := range []mem.Addr{hi, lo, other} {
 		e := r.nodes[r.alloc.Home(a)].entry(mem.LineOf(a))
 		e.state, e.owner = DirDirty, 2
 	}
@@ -626,7 +627,7 @@ func TestCheckInvariantsReportsLowestDirtyLine(t *testing.T) {
 func TestCheckInvariantsReportsCopyWithoutEntry(t *testing.T) {
 	r := newRig(4, nil)
 	a := r.alloc.AllocOnNode(2*mem.LineSize, 1)
-	r.readLatency(t, 0, a+mem.LineSize) // gives the page a directory chunk
+	r.readLatency(t, 0, a+mem.LineSize) // gives the page a directory index
 	if err := CheckInvariants(r.nodes); err != nil {
 		t.Fatalf("invariants before the stray copy: %v", err)
 	}

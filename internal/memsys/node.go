@@ -30,15 +30,12 @@ const (
 // value in the organization the machine's layout picks (Config.DirOrg:
 // exact full-map by default; limited-pointer and coarse-vector for
 // scaled machines) and always holds a superset of the nodes with shared
-// copies. The entry is kept to 16 bytes because the directory stores one
-// for every line of each page that has reached its home, touched or not
-// (see shared.dir). A slot that is not used has never been touched and
-// reads as no entry.
+// copies. The entry is kept to 16 bytes because the directory holds one
+// for every line a request has reached the home of (see shared.dir).
 type dirEntry struct {
 	sharers dirset.Set // nodes with (potential) shared copies
 	owner   int32      // owning node when state == DirDirty
 	state   dirState
-	used    bool // a request for the line has reached its home
 
 	// busy serializes ownership-transfer transactions on the line: while
 	// a forwarded request is in flight to the owner, later requests for
@@ -48,9 +45,16 @@ type dirEntry struct {
 	busy bool
 }
 
-// dirChunk holds the directory entries of one page's lines, indexed by
-// the line's position in the page.
-type dirChunk [mem.LinesPerPage]dirEntry
+// dirIndex maps one page's lines, by position in the page, to the
+// directory's entry store: slot 0 means no request for the line has
+// reached its home, slot i means entry i-1 of the store.
+type dirIndex [mem.LinesPerPage]int32
+
+// dirBlock is one fixed block of the directory's entry store: 4 KiB, so
+// a block is one allocation of a size class with no waste.
+type dirBlock [dirBlockLen]dirEntry
+
+const dirBlockLen = 256
 
 // parkedReq is a directory request that found its line's entry busy: the
 // miss (mshr) or writeback (victimEntry), stopped at its directory stage
@@ -210,10 +214,14 @@ type Node struct {
 // shared is the state all nodes of one machine share, so that the host
 // holds what the machine holds at once rather than every node's peak.
 //
-// dir is the directory: one chunk per page, indexed by page number and
-// allocated when a line of the page first reaches its home (nil until
-// then). Only a page's home reads or writes its chunk. layout is the
-// organization every entry's sharer set is stored in.
+// dir is the directory's table: one index per page, indexed by page
+// number and allocated when a line of the page first reaches its home
+// (nil until then). Only a page's home reads or writes its index and the
+// entries it names. The entries live in one store, blocks, filled in
+// first-touch order (entries holds how many are in use). The store grows
+// a block at a time and never moves an entry, so an entry pointer stays
+// valid however many entries come after it. layout is the organization
+// every entry's sharer set is stored in.
 //
 // The free lists hold the transient transaction records of the hot
 // paths. Every node draws records from them and returns records to
@@ -222,8 +230,10 @@ type Node struct {
 // kernel's single-threaded discipline — the runner simulates many
 // machines concurrently, so package-level pools would race.
 type shared struct {
-	dir    []*dirChunk
-	layout dirset.Layout
+	dir     []*dirIndex
+	blocks  []*dirBlock
+	entries int32
+	layout  dirset.Layout
 
 	msgs         sim.Pool[netMsg]
 	mshrPool     sim.Pool[mshr]
@@ -318,36 +328,49 @@ func (n *Node) home(a mem.Addr) *Node { return n.nodes[n.alloc.Home(a)] }
 func (n *Node) IsLocal(a mem.Addr) bool { return n.alloc.Home(a) == n.id }
 
 // entry returns (creating if needed) the directory entry for line l;
-// only l's home may call it.
+// only l's home may call it. A line's first request takes the store's
+// next entry, and a page's first its index.
 func (n *Node) entry(l mem.Line) *dirEntry {
 	sh := n.sh
 	p := mem.PageOf(mem.AddrOf(l))
 	if p >= uint64(len(sh.dir)) {
-		sh.dir = append(sh.dir, make([]*dirChunk, p+1-uint64(len(sh.dir)))...)
+		sh.dir = append(sh.dir, make([]*dirIndex, p+1-uint64(len(sh.dir)))...)
 	}
-	c := sh.dir[p]
-	if c == nil {
-		c = new(dirChunk)
-		sh.dir[p] = c
+	ix := sh.dir[p]
+	if ix == nil {
+		ix = new(dirIndex)
+		sh.dir[p] = ix
 	}
-	e := &c[l%mem.LinesPerPage]
-	e.used = true
-	return e
+	slot := &ix[l%mem.LinesPerPage]
+	if *slot == 0 {
+		if sh.entries%dirBlockLen == 0 {
+			sh.blocks = append(sh.blocks, new(dirBlock))
+		}
+		sh.entries++
+		*slot = sh.entries
+	}
+	return sh.at(*slot)
 }
 
 // lookup returns the directory entry for line l, or nil if no request
 // for the line has reached its home; only l's home may call it. Unlike
 // entry it creates nothing, so observers can read the directory freely.
 func (n *Node) lookup(l mem.Line) *dirEntry {
-	dir := n.sh.dir
+	sh := n.sh
 	p := mem.PageOf(mem.AddrOf(l))
-	if p >= uint64(len(dir)) || dir[p] == nil {
+	if p >= uint64(len(sh.dir)) || sh.dir[p] == nil {
 		return nil
 	}
-	if e := &dir[p][l%mem.LinesPerPage]; e.used {
-		return e
+	if slot := sh.dir[p][l%mem.LinesPerPage]; slot != 0 {
+		return sh.at(slot)
 	}
 	return nil
+}
+
+// at returns the store's entry that a nonzero index slot names.
+func (sh *shared) at(slot int32) *dirEntry {
+	i := uint32(slot - 1)
+	return &sh.blocks[i/dirBlockLen][i%dirBlockLen]
 }
 
 // sharers returns the read-only view of e's sharer set.
@@ -597,17 +620,21 @@ func CheckInvariants(nodes []*Node) error {
 	// its own has a violation, so the one reported is the lowest line at
 	// the lowest home.
 	bad := len(nodes)
-	for p, c := range nodes[0].sh.dir {
-		if c == nil {
+	sh := nodes[0].sh
+	for p, ix := range sh.dir {
+		if ix == nil {
 			continue
 		}
 		home := nodes[0].alloc.Home(mem.Addr(p * mem.PageSize))
 		if home >= bad {
 			continue
 		}
-		for i := range c {
-			e := &c[i]
-			if !e.used || e.state != DirDirty {
+		for i, slot := range ix {
+			if slot == 0 {
+				continue
+			}
+			e := sh.at(slot)
+			if e.state != DirDirty {
 				continue
 			}
 			l := mem.Line(p*mem.LinesPerPage + i)
