@@ -12,8 +12,9 @@
 // organizations at up to 1024 processors), twin-validate (the analytical
 // twin against the simulator on the full matrix; it fails when the
 // twin's error contract is violated) and twin-sweep (the twin's
-// design-space exploration). With -json they emit BENCH_dir.json, the
-// BENCH_twin.json document and the sweep report.
+// design-space exploration). With -json they emit BENCH_dir.json,
+// BENCH_twin.json and the sweep report; none of them times anything, so
+// each is byte-reproducible.
 // Independent simulations run in parallel on -jobs workers; -cache-dir
 // persists results on disk so a re-run only simulates what changed; -v
 // prints a per-experiment cache hit/miss/dedup digest. -twin renders

@@ -278,6 +278,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: MaxOutstandingWrites = %d, need >= 1", c.MaxOutstandingWrites)
 	case c.PrefetchIssueCycles < 0:
 		return fmt.Errorf("config: negative PrefetchIssueCycles")
+	case c.Prefetch && !c.CacheShared:
+		return fmt.Errorf("config: prefetching requires coherent caches")
 	}
 	// A negative latency would schedule an event in the simulated past.
 	lat := reflect.ValueOf(&c.Lat).Elem()

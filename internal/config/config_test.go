@@ -35,6 +35,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"no pf buffer", func(c *Config) { c.PrefetchBufferDepth = 0 }, "PrefetchBufferDepth"},
 		{"no outstanding", func(c *Config) { c.MaxOutstandingWrites = 0 }, "MaxOutstandingWrites"},
 		{"negative pf issue", func(c *Config) { c.PrefetchIssueCycles = -1 }, "PrefetchIssueCycles"},
+		{"prefetch without caches", func(c *Config) { c.Prefetch = true; c.CacheShared = false }, "coherent caches"},
 		{"mesh non-square", func(c *Config) { c.MeshNetwork = true; c.Procs = 12 }, "square"},
 		{"mesh zero hop", func(c *Config) { c.MeshNetwork = true; c.MeshHopCycles = 0 }, "MeshHopCycles"},
 		{"mesh zero occupancy", func(c *Config) { c.MeshNetwork = true; c.MeshLinkOccupancy = -2 }, "MeshLinkOccupancy"},

@@ -57,10 +57,10 @@ var experiments = []experiment{
 var ExperimentIDs = experimentIDs(false)
 
 // ExtraExperimentIDs are opt-in ids that "all" deliberately excludes:
-// dirscale simulates up to 1024 processors, the twin experiments report
-// wall-clock timings, and the -exp all output is a byte-identity
-// regression gate that must not change when opt-in experiments are
-// added.
+// dirscale simulates up to 1024 processors, twin-validate simulates the
+// twin's full validation matrix and twin-sweep re-verifies its frontier,
+// and the -exp all output is a byte-identity regression gate that must
+// not change when opt-in experiments are added.
 var ExtraExperimentIDs = experimentIDs(true)
 
 func experimentIDs(optIn bool) []string {

@@ -28,14 +28,21 @@ func TestExpAllMatchesGolden(t *testing.T) {
 		}
 		got.WriteByte('\n')
 	}
-	if bytes.Equal(got.Bytes(), want) {
+	matchGolden(t, "-exp all", got.Bytes(), "testdata/figures_all.txt", want)
+}
+
+// matchGolden fails t unless got, the output of what, equals want, the
+// committed file name, naming the first line that differs.
+func matchGolden(t *testing.T, what string, got []byte, name string, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
 		return
 	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < min(len(gl), len(wl)); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("-exp all differs from testdata/figures_all.txt at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
+			t.Fatalf("%s differs from %s at line %d:\n got: %q\nwant: %q", what, name, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("-exp all has %d lines, testdata/figures_all.txt %d", len(gl), len(wl))
+	t.Fatalf("%s has %d lines, %s %d", what, len(gl), name, len(wl))
 }

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"time"
 
 	"latsim/internal/config"
-	"latsim/internal/runner"
 	"latsim/internal/stats"
 	"latsim/internal/twin"
 )
@@ -131,19 +128,12 @@ type twinEntryResult struct {
 	// aggregate — the matrix intentionally includes them as sanity
 	// anchors).
 	Anchored bool
-	// TwinNS is the twin's prediction cost for this point in
-	// nanoseconds: the median of batchNS.
-	TwinNS int64
-	// batchNS holds the wall-clock mean cost of one prediction in each
-	// of three batches of 64 calls.
-	batchNS [3]int64
 }
 
 // twinReport is the machine-readable cross-validation result.
 type twinReport struct {
-	Scale     string
-	Generated string
-	Gates     twinGates
+	Scale string
+	Gates twinGates
 
 	Entries []twinEntryResult
 
@@ -186,18 +176,14 @@ func (s *Session) twinValidate() (*twinReport, error) {
 		return nil, err
 	}
 
-	rep := &twinReport{
-		Scale:     s.Scale.String(),
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Gates:     defaultTwinGates(),
-	}
+	rep := &twinReport{Scale: s.Scale.String(), Gates: defaultTwinGates()}
 	for i, app := range AppNames {
 		model := twin.New(chars[app])
 		appRes := res[i*(len(entries)+1):] // the base run, then every entry
 		baseTotal := appRes[0].Breakdown.Total()
 		for k, e := range entries {
 			truthRes := appRes[1+k]
-			pred, batchNS, err := timedPredict(model, e.Cfg)
+			pred, err := model.Predict(e.Cfg)
 			if err != nil {
 				return nil, fmt.Errorf("twin-validate: %s %s: %w", app, e.Label, err)
 			}
@@ -208,9 +194,7 @@ func (s *Session) twinValidate() (*twinReport, error) {
 				Truth:    truthRes.Breakdown.Normalized(baseTotal),
 				Pred:     pred.Normalized(float64(baseTotal)),
 				Anchored: pred.Anchored,
-				batchNS:  batchNS,
 			}
-			er.TwinNS = median(batchNS[:])
 			for b := range er.Truth {
 				er.TruthTotal += er.Truth[b]
 				er.PredTotal += er.Pred[b]
@@ -237,89 +221,6 @@ func (s *Session) twinValidate() (*twinReport, error) {
 	rep.MeanTotalErr /= n
 	rep.Pass = rep.Check()
 	return rep, nil
-}
-
-// timedPredict evaluates the model once for correctness and then times
-// three batches of 64 calls for the speedup accounting, returning each
-// batch's mean cost per call.
-func timedPredict(m *twin.Model, cfg config.Config) (*twin.Prediction, [3]int64, error) {
-	var means [3]int64
-	pred, err := m.Predict(cfg)
-	if err != nil {
-		return nil, means, err
-	}
-	const batch = 64
-	for round := range means {
-		start := time.Now()
-		for i := 0; i < batch; i++ {
-			if _, err := m.Predict(cfg); err != nil {
-				return nil, means, err
-			}
-		}
-		means[round] = time.Since(start).Nanoseconds() / batch
-	}
-	return pred, means, nil
-}
-
-// median sorts xs and returns its middle element (the upper one of an
-// even count).
-func median(xs []int64) int64 {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	return xs[len(xs)/2]
-}
-
-// twinBenchRounds is how many times the speed record runs the three
-// base simulations.
-const twinBenchRounds = 3
-
-// twinBench is the speed side of the twin's contract: the cost of one
-// twin prediction against one detailed simulation.
-type twinBench struct {
-	// TwinNSPerConfig is the median wall-clock cost of one Predict call:
-	// the median of the batch means of every matrix entry (three batches
-	// of 64 calls each), so both sides of Speedup are medians.
-	TwinNSPerConfig int64
-	// SimNSPerConfig is the median wall-clock cost of one detailed
-	// simulation over SimRuns samples: core.Exec on each application's
-	// cached-SC base job in sequence, for twinBenchRounds rounds.
-	// SimNSMin and SimNSMax are the fastest and slowest sample.
-	SimNSPerConfig int64
-	SimNSMin       int64
-	SimNSMax       int64
-	SimRuns        int
-	Speedup        float64
-}
-
-// twinBenchFrom derives the speed record from a finished report. It times
-// fresh simulations outside the session's job engine, so the record is
-// the same measurement whatever the session's cache holds.
-func (s *Session) twinBenchFrom(rep *twinReport) (*twinBench, error) {
-	b := &twinBench{}
-	var batches []int64
-	for _, er := range rep.Entries {
-		batches = append(batches, er.batchNS[:]...)
-	}
-	if len(batches) > 0 {
-		b.TwinNSPerConfig = median(batches)
-	}
-	var samples []int64
-	for round := 0; round < twinBenchRounds; round++ {
-		for _, app := range AppNames {
-			j := runner.Job{App: app, Scale: s.Scale.String(), Seed: s.Seed, Cfg: Base()}
-			start := time.Now()
-			if _, err := Exec(context.Background(), j); err != nil {
-				return nil, err
-			}
-			samples = append(samples, time.Since(start).Nanoseconds())
-		}
-	}
-	b.SimRuns = len(samples)
-	b.SimNSPerConfig = median(samples)
-	b.SimNSMin, b.SimNSMax = samples[0], samples[len(samples)-1]
-	if b.TwinNSPerConfig > 0 {
-		b.Speedup = float64(b.SimNSPerConfig) / float64(b.TwinNSPerConfig)
-	}
-	return b, nil
 }
 
 // Render prints the report as a fixed-width table, one row per matrix
@@ -351,31 +252,23 @@ func (r *twinReport) Render(w io.Writer) {
 }
 
 // renderTwinValidate writes the cross-validation table, or with opt.JSON
-// the BENCH_twin.json document: the report and the speed record. A
-// report that violates the error contract fails the experiment once its
-// output is written.
+// the BENCH_twin.json document. A report that violates the error
+// contract fails the experiment once its output is written.
 func (s *Session) renderTwinValidate(w io.Writer, opt *RenderOptions) error {
 	rep, err := s.twinValidate()
 	if err != nil {
 		return err
 	}
 	if opt.JSON {
-		bench, err := s.twinBenchFrom(rep)
-		if err != nil {
-			return err
-		}
 		if err := writeJSON(w, struct {
 			Description string
 			Command     string
 			Report      *twinReport
-			Bench       *twinBench
 		}{
 			Description: "Analytical twin (internal/twin) vs detailed simulator over the full " +
-				"cross-validation matrix: the per-entry error report, and the wall-clock cost " +
-				"of one prediction vs one simulation of the same configuration.",
+				"cross-validation matrix: the per-entry error report.",
 			Command: "go run ./cmd/figures -exp twin-validate -json > BENCH_twin.json",
 			Report:  rep,
-			Bench:   bench,
 		}); err != nil {
 			return err
 		}
@@ -422,13 +315,9 @@ type sweepVerification struct {
 
 // sweepReport is the machine-readable sweep result.
 type sweepReport struct {
-	Scale     string
-	Generated string
-	// Explored counts distinct configurations evaluated analytically;
-	// TwinWallNS is the total wall-clock cost of evaluating all of them
-	// (all applications).
-	Explored   int
-	TwinWallNS int64
+	Scale string
+	// Explored counts distinct configurations evaluated analytically.
+	Explored int
 	// Frontier is the Pareto frontier over (Cost, MeanTotal), cheapest
 	// first. Verified holds the detailed-simulator check of the
 	// frontier (capped at sweepVerifyCap points).
@@ -525,12 +414,7 @@ func (s *Session) twinSweep() (*sweepReport, error) {
 	}
 
 	points := sweepSpace()
-	rep := &sweepReport{
-		Scale:     s.Scale.String(),
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Explored:  len(points),
-	}
-	start := time.Now()
+	rep := &sweepReport{Scale: s.Scale.String(), Explored: len(points)}
 	for i := range points {
 		var sum float64
 		for _, app := range AppNames {
@@ -542,7 +426,6 @@ func (s *Session) twinSweep() (*sweepReport, error) {
 		}
 		points[i].MeanTotal = sum / float64(len(AppNames))
 	}
-	rep.TwinWallNS = time.Since(start).Nanoseconds()
 
 	rep.Frontier = paretoFrontier(points)
 
@@ -614,8 +497,8 @@ func paretoFrontier(points []sweepPoint) []sweepPoint {
 
 // Render prints the sweep summary.
 func (r *sweepReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "design-space sweep: %d configurations explored analytically in %.1fms (%s scale)\n",
-		r.Explored, float64(r.TwinWallNS)/1e6, r.Scale)
+	fmt.Fprintf(w, "design-space sweep: %d configurations explored analytically (%s scale)\n",
+		r.Explored, r.Scale)
 	fmt.Fprintf(w, "Pareto frontier (%d points, %d verified in the detailed simulator):\n",
 		len(r.Frontier), len(r.Verified))
 	fmt.Fprintf(w, "  %-40s %6s %10s %10s %9s\n", "configuration", "cost", "twin mean", "sim mean", "err")

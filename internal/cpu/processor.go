@@ -35,10 +35,11 @@ const (
 	ctxDone
 )
 
-// contKind says what a context does when its pending event or memory-system
-// completion fires — the continuation of its in-flight operation. Together
-// with Context.Act it replaces the per-operation closures of the original
-// processor model: a context schedules *itself* and never allocates.
+// contKind says what a context does when its pending event, memory-system
+// completion or synchronization grant fires — the continuation of its
+// in-flight operation, stalls included. With Context.Act it lets a
+// context schedule and wait as *itself*: no operation, and no stall on a
+// full buffer, a fence, a lock or a barrier, allocates.
 type contKind uint8
 
 const (
@@ -55,6 +56,10 @@ const (
 	contWake       // long-latency completion: wake the blocked context
 	contInlineDone // short no-switch stall completion: account and resume
 	contWBRead     // buffered write to the read's line retired: retry
+	contWBSpace    // a write-buffer slot freed: retry the stalled store
+	contPFSpace    // a prefetch-buffer slot freed: retry the prefetch
+	contFenced     // WC fence drained: issue the lock or unlock
+	contArrived    // barrier arrival's increment retired: arrive
 )
 
 // Context is one hardware context: a register set bound to one application
@@ -81,14 +86,9 @@ type Context struct {
 	bar         *msync.Barrier // barrier of the current Barrier
 	pollStep    func() bool    // the active Env.Poll step, nil outside one
 
-	stallStart sim.Time     // start of a short no-switch stall
+	stallStart sim.Time     // start of a short no-switch or prefetch-buffer stall
 	stallCause stats.Bucket // its bucket before inline attribution
 	blockStart sim.Time     // when the context last blocked (obs latency)
-
-	// Pre-built closure completions for lock grants and barrier arrivals
-	// (one allocation per context per run instead of per operation).
-	wakeFn    sim.Func
-	barrierFn sim.Func
 }
 
 // Act implements sim.Actor: the single entry through which kernel events
@@ -164,8 +164,6 @@ func (p *Processor) AddWorker(pid, nprocs int, body func(*Env)) {
 	}
 	c := &Context{idx: len(p.ctxs), p: p}
 	c.env = &Env{c: c, pid: pid, nprocs: nprocs}
-	c.wakeFn = func() { p.wake(c) }
-	c.barrierFn = func() { c.bar.ArriveRetired(p.node, c.wakeFn) }
 	c.co = sim.NewCoroutine(func() {
 		body(c.env)
 		c.env.drain()
@@ -304,6 +302,25 @@ func (p *Processor) step(c *Context) {
 		p.exec(c)
 	case contWBRead:
 		p.wbReadRetired(c)
+	case contWBSpace:
+		p.wbSpaceFreed(c)
+	case contPFSpace:
+		if p.node.PFEnqueue(c.cur.addr, c.cur.kind == TPrefetchExcl) {
+			p.account(stats.PrefetchOverhead, p.k.Now()-c.stallStart)
+			p.exec(c)
+		} else {
+			p.node.PFOnSpace(c)
+		}
+	case contFenced:
+		c.cont = contWake
+		if c.cur.kind == TLock {
+			c.lock.Acquire(p.node, c)
+		} else if !p.node.WBEnqueueRelease(c.lock.Addr(), c.lock, c) {
+			panic("cpu: write buffer full after drain fence")
+		}
+	case contArrived:
+		c.cont = contWake
+		c.bar.ArriveRetired(p.node, c)
 	default:
 		panic(fmt.Sprintf("cpu: context stepped with continuation %d", c.cont))
 	}
@@ -611,51 +628,61 @@ func (p *Processor) rcWrite(c *Context, a mem.Addr) {
 		return
 	}
 	p.blockOn(c, stats.WriteStall)
-	var try sim.Func
-	try = func() {
-		if p.node.WBEnqueue(a, false, nil) {
-			p.wake(c)
-			return
-		}
-		p.node.WBOnSpace(try)
+	p.awaitWBSpace(c)
+}
+
+// awaitWBSpace parks a context whose store found the write buffer full
+// until a slot frees (contWBSpace).
+func (p *Processor) awaitWBSpace(c *Context) {
+	c.cont = contWBSpace
+	p.node.WBOnSpace(c)
+}
+
+// wbSpaceFreed retries the store of a context that found the write buffer
+// full: a write or an unlock wakes the context once buffered, a barrier
+// arrival goes on to wait for its increment to retire.
+func (p *Processor) wbSpaceFreed(c *Context) {
+	var ok bool
+	switch c.cur.kind {
+	case TWrite:
+		ok = p.node.WBEnqueue(c.cur.addr, false, nil)
+	case TUnlock:
+		ok = p.node.WBEnqueueRelease(c.lock.Addr(), c.lock, nil)
+	default:
+		p.arrive(c)
+		return
 	}
-	p.node.WBOnSpace(try)
+	if ok {
+		p.wake(c)
+	} else {
+		p.node.WBOnSpace(c)
+	}
 }
 
 func (p *Processor) issuePrefetch(c *Context) {
-	a, excl := c.cur.addr, c.cur.kind == TPrefetchExcl
-	if p.node.PFEnqueue(a, excl) {
+	if p.node.PFEnqueue(c.cur.addr, c.cur.kind == TPrefetchExcl) {
 		p.exec(c)
 		return
 	}
 	// Prefetch buffer full: the processor stalls (overhead) until a slot
-	// frees.
-	start := p.k.Now()
-	var try sim.Func
-	try = func() {
-		if p.node.PFEnqueue(a, excl) {
-			p.account(stats.PrefetchOverhead, p.k.Now()-start)
-			p.exec(c)
-			return
-		}
-		p.node.PFOnSpace(try)
-	}
-	p.node.PFOnSpace(try)
+	// frees (contPFSpace).
+	c.stallStart = p.k.Now()
+	c.cont = contPFSpace
+	p.node.PFOnSpace(c)
 }
 
 func (p *Processor) issueLock(c *Context) {
-	lk := c.lock
 	p.blockOn(c, stats.SyncStall)
 	if p.cfg.Model == config.WC {
 		// Weak consistency: a synchronization access is a full fence —
 		// all previous accesses (and their invalidations) complete
-		// before it issues.
-		p.node.WBOnDrained(sim.Func(func() {
-			lk.Acquire(p.node, c.wakeFn)
-		}))
+		// before it issues (contFenced).
+		c.cont = contFenced
+		p.node.WBOnDrained(c)
 		return
 	}
-	lk.Acquire(p.node, c.wakeFn)
+	c.cont = contWake
+	c.lock.Acquire(p.node, c)
 }
 
 func (p *Processor) issueUnlock(c *Context) {
@@ -671,27 +698,15 @@ func (p *Processor) issueUnlock(c *Context) {
 			return
 		}
 		p.blockOn(c, stats.SyncStall)
-		var try sim.Func
-		try = func() {
-			if p.node.WBEnqueueRelease(lk.Addr(), lk, nil) {
-				p.wake(c)
-				return
-			}
-			p.node.WBOnSpace(try)
-		}
-		p.node.WBOnSpace(try)
+		p.awaitWBSpace(c)
 		return
 	}
 	if p.cfg.Model == config.WC {
 		// Weak consistency: the unlock is a synchronization access —
 		// wait for everything before it, then stall until it completes.
 		p.blockOn(c, stats.SyncStall)
-		c.cont = contWake
-		p.node.WBOnDrained(sim.Func(func() {
-			if !p.node.WBEnqueueRelease(lk.Addr(), lk, c) {
-				panic("cpu: write buffer full after drain fence")
-			}
-		}))
+		c.cont = contFenced
+		p.node.WBOnDrained(c)
 		return
 	}
 	// SC: stall until the unlock store retires. A secondary-owned unlock
@@ -715,17 +730,18 @@ func (p *Processor) issueUnlock(c *Context) {
 }
 
 func (p *Processor) issueBarrier(c *Context) {
-	b := c.bar
 	p.blockOn(c, stats.SyncStall)
-	// The arrival increment is a release-marked write on the barrier
-	// counter: it waits for all previous writes and acks (the barrier's
-	// fence semantics) and serializes through the counter's home node.
-	var try sim.Func
-	try = func() {
-		if p.node.WBEnqueue(b.CounterAddr(), true, c.barrierFn) {
-			return
-		}
-		p.node.WBOnSpace(try)
+	p.arrive(c)
+}
+
+// arrive buffers a barrier arrival's increment, a release-marked write on
+// the barrier counter: it waits for all previous writes and acks (the
+// barrier's fence semantics) and serializes through the counter's home
+// node. When it retires the context arrives (contArrived) and waits for
+// the barrier's release (contWake).
+func (p *Processor) arrive(c *Context) {
+	c.cont = contArrived
+	if !p.node.WBEnqueue(c.bar.CounterAddr(), true, c) {
+		p.awaitWBSpace(c)
 	}
-	try()
 }

@@ -49,9 +49,6 @@ func New(cfg config.Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Prefetch && !cfg.CacheShared {
-		return nil, fmt.Errorf("machine: prefetching requires coherent caches")
-	}
 	m := &Machine{
 		cfg:   cfg,
 		k:     sim.NewKernel(),

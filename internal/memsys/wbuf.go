@@ -238,10 +238,16 @@ func (w *writeBuffer) retire(e *wbEntry) {
 		done.Act()
 	}
 	if len(w.entries) == 0 && w.inflight == 0 && len(w.drainWaiters) > 0 {
+		// Fences registered while these run go to a fresh list;
+		// otherwise the storage is reused.
 		ws := w.drainWaiters
 		w.drainWaiters = nil
 		for _, done := range ws {
 			w.n.onAllAcked(done)
+		}
+		if w.drainWaiters == nil {
+			clear(ws)
+			w.drainWaiters = ws[:0]
 		}
 	}
 	w.drain()

@@ -118,13 +118,16 @@ func (l *Lock) Waiters() int { return len(l.waiters) }
 
 // Barrier is a simulated global barrier. Arrival is an atomic increment of
 // a counter line (a serializing hot spot through its home node); waiting
-// processes spin on a flag line that the last arrival writes.
+// processes spin on a flag line that the last arrival writes. The barrier
+// is the sim.Actor of that flag write.
 type Barrier struct {
 	counterAddr mem.Addr
 	flagAddr    mem.Addr
 	total       int
 	arrived     int
-	waiters     []waiter
+	// waiters are the arrivals of the current episode in arrival order,
+	// the last arrival included once it has come.
+	waiters []waiter
 }
 
 // NewBarrier creates a barrier for total participants. counterAddr and
@@ -146,17 +149,6 @@ func (b *Barrier) CounterAddr() mem.Addr { return b.counterAddr }
 // Total returns the number of participants.
 func (b *Barrier) Total() int { return b.total }
 
-// Arrive signals arrival from node n, performing the counter increment's
-// ownership transaction itself; released runs when all participants have
-// arrived.
-func (b *Barrier) Arrive(n *memsys.Node, released sim.Actor) {
-	n.BeginSyncSpans()
-	defer n.EndSyncSpans()
-	n.AcquireOwnership(b.counterAddr, sim.Func(func() {
-		b.ArriveRetired(n, released)
-	}))
-}
-
 // ArriveRetired records an arrival whose counter increment has already
 // retired (the processor issued it as a release-marked store through the
 // write buffer). released runs when all participants have arrived.
@@ -164,24 +156,32 @@ func (b *Barrier) ArriveRetired(n *memsys.Node, released sim.Actor) {
 	n.BeginSyncSpans()
 	defer n.EndSyncSpans()
 	b.arrived++
+	b.waiters = append(b.waiters, waiter{n: n, granted: released})
 	if b.arrived < b.total {
 		refetch(n, b.flagAddr)
-		b.waiters = append(b.waiters, waiter{n: n, granted: released})
 		return
 	}
-	// Last arrival: write the flag, invalidating every spinner, then
-	// each spinner refetches it and proceeds.
+	// Last arrival: write the flag, invalidating every spinner (Act
+	// continues once the write completes).
 	b.arrived = 0
+	n.AcquireOwnership(b.flagAddr, b)
+}
+
+// Act implements sim.Actor: the last arrival's flag write completed, so
+// each spinner refetches the flag and proceeds, and then the last arrival
+// does. No participant can arrive again before this runs, so the waiter
+// storage is reused.
+func (b *Barrier) Act() {
 	ws := b.waiters
-	b.waiters = nil
-	n.AcquireOwnership(b.flagAddr, sim.Func(func() {
-		for _, w := range ws {
-			w.n.BeginSyncSpans()
-			refetchThen(w.n, b.flagAddr, w.granted)
-			w.n.EndSyncSpans()
-		}
-		released.Act()
-	}))
+	last := ws[len(ws)-1]
+	for _, w := range ws[:len(ws)-1] {
+		w.n.BeginSyncSpans()
+		refetchThen(w.n, b.flagAddr, w.granted)
+		w.n.EndSyncSpans()
+	}
+	clear(ws)
+	b.waiters = ws[:0]
+	last.granted.Act()
 }
 
 // Arrived returns the number of processes currently waiting at the

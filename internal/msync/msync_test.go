@@ -128,23 +128,30 @@ func TestReleaseUnheldPanics(t *testing.T) {
 	lk.ReleaseRetired()
 }
 
+// arrive arrives at bar from n the way a processor does: the counter
+// increment takes ownership of the counter line, and once it has retired
+// the node arrives.
+func arrive(bar *Barrier, n *memsys.Node, released sim.Actor) {
+	n.AcquireOwnership(bar.CounterAddr(), sim.Func(func() { bar.ArriveRetired(n, released) }))
+}
+
 func TestBarrierReleasesAllTogether(t *testing.T) {
 	r := newRig(4)
 	bar := NewBarrier(r.alloc.Alloc(mem.LineSize), r.alloc.Alloc(mem.LineSize), 4)
 	released := 0
-	arrive := func(i int, at sim.Time) {
+	arriveAt := func(i int, at sim.Time) {
 		r.k.AtActor(at, sim.Func(func() {
-			bar.Arrive(r.nodes[i], sim.Func(func() { released++ }))
+			arrive(bar, r.nodes[i], sim.Func(func() { released++ }))
 		}))
 	}
-	arrive(0, 0)
-	arrive(1, 100)
-	arrive(2, 200)
+	arriveAt(0, 0)
+	arriveAt(1, 100)
+	arriveAt(2, 200)
 	r.k.RunUntil(5000)
 	if released != 0 {
 		t.Fatalf("%d processes released before the last arrival", released)
 	}
-	arrive(3, 6000)
+	arriveAt(3, 6000)
 	r.k.Run(nil)
 	if released != 4 {
 		t.Fatalf("released = %d, want 4", released)
@@ -162,7 +169,7 @@ func TestBarrierReusableAcrossPhases(t *testing.T) {
 		}
 		done := 0
 		for i := 0; i < 2; i++ {
-			bar.Arrive(r.nodes[i], sim.Func(func() {
+			arrive(bar, r.nodes[i], sim.Func(func() {
 				done++
 				if done == 2 {
 					phases++

@@ -17,8 +17,9 @@
 //
 // Every scheduled completion, in the kernel, Resource and the model
 // packages above them, is an Actor. Model objects are Actors themselves,
-// so the simulator's hot paths schedule events without allocating at all;
-// the few cold sites that build a closure schedule it as a Func.
+// so the simulator's paths schedule events and park waiters without
+// allocating at all; only the mesh-network ablation builds closures,
+// one per hop, and schedules them as Funcs.
 package sim
 
 import (

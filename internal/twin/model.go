@@ -1,7 +1,6 @@
 package twin
 
 import (
-	"fmt"
 	"math"
 
 	"latsim/internal/config"
@@ -9,73 +8,58 @@ import (
 	"latsim/internal/stats"
 )
 
-// Params are the model's fitted constants. They are global — shared by
-// every application and configuration — and deliberately few: the twin's
+// The model's fitted constants. They are global — shared by every
+// application and configuration — and deliberately few: the twin's
 // predictive power must come from the mechanistic terms (service-time
 // composition, queueing, drain and utilization models), with these
 // constants only absorbing second-order effects the mechanisms ignore.
-// DESIGN.md §S-twin documents what each one stands for.
-type Params struct {
-	// IdleStretchExp (alpha) maps the relative change in single-context
+// DESIGN.md §S-twin documents what each one stands for, the fitting
+// procedure and the configurations they were fitted on.
+const (
+	// idleStretchExp (alpha) maps the relative change in single-context
 	// stall demand to the relative change in multi-context all-idle
 	// time. Sub-linear (< 1) because part of the idle time is
 	// structural: correlated stalls (barriers) and burstiness that more
 	// stall-demand headroom cannot fill.
-	IdleStretchExp float64
-	// SyncStretchExp (gamma) maps the relative change in non-sync
+	idleStretchExp = 0.70
+	// syncStretchExp (gamma) maps the relative change in non-sync
 	// execution time to the relative change in synchronization stall.
 	// Sub-linear because a uniform slowdown perturbs lock hold times and
 	// barrier imbalance less than proportionally.
-	SyncStretchExp float64
-	// SwitchOverlap (kappa) is the fraction of added context-switch
+	syncStretchExp = 0.85
+	// switchOverlap (kappa) is the fraction of added context-switch
 	// cycles hidden under time the processor would have idled anyway
 	// (penalty 16 vs the references' penalty 4).
-	SwitchOverlap float64
-	// RCWriteResidual models the buffered-write stall that remains under
+	switchOverlap = 0.25
+	// rcWriteResidual models the buffered-write stall that remains under
 	// RC/WC even when the drain models predict none: reads colliding
 	// with buffered writes to the same line, expressed as a fraction of
 	// the SC write stall.
-	RCWriteResidual float64
-	// PCWriteResidual is the same residual for PC, whose single
+	rcWriteResidual = 0.06
+	// pcWriteResidual is the same residual for PC, whose single
 	// outstanding ownership request drains far slower.
-	PCWriteResidual float64
-	// UncRemoteReadScale corrects the read-locality estimate for the
+	pcWriteResidual = 0.20
+	// uncRemoteReadScale corrects the read-locality estimate for the
 	// uncached machine: the cached run's miss-locality split over-weights
 	// remote lines (local lines hit more), so the uncached remote
 	// fraction is scaled down from it.
-	UncRemoteReadScale float64
-	// UncRemoteWriteScale is the same correction for writes.
-	UncRemoteWriteScale float64
-	// WriteIssueSpacing is the assumed processor cycles between
+	uncRemoteReadScale = 0.80
+	// uncRemoteWriteScale is the same correction for writes.
+	uncRemoteWriteScale = 0.80
+	// writeIssueSpacing is the assumed processor cycles between
 	// consecutive writes inside a write run (issue + address
 	// computation), feeding the buffer-fill burst model.
-	WriteIssueSpacing float64
-}
-
-// DefaultParams returns the fitted constants (see DESIGN.md §S-twin for
-// the fitting procedure and the configurations they were fitted on).
-func DefaultParams() Params {
-	return Params{
-		IdleStretchExp:      0.70,
-		SyncStretchExp:      0.85,
-		SwitchOverlap:       0.25,
-		RCWriteResidual:     0.06,
-		PCWriteResidual:     0.20,
-		UncRemoteReadScale:  0.80,
-		UncRemoteWriteScale: 0.80,
-		WriteIssueSpacing:   2,
-	}
-}
+	writeIssueSpacing = 2.0
+)
 
 // Model predicts execution-time breakdowns for one characterized
 // application. A Model is immutable and safe for concurrent use.
 type Model struct {
 	Char *AppChar
-	P    Params
 }
 
-// New builds a model over a characterization with the default constants.
-func New(char *AppChar) *Model { return &Model{Char: char, P: DefaultParams()} }
+// New builds a model over a characterization.
+func New(char *AppChar) *Model { return &Model{Char: char} }
 
 // Prediction is the twin's output for one configuration: the same
 // per-processor cycle breakdown the detailed simulator produces
@@ -112,9 +96,6 @@ func (p *Prediction) Normalized(base float64) [stats.NumBuckets]float64 {
 func (m *Model) Predict(cfg config.Config) (*Prediction, error) {
 	if err := Validate(&cfg); err != nil {
 		return nil, err
-	}
-	if cfg.Prefetch && !cfg.CacheShared {
-		return nil, fmt.Errorf("twin: prefetching requires coherent caches")
 	}
 	var p *Prediction
 	if cfg.Contexts == 1 {
@@ -243,8 +224,8 @@ func (m *Model) predictSingle(cfg config.Config) *Prediction {
 func (m *Model) predictUncached(cfg config.Config, op *OpPoint, w float64, s ServiceTimes) *Prediction {
 	p := &Prediction{}
 	busy := op.Time[stats.Busy] * w
-	frR := clamp01(op.RdRemoteFrac() * m.P.UncRemoteReadScale)
-	frW := clamp01(op.WrRemoteFrac() * m.P.UncRemoteWriteScale)
+	frR := clamp01(op.RdRemoteFrac() * uncRemoteReadScale)
+	frW := clamp01(op.WrRemoteFrac() * uncRemoteWriteScale)
 	readMix := (1-frR)*s.UncReadLocal + frR*s.UncReadRemote
 	writeMix := (1-frW)*s.UncWriteLocal + frW*s.UncWriteRemote
 
@@ -287,7 +268,7 @@ func (m *Model) predictUncached(cfg config.Config, op *OpPoint, w float64, s Ser
 func (m *Model) syncStall(op *OpPoint, w, nonSync float64) float64 {
 	refNonSync := (op.Time[stats.Busy] + op.Time[stats.PrefetchOverhead] +
 		op.Time[stats.ReadStall] + op.Time[stats.WriteStall]) * w
-	return op.Time[stats.SyncStall] * w * math.Pow(ratio(nonSync, refNonSync), m.P.SyncStretchExp)
+	return op.Time[stats.SyncStall] * w * math.Pow(ratio(nonSync, refNonSync), syncStretchExp)
 }
 
 // bufferedWriteStall models the write stall of the buffered consistency
@@ -298,10 +279,10 @@ func (m *Model) bufferedWriteStall(cfg *config.Config, op *OpPoint, w, T, wLat f
 	// MaxOutstandingWrites ownership requests, PC keeps exactly one
 	// outstanding.
 	d := wLat
-	residual := m.P.PCWriteResidual
+	residual := pcWriteResidual
 	if cfg.Model != config.PC {
 		d = wLat / float64(cfg.MaxOutstandingWrites)
-		residual = m.P.RCWriteResidual
+		residual = rcWriteResidual
 	}
 	nTxn := (op.WrLocal + op.WrRemote) * w
 
@@ -310,7 +291,7 @@ func (m *Model) bufferedWriteStall(cfg *config.Config, op *OpPoint, w, T, wLat f
 	// difference. The write-run-length histogram makes this exact over
 	// the run distribution rather than assuming the mean.
 	var stall float64
-	spacing := m.P.WriteIssueSpacing
+	spacing := writeIssueSpacing
 	if d > spacing {
 		fill := float64(cfg.WriteBufferDepth) * d / (d - spacing)
 		for r, cnt := range op.WriteRunHist {
@@ -374,8 +355,8 @@ func (m *Model) queues(cfg *config.Config, op *OpPoint, w, T float64) queueWaits
 		remote = (op.RdRemote + op.WrRemote + op.PfRemote + op.SyncRemote) * w / T
 	} else {
 		// Every shared reference is a memory transaction.
-		frR := clamp01(op.RdRemoteFrac() * m.P.UncRemoteReadScale)
-		frW := clamp01(op.WrRemoteFrac() * m.P.UncRemoteWriteScale)
+		frR := clamp01(op.RdRemoteFrac() * uncRemoteReadScale)
+		frW := clamp01(op.WrRemoteFrac() * uncRemoteWriteScale)
 		reads := op.SharedReads * w / T
 		writes := op.SharedWrites * w / T
 		txn = reads + writes
@@ -516,8 +497,8 @@ func (m *Model) predictAnchored(cfg config.Config, n int) *Prediction {
 	// time the contexts would have idled through anyway.
 	extra := mc.Time[stats.Switching] * w * opsRatio * (penScale - 1)
 
-	idle := mc.Time[stats.AllIdle]*w*math.Pow(stallRatio, m.P.IdleStretchExp) -
-		m.P.SwitchOverlap*extra
+	idle := mc.Time[stats.AllIdle]*w*math.Pow(stallRatio, idleStretchExp) -
+		switchOverlap*extra
 	if idle < 0 {
 		idle = 0
 	}
